@@ -23,11 +23,10 @@ import sys
 from typing import Sequence
 
 from . import identity_suite
-from .formulas import (format_partition, hook_lengths, hook_product,
-                       multinomial_paths, parse_partition,
+from .formulas import (closed_form_count, format_partition, hook_lengths,
+                       hook_product, parse_partition,
                        partition_to_young_vertex, strict_partition_to_vertex,
-                       strict_skew_count, strict_vertex_to_partition,
-                       syt_count_hook, young_path_count)
+                       syt_count_hook)
 from .graded_graphs import (CustomBoxGraph, GradedGraph,
                             SeriesConstructionError, construct_weight_series,
                             count_paths_dp, degree, make_graph,
@@ -127,18 +126,6 @@ def _resolve_vertex(graph: GradedGraph, vertex_text: str | None,
     return v
 
 
-def _closed_form_count(graph: GradedGraph, src: tuple[int, ...],
-                       dst: tuple[int, ...]) -> int:
-    if graph.name == "pascal":
-        return multinomial_paths(src, dst)
-    if graph.name == "young":
-        return young_path_count(src, dst)
-    if graph.name == "strict":
-        return strict_skew_count(strict_vertex_to_partition(src),
-                                 strict_vertex_to_partition(dst), graph.k)
-    raise ValueError(f"no closed form for {graph.name} graphs")
-
-
 def _series_count(graph: GradedGraph, src: tuple[int, ...],
                   dst: tuple[int, ...]) -> int:
     phi = construct_weight_series(graph, src, max(degree(dst), degree(src)))
@@ -167,7 +154,7 @@ def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     counts: dict[str, int] = {}
     for method in methods:
         if method == "formula":
-            counts[method] = _closed_form_count(graph, src, dst)
+            counts[method] = closed_form_count(graph.name, src, dst)[1]
         elif method == "oracle":
             counts[method] = count_paths_dp(graph, src, dst)
         else:

@@ -21,7 +21,7 @@ import itertools
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .laurent import RationalFn, difference_product, evaluate_with_limits
@@ -183,26 +183,27 @@ def hook_lengths(rows: Sequence[int]) -> list[list[int]]:
     return grid
 
 
-def hook_product(rows: Sequence[int]) -> int:
-    """Product of all hook lengths, cross-checked against the coordinate
-    encoding: it must equal prod(m_i!) / prod_{i<j} (m_j - m_i) where m is
-    the vertex for the partition on exactly its number of rows."""
-    rows = _checked_partition(rows)
-    product = 1
-    for line in hook_lengths(rows):
-        for h in line:
-            product *= h
+def _hook_product_and_ratio(rows: Rows) -> tuple[int, Fraction]:
+    """The product of all hook lengths, and the value the coordinate encoding
+    predicts for it: prod(m_i!) / prod_{i<j} (m_j - m_i), where m is the
+    vertex for the partition on exactly its number of rows."""
+    product = prod(h for line in hook_lengths(rows) for h in line)
+    ratio = Fraction(1)
     if rows:
         m = partition_to_young_vertex(rows, len(rows))
-        expected = Fraction(1)
-        for c in m:
-            expected *= factorial(c)
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                expected /= m[j] - m[i]
-        if expected != product:
-            raise ArithmeticError(
-                f"hook product {product} disagrees with {expected} for {rows}")
+        ratio = Fraction(prod(factorial(c) for c in m),
+                         prod(b - a for a, b in itertools.combinations(m, 2)))
+    return product, ratio
+
+
+def hook_product(rows: Sequence[int]) -> int:
+    """Product of all hook lengths, cross-checked against the coordinate
+    encoding (see ``check_hook_length_claim``)."""
+    rows = _checked_partition(rows)
+    product, ratio = _hook_product_and_ratio(rows)
+    if ratio != product:
+        raise ArithmeticError(
+            f"hook product {product} disagrees with {ratio} for {rows}")
     return product
 
 
@@ -211,21 +212,10 @@ def check_hook_length_claim(rows: Sequence[int]) -> VerifyReport:
     started = time.perf_counter()
     rows = _checked_partition(rows)
     params = {"partition": rows}
-    product = 1
-    for line in hook_lengths(rows):
-        for h in line:
-            product *= h
-    expected = Fraction(1)
-    if rows:
-        m = partition_to_young_vertex(rows, len(rows))
-        for c in m:
-            expected *= factorial(c)
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                expected /= m[j] - m[i]
-    if expected != product:
+    product, ratio = _hook_product_and_ratio(rows)
+    if ratio != product:
         return failed("hook_length_product", params,
-                      {"hooks": product, "ratio": expected}, started)
+                      {"hooks": product, "ratio": ratio}, started)
     return passed("hook_length_product", params, started)
 
 
@@ -324,3 +314,20 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
     if total.denominator != 1:
         raise ArithmeticError(f"non-integer count {total} for {frm} -> {to}")
     return int(total)
+
+
+# -- dispatch -----------------------------------------------------------------
+
+def closed_form_count(kind: str, v_from: Sequence[int],
+                      v_to: Sequence[int]) -> tuple[str, int]:
+    """The closed-form path count between two vertices of the lattice graph
+    of the given kind, with the name of the formula that produced it."""
+    if kind == "pascal":
+        return "multinomial", multinomial_paths(v_from, v_to)
+    if kind == "young":
+        return "determinant", young_path_count(v_from, v_to)
+    if kind == "strict":
+        return "anchored_limit", strict_skew_count(
+            strict_vertex_to_partition(v_from), strict_vertex_to_partition(v_to),
+            len(v_from))
+    raise ValueError(f"no closed form for {kind} graphs")

@@ -31,9 +31,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
-from .multipoly import Coeff, MultiPoly, exact_compositions, multinomial
+from .multipoly import Coeff, exact_compositions, multinomial
 from .reports import VerifyReport, failed, passed
 
 Vertex = tuple[int, ...]
@@ -79,25 +79,16 @@ class GradedGraph:
                 result.append(w)
         return result
 
-    def in_neighbors(self, v: Vertex) -> list[Vertex]:
-        if not self.contains(v):
-            raise ValueError(f"{v} is not a vertex")
-        result = []
-        for i in range(self.k):
-            if v[i] == 0 and self._non_negative:
-                continue
-            w = _bump(v, i, -1)
-            if self.contains(w):
-                result.append(w)
-        return result
-
-    # The three lattice families live in N^k; explicit boxes may not.
-    _non_negative = True
-
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         if d < 0:
             return []
         return [v for v in exact_compositions(self.k, d) if self.contains(v)]
+
+    def scanned_vertices(self, box_bound: int) -> list[Vertex]:
+        """The vertices the hypothesis checks scan: those in [0, bound]^k,
+        in lexicographic order."""
+        return [v for v in itertools.product(range(box_bound + 1), repeat=self.k)
+                if self.contains(v)]
 
 
 def _bump(v: Vertex, i: int, step: int = 1) -> Vertex:
@@ -158,7 +149,6 @@ class CustomBoxGraph(GradedGraph):
     """Explicit vertex table; used for negative tests of the hypotheses."""
 
     name = "custom"
-    _non_negative = False
 
     def __init__(self, k: int, vertices: Iterable[Vertex]):
         super().__init__(k)
@@ -177,6 +167,11 @@ class CustomBoxGraph(GradedGraph):
 
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         return sorted(v for v in self.vertices if degree(v) == d)
+
+    def scanned_vertices(self, box_bound: int) -> list[Vertex]:
+        """The whole finite vertex list, negative coordinates included; the
+        box bound does not apply."""
+        return sorted(self.vertices)
 
 
 GRAPH_KINDS: dict[str, type[GradedGraph]] = {
@@ -240,12 +235,10 @@ def path_count_table(graph: GradedGraph, v: Vertex,
 # -- hypothesis checks --------------------------------------------------------
 
 def check_minimum_closed(graph: GradedGraph, box_bound: int) -> VerifyReport:
-    """Entrywise minimum of any two vertices inside [0, bound]^k is a vertex."""
+    """Entrywise minimum of any two scanned vertices is a vertex."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
-    box_vertices = [v for v in itertools.product(range(box_bound + 1), repeat=graph.k)
-                    if graph.contains(v)]
-    for u, w in itertools.combinations(box_vertices, 2):
+    for u, w in itertools.combinations(graph.scanned_vertices(box_bound), 2):
         m = vector_min(u, w)
         if not graph.contains(m):
             return failed("minimum_closed", params,
@@ -254,15 +247,16 @@ def check_minimum_closed(graph: GradedGraph, box_bound: int) -> VerifyReport:
 
 
 def check_coordinate_convex(graph: GradedGraph, box_bound: int) -> VerifyReport:
-    """Each coordinate line through the vertex set has no gaps in [0, bound]^k."""
+    """Between two scanned vertices on one coordinate line, every lattice
+    point of the line is a vertex."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
-    box_vertices = [v for v in itertools.product(range(box_bound + 1), repeat=graph.k)
-                    if graph.contains(v)]
-    vertex_set = set(box_vertices)
-    for v in box_vertices:
+    scanned = graph.scanned_vertices(box_bound)
+    vertex_set = set(scanned)
+    highest = max((max(v) for v in scanned), default=0)
+    for v in scanned:
         for i in range(graph.k):
-            for top in range(v[i] + 2, box_bound + 1):
+            for top in range(v[i] + 2, highest + 1):
                 far = v[:i] + (top,) + v[i + 1:]
                 if far not in vertex_set:
                     continue
@@ -344,9 +338,10 @@ class WeightSeries:
 def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> WeightSeries:
     """Solve the weight-series constraints for v up to the given degree bound.
 
-    Runs the two hypothesis checks on the enclosing box first; any violation
-    (including a pivot collision during the solve) raises
-    ``SeriesConstructionError`` with the offending monomial.
+    Runs the two hypothesis checks first, over the enclosing box (or a custom
+    graph's own vertex list); any violation (including a pivot collision
+    during the solve) raises ``SeriesConstructionError`` with the offending
+    monomial.
     """
     v = tuple(v)
     if not graph.contains(v):
@@ -381,42 +376,19 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
     return series
 
 
-CoefficientFn = Callable[[Vertex], Coeff]
-
-
-def _coefficient_source(phi: object) -> tuple[Mapping[Vertex, Coeff] | None, CoefficientFn]:
-    """Normalize the accepted phi forms to (finite table or None, lookup fn)."""
-    if isinstance(phi, WeightSeries):
-        return phi.coeffs, phi.coefficient
-    if isinstance(phi, MultiPoly):
-        return phi.terms, phi.coefficient
-    if callable(phi):
-        return None, phi  # closed-form coefficient extractor
-    raise TypeError(f"unsupported weight-series form: {type(phi)!r}")
-
-
-def _extract_coefficient(table: Mapping[Vertex, Coeff] | None, fn: CoefficientFn,
-                         w: Vertex, steps: int, k: int) -> Coeff:
+def _extract_coefficient(phi: WeightSeries, w: Vertex, steps: int) -> Coeff:
     """Coefficient of w in phi * (x_1+..+x_k)^steps, over the finite support."""
     total: Coeff = 0
-    if table is not None:
-        for e, c in table.items():
-            if majorates(w, e) and degree(w) - degree(e) == steps:
-                total += c * multinomial(tuple(a - b for a, b in zip(w, e)))
-        return total
-    for delta in exact_compositions(k, steps):
-        e = tuple(a - b for a, b in zip(w, delta))
-        c = fn(e)
-        if c:
-            total += c * multinomial(delta)
+    for e, c in phi.coeffs.items():
+        if majorates(w, e) and degree(w) - degree(e) == steps:
+            total += c * multinomial(tuple(a - b for a, b in zip(w, e)))
     return total
 
 
-def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: object,
+def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: WeightSeries,
                              bound: int) -> VerifyReport:
     """Check the three weight-series conditions for v up to the degree bound.
 
-    ``phi`` may be a WeightSeries, a MultiPoly, or a coefficient callable.
     Condition 3 uses the exponent deg(w) - deg(v).
     """
     started = time.perf_counter()
@@ -426,22 +398,21 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: object,
         raise ValueError(f"{v} is not a vertex")
     if bound < degree(v):
         raise ValueError("bound below the base degree")
-    table, fn = _coefficient_source(phi)
 
-    if fn(v) != 1:
+    if phi.coefficient(v) != 1:
         return failed("weight_conditions", params,
                       {"condition": "base coefficient", "monomial": v,
-                       "value": fn(v)}, started)
+                       "value": phi.coefficient(v)}, started)
     for other in graph.vertices_of_degree(degree(v)):
-        if other != v and fn(other) != 0:
+        if other != v and phi.coefficient(other) != 0:
             return failed("weight_conditions", params,
                           {"condition": "same-degree vertex", "monomial": other,
-                           "value": fn(other)}, started)
+                           "value": phi.coefficient(other)}, started)
     for w in constraint_monomials(graph, v, bound):
         if graph.contains(w):
             continue
         steps = degree(w) - degree(v)
-        value = _extract_coefficient(table, fn, w, steps, graph.k)
+        value = _extract_coefficient(phi, w, steps)
         if value != 0:
             return failed("weight_conditions", params,
                           {"condition": "boundary vanishing", "monomial": w,
@@ -449,7 +420,7 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: object,
     return passed("weight_conditions", params, started)
 
 
-def weighted_path_count(graph: GradedGraph, phi: object, v: Vertex,
+def weighted_path_count(graph: GradedGraph, phi: WeightSeries, v: Vertex,
                         u: Vertex) -> int:
     """Path count from v to u read off as the coefficient of u in
     phi * (x_1+..+x_k)^(deg u - deg v)."""
@@ -459,14 +430,12 @@ def weighted_path_count(graph: GradedGraph, phi: object, v: Vertex,
     steps = degree(u) - degree(v)
     if steps < 0:
         return 0
-    if isinstance(phi, WeightSeries):
-        if phi.base != v:
-            raise ValueError(f"series base {phi.base} does not match source {v}")
-        if phi.degree_bound < degree(u):
-            raise ValueError(
-                f"series bound {phi.degree_bound} below target degree {degree(u)}")
-    table, fn = _coefficient_source(phi)
-    value = _extract_coefficient(table, fn, u, steps, graph.k)
+    if phi.base != v:
+        raise ValueError(f"series base {phi.base} does not match source {v}")
+    if phi.degree_bound < degree(u):
+        raise ValueError(
+            f"series bound {phi.degree_bound} below target degree {degree(u)}")
+    value = _extract_coefficient(phi, u, steps)
     if value != int(value):
         raise ArithmeticError(f"non-integer path count {value} at {u}")
     return int(value)

@@ -1,7 +1,10 @@
 """Mechanical verification of the polynomial identities behind the counts.
 
 Every check returns a VerifyReport and compares exact polynomials (or exact
-rational limits), never floats.  The ``perturb`` flag on each check injects a
+rational limits), never floats.  The right-hand sides are falling-factorial
+expansions over the top simplex layer (``multipoly.ff_expansion``), with
+weights given by multinomials, alternants at the composition, or limit
+values of a rational function.  The ``perturb`` flag on each check injects a
 stray monomial into one side first; the perturbed run must come back failed,
 which is how the negative controls prove the comparisons have teeth.
 
@@ -14,26 +17,25 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
-from .formulas import (multinomial_paths, strict_partition_to_vertex,
-                       strict_skew_count, strict_vertex_to_partition,
-                       syt_count, syt_count_hook, young_path_count,
+from .formulas import (closed_form_count, skew_weight_fn,
+                       strict_partition_to_vertex, syt_count, syt_count_hook,
                        young_vertex_to_partition)
 from .graded_graphs import (GradedGraph, SeriesConstructionError,
                             construct_weight_series, count_paths_dp, degree,
                             make_graph, path_count_table,
                             verify_weight_conditions, weighted_path_count)
-from .laurent import (LimitInfiniteError, alternating_ratio,
+from .laurent import (RationalFn, alternating_ratio,
                       check_antipolynomial_vanishes,
                       check_trailing_negative_coeffs, default_truncation,
                       evaluate_with_limits, polynomial_component,
                       strict_path_series, strict_skew_path_series,
                       verify_pfaffian_product)
-from .multipoly import (MultiPoly, exact_compositions, falling_alternant,
-                        falling_alternant_at, ff_of_poly, ff_poly, grlex_key,
-                        multinomial, power_alternant)
+from .multipoly import (Coeff, Exponents, MultiPoly, exact_compositions,
+                        falling_alternant, falling_alternant_at, ff_expansion,
+                        ff_of_poly, grlex_key, multinomial, power_alternant)
 from .reports import VerifyReport, failed, passed
 
 # anchor vertices exercised by the default sweep, per dimension
@@ -51,13 +53,9 @@ def _variable_sum(k: int) -> MultiPoly:
     return total
 
 
-def _ascending_difference_product(k: int) -> MultiPoly:
-    """prod over i<j of (x_j - x_i)."""
-    result = MultiPoly.one(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            result = result * (MultiPoly.var(k, j) - MultiPoly.var(k, i))
-    return result
+def _over_factorials(value: Coeff, comp: Exponents) -> Fraction:
+    """value / prod(c_i!)."""
+    return Fraction(value, prod(factorial(c) for c in comp))
 
 
 def _compare(identity: str, params: dict, started: float,
@@ -86,19 +84,9 @@ def check_vandermonde(k: int, n: int, perturb: bool = False) -> VerifyReport:
     started = time.perf_counter()
     params = {"k": k, "n": n, "perturbed": perturb}
     lhs_ff = _perturbed(ff_of_poly(_variable_sum(k), n), perturb)
-    rhs_ff = MultiPoly.zero(k)
-    rhs_bin = MultiPoly.zero(k)
-    for comp in exact_compositions(k, n):
-        term = MultiPoly.const(k, multinomial(comp))
-        term_bin = MultiPoly.one(k)
-        for i, c in enumerate(comp):
-            if c:
-                fell = ff_poly(k, i, c)
-                term = term * fell
-                term_bin = term_bin * (fell * Fraction(1, factorial(c)))
-        rhs_ff = rhs_ff + term
-        rhs_bin = rhs_bin + term_bin
+    rhs_ff = ff_expansion(k, n, multinomial)
     lhs_bin = lhs_ff * Fraction(1, factorial(n))
+    rhs_bin = ff_expansion(k, n, lambda comp: _over_factorials(1, comp))
     return _compare("vandermonde_convolution", params, started,
                     [("falling_factorial", lhs_ff, rhs_ff),
                      ("binomial", lhs_bin, rhs_bin)])
@@ -118,38 +106,44 @@ def check_multinomial(k: int, n: int, perturb: bool = False) -> VerifyReport:
 
 # -- strictly increasing coordinates -------------------------------------------
 
+def _anchored_sides(anchor: tuple[int, ...], falling: MultiPoly,
+                    power: MultiPoly, steps: int,
+                    perturb: bool) -> list[tuple[str, MultiPoly, MultiPoly]]:
+    """Both forms of the anchored expansion.  With w(c) = steps!/prod(c_i!)
+    * det(ff(c_i, a_j)) over the compositions c of steps + |a|:
+
+    * falling * ff(sum(x) - |a|, steps) = sum w(c) prod ff(x_i, c_i),
+    * power * sum(x)^steps = sum w(c) x^c,
+
+    where ``falling`` is det(ff(x_i, a_j)) and ``power`` is det(x_i^{a_j})."""
+    k = len(anchor)
+    total = steps + sum(anchor)
+    weights = MultiPoly(k, {
+        comp: _over_factorials(factorial(steps) * falling_alternant_at(anchor, comp),
+                               comp)
+        for comp in exact_compositions(k, total)})
+    lhs_ff = _perturbed(falling * ff_of_poly(_variable_sum(k) - sum(anchor), steps),
+                        perturb)
+    lhs_pw = _perturbed(power * _variable_sum(k) ** steps, perturb)
+    return [("falling_factorial", lhs_ff,
+             ff_expansion(k, total, weights.coefficient)),
+            ("power", lhs_pw, weights)]
+
+
 def check_hook_identity(k: int, steps: int, perturb: bool = False) -> VerifyReport:
-    """prod(x_j - x_i) * ff(sum(x) - k(k-1)/2, steps) equals the sum over
+    """The anchored expansion at the staircase anchor (0..k-1), where both
+    alternants are the Vandermonde product prod_{i<j} (x_j - x_i):
+    prod(x_j - x_i) * ff(sum(x) - k(k-1)/2, steps) equals the sum over
     compositions c of steps + k(k-1)/2 of
     steps!/prod(c_i!) * prod(c_j - c_i) * prod ff(x_i, c_i),
     plus the top-homogeneous (power) form of the same identity."""
     started = time.perf_counter()
     params = {"k": k, "steps": steps, "perturbed": perturb}
-    base = k * (k - 1) // 2
-    diffs = _ascending_difference_product(k)
-    lhs_ff = _perturbed(diffs * ff_of_poly(_variable_sum(k) - base, steps), perturb)
-    lhs_pw = _perturbed(diffs * _variable_sum(k) ** steps, perturb)
-    rhs_ff = MultiPoly.zero(k)
-    rhs_pw = MultiPoly.zero(k)
-    for comp in exact_compositions(k, steps + base):
-        spread = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                spread *= comp[j] - comp[i]
-        if not spread:
-            continue
-        weight = Fraction(factorial(steps) * spread)
-        for c in comp:
-            weight /= factorial(c)
-        term = MultiPoly.const(k, weight)
-        for i, c in enumerate(comp):
-            if c:
-                term = term * ff_poly(k, i, c)
-        rhs_ff = rhs_ff + term
-        rhs_pw = rhs_pw + MultiPoly.monomial(k, comp, weight)
+    staircase = tuple(range(k))
+    vandermonde = power_alternant(staircase)
     return _compare("hook_expansion", params, started,
-                    [("falling_factorial", lhs_ff, rhs_ff),
-                     ("power", lhs_pw, rhs_pw)])
+                    _anchored_sides(staircase, vandermonde, vandermonde, steps,
+                                    perturb))
 
 
 def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
@@ -157,91 +151,65 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
     """The anchored form: det(ff(x_i, a_j)) * ff(sum(x) - |a|, steps) equals
     the composition sum weighted by det(ff(c_i, a_j)), and likewise with the
     power alternant det(x_i^{a_j}) on the left.  At the staircase anchor
-    (0..k-1) the alternant collapses to prod(x_j - x_i), recovering the
-    un-anchored identity."""
+    (0..k-1) the falling alternant collapses to the power alternant
+    prod(x_j - x_i), recovering the un-anchored identity."""
     started = time.perf_counter()
     anchor = tuple(anchor)
     params = {"k": k, "anchor": anchor, "steps": steps, "perturbed": perturb}
-    weight_sum = sum(anchor)
     falling = falling_alternant(anchor)
-    lhs_ff = _perturbed(falling * ff_of_poly(_variable_sum(k) - weight_sum, steps),
-                        perturb)
-    lhs_pw = _perturbed(power_alternant(anchor) * _variable_sum(k) ** steps,
-                        perturb)
-    rhs_ff = MultiPoly.zero(k)
-    rhs_pw = MultiPoly.zero(k)
-    for comp in exact_compositions(k, steps + weight_sum):
-        spread = falling_alternant_at(anchor, comp)
-        if not spread:
-            continue
-        weight = Fraction(factorial(steps)) * spread
-        for c in comp:
-            weight /= factorial(c)
-        term = MultiPoly.const(k, weight)
-        for i, c in enumerate(comp):
-            if c:
-                term = term * ff_poly(k, i, c)
-        rhs_ff = rhs_ff + term
-        rhs_pw = rhs_pw + MultiPoly.monomial(k, comp, weight)
-    sides = [("falling_factorial", lhs_ff, rhs_ff), ("power", lhs_pw, rhs_pw)]
+    power = power_alternant(anchor)
+    sides = _anchored_sides(anchor, falling, power, steps, perturb)
     if anchor == tuple(range(k)):
-        sides.append(("staircase_collapse", falling,
-                      _ascending_difference_product(k)))
+        sides.append(("staircase_collapse", falling, power))
     return _compare("anchored_hook_expansion", params, started, sides)
 
 
 # -- distinct parts ------------------------------------------------------------
 
-def check_polycomponent(k: int, n: int, perturb: bool = False) -> VerifyReport:
-    """The polynomial component of prod(ratios) * ff(sum(x), n):
+def _check_polycomponent(identity: str, params: dict, started: float,
+                         fn: RationalFn, weight_fn: RationalFn,
+                         steps: int) -> VerifyReport:
+    """The polynomial component of ``fn`` up to total degree n = params["n"]:
 
-    * equals the top-layer closed form with limit-evaluated ratio values,
+    * equals the falling-factorial expansion with weights
+      steps!/prod(c_i!) * weight_fn(c), limits taken exactly (they are
+      finite: weight_fn's numerator carries prod(x_i - x_j), whose order in
+      t at a non-negative point is that of the denominator prod(x_i + x_j)),
     * differs from the full function by a part vanishing at every lattice
       point of the simplex sum <= n,
     * has zero coefficients at every trailing-negative exponent pattern.
     """
-    started = time.perf_counter()
-    fn = strict_path_series(k, n)
-    params = {"k": k, "n": n, "perturbed": perturb,
-              "truncation": default_truncation(fn, n)}
-    part = _perturbed(polynomial_component(fn, n), perturb)
-
-    ratio = alternating_ratio(k)
-    closed = MultiPoly.zero(k)
-    for comp in exact_compositions(k, n):
-        try:
-            value = evaluate_with_limits(ratio, comp)
-        except LimitInfiniteError:
-            return failed("polynomial_component", params,
-                          {"part": "closed_form", "point": comp,
-                           "reason": "infinite limit"}, started)
-        if not value:
-            continue
-        weight = Fraction(factorial(n)) * value
-        for c in comp:
-            weight /= factorial(c)
-        term = MultiPoly.const(k, weight)
-        for i, c in enumerate(comp):
-            if c:
-                term = term * ff_poly(k, i, c)
-        closed = closed + term
+    n = params["n"]
+    params["truncation"] = default_truncation(fn, n)
+    part = _perturbed(polynomial_component(fn, n), params["perturbed"])
+    closed = ff_expansion(fn.k, n, lambda comp: _over_factorials(
+        factorial(steps) * evaluate_with_limits(weight_fn, comp), comp))
     if part != closed:
         diff = part - closed
         top = max(diff.terms, key=grlex_key)
-        return failed("polynomial_component", params,
+        return failed(identity, params,
                       {"part": "closed_form", "monomial": top,
                        "difference": diff.terms[top]}, started)
 
     anti = check_antipolynomial_vanishes(fn, part, n)
     if not anti.ok:
-        return failed("polynomial_component", params,
+        return failed(identity, params,
                       {"part": "antipolynomial", **(anti.witness or {})}, started)
     probes = check_trailing_negative_coeffs(fn, n, n + 2)
     if not probes.ok:
-        return failed("polynomial_component", params,
+        return failed(identity, params,
                       {"part": "trailing_negative", **(probes.witness or {})},
                       started)
-    return passed("polynomial_component", params, started)
+    return passed(identity, params, started)
+
+
+def check_polycomponent(k: int, n: int, perturb: bool = False) -> VerifyReport:
+    """The three polynomial-component checks for prod(ratios) * ff(sum(x), n),
+    with the ratio product itself as the weight function."""
+    started = time.perf_counter()
+    return _check_polycomponent(
+        "polynomial_component", {"k": k, "n": n, "perturbed": perturb},
+        started, strict_path_series(k, n), alternating_ratio(k), n)
 
 
 def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
@@ -249,74 +217,28 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
     """Same three checks for the skew series anchored at a distinct-parts
     partition sigma: prod(ratios) * psi_sigma * ff(sum(x) - |sigma|, n - |sigma|).
     The closed form weights are limit values of the anchored weight function."""
-    from .formulas import skew_weight_fn
-
     started = time.perf_counter()
     sigma = tuple(sigma)
     m = sum(sigma)
     if n < m:
         raise ValueError(f"need n >= {m}")
-    v = strict_partition_to_vertex(sigma, k)
-    fn = strict_skew_path_series(v, n)
-    params = {"sigma": sigma, "k": k, "n": n, "perturbed": perturb,
-              "truncation": default_truncation(fn, n)}
-    part = _perturbed(polynomial_component(fn, n), perturb)
-
-    anchored = skew_weight_fn(sigma, k)
-    closed = MultiPoly.zero(k)
-    for comp in exact_compositions(k, n):
-        try:
-            value = evaluate_with_limits(anchored, comp)
-        except LimitInfiniteError:
-            return failed("skew_polynomial_component", params,
-                          {"part": "closed_form", "point": comp,
-                           "reason": "infinite limit"}, started)
-        if not value:
-            continue
-        weight = Fraction(factorial(n - m)) * value
-        for c in comp:
-            weight /= factorial(c)
-        term = MultiPoly.const(k, weight)
-        for i, c in enumerate(comp):
-            if c:
-                term = term * ff_poly(k, i, c)
-        closed = closed + term
-    if part != closed:
-        diff = part - closed
-        top = max(diff.terms, key=grlex_key)
-        return failed("skew_polynomial_component", params,
-                      {"part": "closed_form", "monomial": top,
-                       "difference": diff.terms[top]}, started)
-
-    anti = check_antipolynomial_vanishes(fn, part, n)
-    if not anti.ok:
-        return failed("skew_polynomial_component", params,
-                      {"part": "antipolynomial", **(anti.witness or {})}, started)
-    probes = check_trailing_negative_coeffs(fn, n, n + 2)
-    if not probes.ok:
-        return failed("skew_polynomial_component", params,
-                      {"part": "trailing_negative", **(probes.witness or {})},
-                      started)
-    return passed("skew_polynomial_component", params, started)
+    fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
+    return _check_polycomponent(
+        "skew_polynomial_component",
+        {"sigma": sigma, "k": k, "n": n, "perturbed": perturb},
+        started, fn, skew_weight_fn(sigma, k), n - m)
 
 
 # -- cross validation against the DP oracle -------------------------------------
 
 def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
                     u: tuple[int, ...]) -> dict[str, int]:
-    if graph.name == "pascal":
-        return {"multinomial": multinomial_paths(v, u)}
-    if graph.name == "young":
-        routes = {"determinant": young_path_count(v, u)}
-        if v == graph.base_vertex():
-            routes["ratio_product"] = syt_count(u)
-            routes["hooks"] = syt_count_hook(young_vertex_to_partition(u))
-        return routes
-    if graph.name == "strict":
-        return {"anchored_limit": strict_skew_count(
-            strict_vertex_to_partition(v), strict_vertex_to_partition(u),
-            graph.k)}
-    raise ValueError(f"no closed form for graph {graph.name!r}")
+    route, count = closed_form_count(graph.name, v, u)
+    routes = {route: count}
+    if graph.name == "young" and v == graph.base_vertex():
+        routes["ratio_product"] = syt_count(u)
+        routes["hooks"] = syt_count_hook(young_vertex_to_partition(u))
+    return routes
 
 
 def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:

@@ -5,14 +5,13 @@ A polynomial in k variables is stored as a dict mapping exponent tuples
 ints or ``fractions.Fraction``; both interoperate exactly, so no floating
 point ever enters a computation.  The zero polynomial is the empty dict.
 
-Besides ring arithmetic this module provides the interpolation and expansion
-primitives the rest of the package is built on:
+Besides ring arithmetic this module provides the expansion primitives the
+rest of the package is built on:
 
 * falling factorials of a variable or of an arbitrary polynomial,
-* interpolation on a combinatorial simplex (the grid of points A(t_1..t_k)
-  with t_i indexing per-coordinate node sets and sum(t) <= n),
-* expansion of a polynomial through its top simplex layer in the falling
-  factorial basis,
+* the falling-factorial expansion sum_c w(c) * prod ff(x_i, c_i) over the
+  compositions c of a fixed total, the form the identity checks compare
+  against,
 * alternants: determinants det(x_i^{m_j}) and det(ff(x_i, m_j)),
 * exact division by a difference of variables (used to clear symmetrized
   denominators).
@@ -23,10 +22,9 @@ Term order everywhere is graded lexicographic, leading term first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coeff = int | Fraction
@@ -186,33 +184,6 @@ class MultiPoly:
             total += value
         return total
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def leading_homogeneous(self) -> "MultiPoly":
-        """The homogeneous part of top total degree."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading part")
-        top = max(sum(e) for e in self.terms)
-        return MultiPoly(self.k, {e: c for e, c in self.terms.items() if sum(e) == top})
-
-    def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Compose with the given images: variable i is replaced by images[i]."""
-        if len(images) != self.k:
-            raise ValueError("need one image per variable")
-        k_out = images[0].k
-        if any(img.k != k_out for img in images):
-            raise ValueError("images must share a dimension")
-        total = MultiPoly.zero(k_out)
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.const(k_out, coeff)
-            for img, power in zip(images, exps):
-                if power:
-                    term = term * img ** power
-            total = total + term
-        return total
-
 
 def _as_poly(value: "MultiPoly | Coeff", k: int) -> MultiPoly:
     if isinstance(value, MultiPoly):
@@ -286,101 +257,28 @@ def bounded_exponents(k: int, max_total: int) -> Iterator[Exponents]:
         yield from exact_compositions(k, total)
 
 
-# -- simplex interpolation ---------------------------------------------------
+def ff_expansion(k: int, total: int,
+                 weight: Callable[[Exponents], Coeff]) -> MultiPoly:
+    """Sum over compositions c of ``total`` of weight(c) * prod_i ff(x_i, c_i).
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """Per-coordinate node sets A_1..A_k (each n+1 distinct rationals) and the
-    simplex order n.  Point A(t_1..t_k) takes the t_i-th node in coordinate i.
+    A polynomial P of degree <= n that vanishes at every non-negative lattice
+    point with entry sum < n equals this sum for total n and weight
+    P(c) / prod(c_i!): both sides agree on the simplex sum <= n, which
+    determines a polynomial of degree <= n.
     """
-
-    nodes: tuple[tuple[Coeff, ...], ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("negative simplex order")
-        for row in self.nodes:
-            if len(row) != self.n + 1:
-                raise ValueError("each node set needs n+1 entries")
-            if len(set(row)) != len(row):
-                raise ValueError(f"repeated node in {row}")
-
-    @property
-    def k(self) -> int:
-        return len(self.nodes)
-
-    @classmethod
-    def standard(cls, k: int, n: int) -> "SimplexSpec":
-        return cls(tuple(tuple(range(n + 1)) for _ in range(k)), n)
-
-    def point(self, t: Exponents) -> tuple[Coeff, ...]:
-        return tuple(self.nodes[i][t[i]] for i in range(self.k))
-
-    def points(self) -> Iterator[tuple[Exponents, tuple[Coeff, ...]]]:
-        for t in bounded_exponents(self.k, self.n):
-            yield t, self.point(t)
-
-
-def interpolate_on_simplex(spec: SimplexSpec,
-                           values: Mapping[tuple, Coeff]) -> MultiPoly:
-    """The unique polynomial of degree <= n taking the given values on the
-    simplex points.
-
-    ``values`` must be keyed by the points A(t) themselves, covering the
-    simplex exactly.  The polynomial is built layer by layer: the correction
-    for a top-layer point A(t) uses the product of (x_i - a_is) over s < t_i,
-    which vanishes at every other simplex point of order <= sum(t).
-    """
-    expected = {tuple(pt) for _, pt in spec.points()}
-    provided = {tuple(p) for p in values}
-    if provided != expected:
-        missing = sorted(expected - provided)
-        extra = sorted(provided - expected)
-        raise ValueError(f"value table mismatch: missing {missing[:3]}, extra {extra[:3]}")
-
-    k = spec.k
+    falling = [[MultiPoly.one(k)] for _ in range(k)]
+    for i in range(k):
+        for j in range(total):
+            falling[i].append(falling[i][j] * (MultiPoly.var(k, i) - j))
     result = MultiPoly.zero(k)
-    for level in range(spec.n + 1):
-        for t in exact_compositions(k, level):
-            pt = spec.point(t)
-            gap = values[pt] - result.evaluate(pt)
-            if not gap:
-                continue
-            basis = MultiPoly.one(k)
-            for i in range(k):
-                for s in range(t[i]):
-                    basis = basis * (MultiPoly.var(k, i) - spec.nodes[i][s])
-            result = result + basis * (Fraction(gap) / Fraction(basis.evaluate(pt)))
-    return result
-
-
-def top_layer_expansion(poly: MultiPoly, n: int) -> MultiPoly:
-    """Expand a polynomial through its top simplex layer.
-
-    Requires deg(poly) <= n and poly vanishing at every lattice point with
-    non-negative entries summing to < n.  Returns
-    sum over c with sum(c)=n of  poly(c)/prod(c_i!) * prod_i ff(x_i, c_i),
-    which then equals ``poly`` itself.
-    """
-    if poly.degree() > n:
-        raise ValueError(f"degree {poly.degree()} exceeds {n}")
-    k = poly.k
-    for c in bounded_exponents(k, n - 1):
-        if poly.evaluate(c):
-            raise ValueError(f"does not vanish at {c}")
-    result = MultiPoly.zero(k)
-    for c in exact_compositions(k, n):
-        value = poly.evaluate(c)
+    for comp in exact_compositions(k, total):
+        value = weight(comp)
         if not value:
             continue
-        weight = Fraction(value)
-        for ci in c:
-            weight /= factorial(ci)
-        term = MultiPoly.const(k, weight)
-        for i, ci in enumerate(c):
-            if ci:
-                term = term * ff_poly(k, i, ci)
+        term = MultiPoly.const(k, value)
+        for i, c in enumerate(comp):
+            if c:
+                term = term * falling[i][c]
         result = result + term
     return result
 
@@ -414,6 +312,8 @@ def falling_alternant_at(exponents: Sequence[int], point: Sequence[Coeff]) -> Co
     k = len(exponents)
     if len(point) != k:
         raise ValueError("point has wrong dimension")
+    if len(set(point)) < k:
+        return 0  # two equal rows
     rows = [[falling_factorial(point[i], m) for m in exponents] for i in range(k)]
     return det_exact(rows)
 

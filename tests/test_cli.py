@@ -117,6 +117,14 @@ def test_budget_env_override(capsys, monkeypatch):
     assert out.splitlines()[0].startswith("17 ")
 
 
+def test_verify_pfaffian_rejects_k_beyond_range_at_once(capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "max_k=8")
+    rc, out, err = run(capsys, "verify", "pfaffian", "--k", "7")
+    assert rc == 2
+    assert out == ""
+    assert "2 <= k <= 6" in err
+
+
 def test_budget_env_rejects_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "max_q=3")
     rc, _, err = run(capsys, "count", "--graph", "pascal", "--k", "2",
@@ -168,6 +176,18 @@ def test_phi_custom_box_without_minimum_fails(capsys):
                      "--vertices", "1,0;0,1;1,1", "--deg", "2")
     assert rc == 1
     assert "construction failed" in err
+
+
+def test_count_phi_rejects_custom_graph_not_minimum_closed(capsys):
+    # min((-1,1), (1,-1)) = (-1,-1) is missing; the scan must cover the
+    # negative coordinates, or the series count prints -8 for a pair with
+    # no path between them
+    rc, out, err = run(capsys, "count", "--graph", "custom",
+                       "--vertices=-1,-2;-1,1;-1,2;0,0;0,1;1,-1;1,0;1,1",
+                       "--from=-1,-2", "--to=-1,1", "--method", "phi")
+    assert rc == 1
+    assert out == ""
+    assert "minimum_closed" in err
 
 
 def test_table_csv_quotes_vertices(capsys):

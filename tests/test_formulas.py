@@ -154,9 +154,9 @@ def test_skew_weight_polynomial_base_cases():
 
 def test_skew_weight_polynomial_is_symmetric():
     psi = skew_weight_polynomial((2, 1), 3)
-    x = [MultiPoly.var(3, i) for i in range(3)]
-    assert psi.substitute([x[1], x[0], x[2]]) == psi
-    assert psi.substitute([x[0], x[2], x[1]]) == psi
+    for perm in ((1, 0, 2), (0, 2, 1)):
+        swapped = {tuple(e[p] for p in perm): c for e, c in psi.terms.items()}
+        assert MultiPoly(3, swapped) == psi
 
 
 def test_skew_weight_polynomial_caps_symmetrization():

@@ -146,6 +146,13 @@ def test_pfaffian_matchings_count_and_signs():
         pfaffian_matchings(3)
 
 
+@pytest.mark.parametrize("k", [7, 8])
+def test_pfaffian_product_rejects_k_beyond_six(k):
+    # both pad to the 8-variable matching sum, which takes minutes
+    with pytest.raises(ValueError, match="2 <= k <= 6"):
+        verify_pfaffian_product(k)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_pfaffian_product_identity(k):
     rep = verify_pfaffian_product(k)
@@ -189,9 +196,9 @@ def test_antipolynomial_check_is_sharp():
 
 def test_difference_product_antisymmetry():
     p = difference_product(3)
-    swapped = p.substitute([MultiPoly.var(3, 1), MultiPoly.var(3, 0),
-                            MultiPoly.var(3, 2)])
-    assert swapped == p * -1
+    for perm in ((1, 0, 2), (0, 2, 1)):
+        swapped = {tuple(e[q] for q in perm): c for e, c in p.terms.items()}
+        assert MultiPoly(3, swapped) == p * -1
 
 
 def test_exact_window_contains():

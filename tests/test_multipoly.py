@@ -1,18 +1,19 @@
-"""Exact polynomial arithmetic, interpolation, alternants, division."""
+"""Exact polynomial arithmetic, falling-factorial expansion, alternants,
+division."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableaux.multipoly import (MultiPoly, SimplexSpec, bounded_exponents,
-                                canonical_text, det_exact,
-                                divide_exact_linear, exact_compositions,
-                                falling_alternant, falling_alternant_at,
-                                falling_factorial, ff_of_poly, ff_poly,
-                                grlex_key, interpolate_on_simplex, multinomial,
-                                power_alternant, top_layer_expansion)
+from tableaux.multipoly import (MultiPoly, bounded_exponents, canonical_text,
+                                det_exact, divide_exact_linear,
+                                exact_compositions, falling_alternant,
+                                falling_alternant_at, falling_factorial,
+                                ff_expansion, ff_of_poly, ff_poly, grlex_key,
+                                multinomial, power_alternant)
 
 
 def x(k, i):
@@ -50,13 +51,11 @@ def test_canonical_text_golden():
     assert canonical_text(MultiPoly.zero(3)) == "0"
 
 
-def test_degree_and_homogeneous():
+def test_degree():
     k = 2
     assert MultiPoly.zero(k).degree() == float("-inf")
     p = x(k, 0) ** 3 + x(k, 1)
     assert p.degree() == 3
-    assert not p.is_homogeneous()
-    assert p.leading_homogeneous() == x(k, 0) ** 3
 
 
 def test_evaluate_exact():
@@ -64,13 +63,6 @@ def test_evaluate_exact():
     p = x(k, 0) * x(k, 1) ** 2 - 7
     assert p.evaluate((2, 3, 99)) == 2 * 9 - 7
     assert p.evaluate((Fraction(1, 2), 2, 0)) == 2 - 7
-
-
-def test_substitute_swaps_variables():
-    k = 2
-    p = x(k, 0) ** 2 - x(k, 1)
-    swapped = p.substitute([x(k, 1), x(k, 0)])
-    assert swapped == x(k, 1) ** 2 - x(k, 0)
 
 
 def test_falling_factorial_values():
@@ -108,45 +100,16 @@ def test_grlex_order():
     assert grlex_key((0, 3)) < grlex_key((3, 0))
 
 
-def test_interpolation_recovers_polynomial():
-    spec = SimplexSpec.standard(2, 3)
-    target = x(2, 0) ** 2 * x(2, 1) - 2 * x(2, 0) + 5
-    values = {pt: target.evaluate(pt) for _, pt in spec.points()}
-    assert interpolate_on_simplex(spec, values) == target
-
-
-def test_interpolation_rejects_wrong_grid():
-    spec = SimplexSpec.standard(2, 2)
-    values = {pt: 0 for _, pt in spec.points()}
-    values.pop((0, 0))
-    with pytest.raises(ValueError):
-        interpolate_on_simplex(spec, values)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 3), st.data())
-def test_interpolation_round_trip(k, n, data):
-    terms = {}
-    for exps in bounded_exponents(k, n):
-        coeff = data.draw(st.integers(-4, 4))
-        if coeff:
-            terms[exps] = coeff
-    target = MultiPoly(k, terms)
-    spec = SimplexSpec.standard(k, n)
-    values = {pt: target.evaluate(pt) for _, pt in spec.points()}
-    assert interpolate_on_simplex(spec, values) == target
-
-
 def test_top_layer_expansion_round_trip():
-    # prod ff(x_i, c_i) vanishes below the top layer by construction
+    # prod ff(x_i, c_i) vanishes below the top layer by construction, so
+    # weights P(c)/prod(c_i!) on the top layer rebuild P
     k = 2
     p = ff_poly(k, 0, 2) * ff_poly(k, 1, 1) + 3 * ff_poly(k, 0, 3)
-    assert top_layer_expansion(p, 3) == p
-
-
-def test_top_layer_expansion_rejects_nonvanishing():
-    with pytest.raises(ValueError):
-        top_layer_expansion(MultiPoly.one(2), 1)
+    rebuilt = ff_expansion(
+        k, 3, lambda c: Fraction(p.evaluate(c), factorial(c[0]) * factorial(c[1])))
+    assert rebuilt == p
+    assert ff_expansion(k, 2, lambda c: 1) == \
+        ff_poly(k, 0, 2) + ff_poly(k, 0, 1) * ff_poly(k, 1, 1) + ff_poly(k, 1, 2)
 
 
 def test_power_alternant_is_vandermonde_at_staircase():
@@ -165,6 +128,8 @@ def test_falling_alternant_triangular_at_own_point():
     assert falling_alternant_at(m, m) == 1 * 6 * 24
     poly = falling_alternant(m)
     assert poly.evaluate(m) == falling_alternant_at(m, m)
+    # a repeated coordinate repeats a row
+    assert falling_alternant_at(m, (5, 2, 5)) == poly.evaluate((5, 2, 5)) == 0
 
 
 def test_det_exact_values():
