@@ -128,7 +128,16 @@ def _resolve_vertex(graph: GradedGraph, vertex_text: str | None,
 
 def _series_count(graph: GradedGraph, src: tuple[int, ...],
                   dst: tuple[int, ...]) -> int:
-    phi = construct_weight_series(graph, src, max(degree(dst), degree(src)))
+    """The weight-series count, read off only once the series passes its
+    defining conditions, as ``phi`` checks them."""
+    bound = max(degree(dst), degree(src))
+    phi = construct_weight_series(graph, src, bound)
+    conditions = verify_weight_conditions(graph, src, phi, bound)
+    if not conditions.ok:
+        witness = conditions.witness
+        raise SeriesConstructionError(
+            f"weight_conditions fails: {witness['condition']} "
+            f"(value {witness['value']})", monomial=tuple(witness["monomial"]))
     return weighted_path_count(graph, phi, src, dst)
 
 

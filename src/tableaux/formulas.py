@@ -11,8 +11,11 @@ between the two pictures:
 
 Counts come from product and determinant formulas: multinomials for the
 full lattice, the ratio product / hook lengths / falling-factorial
-determinant family for the Young case, and a symmetrized weight polynomial
-combined with exact limit evaluation for the distinct-parts case.
+determinant family for the Young case, and a symmetrized weight function
+for the distinct-parts case.  That last one is a sum over permutations; a
+count evaluates it directly at the target, as truncated power series in the
+t that replaces each zero coordinate, and never expands it into a
+polynomial.  The identity suite uses the expanded form, ``skew_weight_fn``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
-from .laurent import RationalFn, difference_product, evaluate_with_limits
-from .multipoly import (MultiPoly, _perm_sign, divide_exact_linear,
-                        falling_alternant_at, ff_poly, multinomial)
+from .laurent import LimitInfiniteError, RationalFn
+from .multipoly import (Coeff, MultiPoly, divide_exact_linear,
+                        falling_alternant_at, falling_factorial, multinomial)
 from .reports import VerifyReport, failed, passed
 
 Vertex = tuple[int, ...]
@@ -248,47 +251,156 @@ def strict_count(rows: Sequence[int]) -> int:
     return int(value)
 
 
+def _checked_symmetrization(rows: Sequence[int], k: int) -> Rows:
+    rows = _checked_strict_partition(rows)
+    if k < len(rows):
+        raise ValueError(f"need k >= {len(rows)} variables for {rows}")
+    if k > SYMMETRIZATION_CAP:
+        raise ValueError(f"symmetrization is capped at k = {SYMMETRIZATION_CAP}")
+    return rows
+
+
+def _symmetrized_sum(rows: Rows, xs: Sequence, one):
+    """S / (k-l)! at the values ``xs`` of x_1..x_k in a commutative ring
+    (``one`` is its unit), where l = len(rows) and
+
+        S = sum over permutations p of sign(p) * prod_{i<l} ff(x_{p_i}, m_i)
+            * prod_{i<l, j>i} (x_{p_i} + x_{p_j})
+            * prod_{l<=i<j} (x_{p_i} - x_{p_j}).
+
+    The last product is antisymmetric in p_l..p_{k-1}, so the (k-l)!
+    permutations that share the prefix p_0..p_{l-1} contribute equally: the
+    sum runs over prefixes only, the remaining variables in increasing
+    order, and the (k-l)! never appears.  A prefix contributes
+    prod_{w after p_i} (x_{p_i} + x_w) at each position i, so prefixes are
+    extended one variable at a time and a zero partial product is dropped
+    with all its extensions."""
+    k, ell = len(xs), len(rows)
+    falling = [[falling_factorial(x, m) for x in xs] for m in rows]
+    total = one - one
+
+    def extend(depth: int, free: tuple[int, ...], term, sign: int) -> None:
+        nonlocal total
+        if depth == ell:
+            for a, b in itertools.combinations(free, 2):
+                term = term * (xs[a] - xs[b])
+            total = total + term if sign > 0 else total - term
+            return
+        for pos, v in enumerate(free):
+            rest = free[:pos] + free[pos + 1:]
+            product = term * falling[depth][v]
+            for w in rest:
+                product = product * (xs[v] + xs[w])
+            if product:
+                # v precedes the pos smaller variables still free
+                extend(depth + 1, rest, product, -sign if pos % 2 else sign)
+
+    extend(0, tuple(range(k)), one, 1)
+    return total
+
+
 @lru_cache(maxsize=None)
-def _skew_weight_polynomial(rows: Rows, k: int) -> MultiPoly:
-    ell = len(rows)
-    total = MultiPoly.zero(k)
-    for perm in itertools.permutations(range(k)):
-        term = MultiPoly.const(k, _perm_sign(perm))
-        for i in range(ell):
-            term = term * ff_poly(k, perm[i], rows[i])
-        for i in range(ell):
-            for j in range(i + 1, k):
-                term = term * (MultiPoly.var(k, perm[i]) + MultiPoly.var(k, perm[j]))
-        for i in range(ell, k):
-            for j in range(i + 1, k):
-                term = term * (MultiPoly.var(k, perm[i]) - MultiPoly.var(k, perm[j]))
-        total = total + term
+def _symmetrized_numerator(rows: Rows, k: int) -> MultiPoly:
+    return _symmetrized_sum(rows, [MultiPoly.var(k, i) for i in range(k)],
+                            MultiPoly.one(k))
+
+
+def skew_weight_polynomial(rows: Sequence[int], k: int) -> MultiPoly:
+    """The symmetric polynomial of degree sum(rows) in k variables obtained
+    by symmetrizing ff(x_1, m_1)..ff(x_l, m_l) against the pair ratios
+    (x_i + x_j)/(x_i - x_j): S / (k-l)! with every (x_i - x_j) divided out.
+    The counts never need it in this form; see ``skew_weight_fn``."""
+    rows = _checked_symmetrization(rows, k)
+    result = _symmetrized_numerator(rows, k)
     for a, b in itertools.combinations(range(k), 2):
-        total = divide_exact_linear(total, a, b)
-    result = total * Fraction(1, factorial(k - ell))
+        result = divide_exact_linear(result, a, b)
     if result.degree() != sum(rows):
         raise ArithmeticError(
             f"weight polynomial for {rows} has degree {result.degree()}")
     return result
 
 
-def skew_weight_polynomial(rows: Sequence[int], k: int) -> MultiPoly:
-    """The symmetric polynomial of degree sum(rows) in k variables obtained
-    by symmetrizing ff(x_1, m_1)..ff(x_l, m_l) against the pair ratios
-    (x_i + x_j)/(x_i - x_j); the anchor weight for skew counts below."""
-    rows = _checked_strict_partition(rows)
-    if k < len(rows):
-        raise ValueError(f"need k >= {len(rows)} variables for {rows}")
-    if k > SYMMETRIZATION_CAP:
-        raise ValueError(f"symmetrization is capped at k = {SYMMETRIZATION_CAP}")
-    return _skew_weight_polynomial(rows, k)
-
-
 def skew_weight_fn(rows: Sequence[int], k: int) -> RationalFn:
-    """The weight polynomial times prod (x_i - x_j)/(x_i + x_j)."""
-    psi = skew_weight_polynomial(rows, k)
+    """The weight polynomial times prod (x_i - x_j)/(x_i + x_j), kept as
+    S / (k-l)! over prod (x_i + x_j): the product prod (x_i - x_j) that the
+    weight polynomial divides out is never divided out here."""
+    rows = _checked_symmetrization(rows, k)
     pairs = {p: 1 for p in itertools.combinations(range(k), 2)}
-    return RationalFn(k, difference_product(k) * psi, pairs)
+    return RationalFn(k, _symmetrized_numerator(rows, k), pairs)
+
+
+class _TruncatedSeries:
+    """A polynomial in t with exact coefficients and every power above a
+    fixed order dropped: an element of Q[t] / (t^(order+1))."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: list[Coeff]):
+        self.coeffs = coeffs
+
+    def __add__(self, other: "_TruncatedSeries") -> "_TruncatedSeries":
+        return _TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other: "_TruncatedSeries | int") -> "_TruncatedSeries":
+        if isinstance(other, int):
+            return _TruncatedSeries([self.coeffs[0] - other, *self.coeffs[1:]])
+        return _TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other: "_TruncatedSeries | int") -> "_TruncatedSeries":
+        if isinstance(other, int):
+            return _TruncatedSeries([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        out = [0] * len(a)
+        for i, c in enumerate(a):
+            if c:
+                for j in range(len(a) - i):
+                    out[i + j] += c * b[j]
+        return _TruncatedSeries(out)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+
+def skew_weight_limit(rows: Sequence[int], point: Sequence[Coeff]) -> Fraction:
+    """``evaluate_with_limits(skew_weight_fn(rows, len(point)), point)``,
+    without building a polynomial.
+
+    The zero coordinates of the point become t, t^2, ... in ascending
+    coordinate order.  Every factor of S / (k-l)! and of prod (x_i + x_j)
+    is then a polynomial in t, and both are evaluated modulo t^(d+1),
+    where d is the t-order of the denominator.
+    Substitution and truncation are ring homomorphisms, so the coefficients
+    up to t^d are exact.  Raises LimitInfiniteError when one below t^d is
+    nonzero."""
+    k = len(point)
+    rows = _checked_symmetrization(rows, k)
+    point = tuple(point)
+    if any(c < 0 for c in point):
+        raise ValueError("limit evaluation needs a non-negative point")
+    t_power: dict[int, int] = {}
+    for i, c in enumerate(point):
+        if c == 0:
+            t_power[i] = len(t_power) + 1
+    # prod (x_i + x_j) = lowest * t^order + higher powers of t
+    order, lowest = 0, 1
+    for a, b in itertools.combinations(range(k), 2):
+        if a in t_power and b in t_power:
+            order += min(t_power[a], t_power[b])
+        else:
+            lowest *= point[a] + point[b]
+    xs = []
+    for i, c in enumerate(point):
+        coeffs = [c] + [0] * order
+        d = t_power.get(i)
+        if d is not None and d <= order:
+            coeffs[d] = 1
+        xs.append(_TruncatedSeries(coeffs))
+    numerator = _symmetrized_sum(rows, xs, _TruncatedSeries([1] + [0] * order))
+    if any(numerator.coeffs[:order]):
+        raise LimitInfiniteError(f"limit at {point} diverges")
+    return Fraction(numerator.coeffs[order], lowest)
 
 
 def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
@@ -304,15 +416,15 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
     u = strict_partition_to_vertex(to, k)
     if not all(a <= b for a, b in zip(v, u)):
         return 0
-    fn = skew_weight_fn(frm, k)
-    point = tuple(reversed(u))
-    value = evaluate_with_limits(fn, point)
+    value = skew_weight_limit(frm, tuple(reversed(u)))
     scale = Fraction(factorial(sum(to) - sum(frm)))
     for r in to:
         scale /= factorial(r)
     total = scale * value
     if total.denominator != 1:
         raise ArithmeticError(f"non-integer count {total} for {frm} -> {to}")
+    if total < 0:
+        raise ArithmeticError(f"negative count {total} for {frm} -> {to}")
     return int(total)
 
 

@@ -438,4 +438,6 @@ def weighted_path_count(graph: GradedGraph, phi: WeightSeries, v: Vertex,
     value = _extract_coefficient(phi, u, steps)
     if value != int(value):
         raise ArithmeticError(f"non-integer path count {value} at {u}")
+    if value < 0:
+        raise ArithmeticError(f"negative path count {value} at {u}")
     return int(value)

@@ -335,9 +335,10 @@ def strict_path_series(k: int, n: int) -> RationalFn:
 
 
 def strict_skew_path_series(v: Sequence[int], n: int) -> RationalFn:
-    """Skew analogue anchored at the strict vertex v: the alternating ratio
-    times the skew weight polynomial for v times ff(sum(x) - m, n - m)."""
-    from .formulas import skew_weight_polynomial, strict_vertex_to_partition
+    """Skew analogue anchored at the strict vertex v: the skew weight
+    function for v (the alternating ratio times the skew weight polynomial)
+    times ff(sum(x) - m, n - m)."""
+    from .formulas import skew_weight_fn, strict_vertex_to_partition
 
     v = tuple(v)
     k = len(v)
@@ -346,10 +347,9 @@ def strict_skew_path_series(v: Sequence[int], n: int) -> RationalFn:
     if n < m:
         raise ValueError(f"need n >= {m}")
     total = sum((MultiPoly.var(k, i) for i in range(k)), MultiPoly.zero(k))
-    numerator = (difference_product(k)
-                 * skew_weight_polynomial(rows, k)
-                 * ff_of_poly(total - m, n - m))
-    return RationalFn(k, numerator, {p: 1 for p in _all_pairs(k)})
+    weight = skew_weight_fn(rows, k)
+    return RationalFn(k, weight.numerator * ff_of_poly(total - m, n - m),
+                      weight.denominators)
 
 
 # -- Pfaffian ------------------------------------------------------------------

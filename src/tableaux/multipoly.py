@@ -13,8 +13,8 @@ rest of the package is built on:
   compositions c of a fixed total, the form the identity checks compare
   against,
 * alternants: determinants det(x_i^{m_j}) and det(ff(x_i, m_j)),
-* exact division by a difference of variables (used to clear symmetrized
-  denominators).
+* exact division by a difference of variables (used to divide
+  prod (x_i - x_j) out of the symmetrized skew weight numerator).
 
 Term order everywhere is graded lexicographic, leading term first.
 """

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tableaux import cli
 from tableaux.cli import BUDGET_ENV, main
 
 
@@ -188,6 +189,30 @@ def test_count_phi_rejects_custom_graph_not_minimum_closed(capsys):
     assert rc == 1
     assert out == ""
     assert "minimum_closed" in err
+
+
+def test_count_phi_checks_weight_conditions(capsys, monkeypatch):
+    def tampered(graph, v, bound):
+        phi = construct(graph, v, bound)
+        phi.coeffs[(1, 0)] = 5
+        return phi
+
+    construct = cli.construct_weight_series
+    monkeypatch.setattr(cli, "construct_weight_series", tampered)
+    rc, out, err = run(capsys, "count", "--graph", "young", "--k", "2",
+                       "--from", "0,1", "--to", "1,3", "--method", "phi")
+    assert rc == 1
+    assert out == ""
+    assert "failed at (1, 1)" in err
+    assert "boundary vanishing" in err
+
+
+def test_count_strict_formula_at_k6(capsys):
+    rc, out, _ = run(capsys, "count", "--graph", "strict", "--k", "6",
+                     "--from-partition", "3,2,1", "--to-partition", "6,4,2,1",
+                     "--method", "formula")
+    assert rc == 0
+    assert out.strip() == "35"
 
 
 def test_table_csv_quotes_vertices(capsys):

@@ -1,19 +1,27 @@
 """Codecs, closed-form counts, hook lengths, skew weight polynomials."""
 
+import itertools
+import random
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tableaux import formulas
 from tableaux.formulas import (SYMMETRIZATION_CAP, check_hook_length_claim,
                                format_partition, hook_lengths, hook_product,
                                parse_partition, partition_to_young_vertex,
-                               skew_weight_fn, skew_weight_polynomial,
+                               skew_weight_fn, skew_weight_limit,
+                               skew_weight_polynomial,
                                strict_count, strict_partition_to_vertex,
                                strict_skew_count, strict_vertex_to_partition,
                                syt_count, syt_count_hook,
                                young_path_count, young_vertex_to_partition)
 from tableaux.graded_graphs import count_paths_dp, make_graph
-from tableaux.multipoly import MultiPoly, canonical_text
+from tableaux.laurent import difference_product, evaluate_with_limits
+from tableaux.multipoly import MultiPoly, _perm_sign, canonical_text, ff_poly
 
 partitions = st.lists(st.integers(min_value=1, max_value=6),
                       min_size=0, max_size=4).map(
@@ -190,3 +198,66 @@ def test_strict_skew_count_edge_cases():
 def test_strict_skew_from_empty_matches_plain_count():
     for rows in [(1,), (2, 1), (3, 1), (3, 2)]:
         assert strict_skew_count((), rows, 3) == strict_count(rows)
+
+
+def _raw_symmetrized_sum(rows, k):
+    """S summed over all k! permutations, straight from its definition."""
+    ell = len(rows)
+    x = lambda i: MultiPoly.var(k, i)
+    total = MultiPoly.zero(k)
+    for p in itertools.permutations(range(k)):
+        term = MultiPoly.const(k, _perm_sign(p))
+        for i in range(ell):
+            term = term * ff_poly(k, p[i], rows[i])
+            for j in range(i + 1, k):
+                term = term * (x(p[i]) + x(p[j]))
+        for i, j in itertools.combinations(range(ell, k), 2):
+            term = term * (x(p[i]) - x(p[j]))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("rows,k", [((), 3), ((1,), 2), ((2,), 3), ((2, 1), 3),
+                                    ((3, 1), 3), ((1,), 4), ((3, 2, 1), 4)])
+def test_difference_product_times_weight_is_symmetrized_sum(rows, k):
+    quotient = _raw_symmetrized_sum(rows, k) * Fraction(1, factorial(k - len(rows)))
+    assert difference_product(k) * skew_weight_polynomial(rows, k) == quotient
+    assert skew_weight_fn(rows, k).numerator == quotient
+
+
+def test_skew_weight_limit_matches_evaluate_with_limits():
+    rng = random.Random(5)
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            rows = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, k)),
+                                reverse=True))
+            # small entries, so zeros and repeated entries both occur
+            point = tuple(rng.randint(0, 4) for _ in range(k))
+            assert skew_weight_limit(rows, point) == \
+                evaluate_with_limits(skew_weight_fn(rows, k), point)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_strict_skew_count_seeded_against_dp(k):
+    rng = random.Random(k)
+    g = make_graph("strict", k)
+    levels = {d: g.vertices_of_degree(d) for d in range(12)}
+    for _ in range(40):
+        d1 = rng.randint(0, 7)
+        v = rng.choice(levels[d1])
+        u = rng.choice(levels[rng.randint(d1, 11)])
+        got = strict_skew_count(strict_vertex_to_partition(v),
+                                strict_vertex_to_partition(u), k)
+        assert got == count_paths_dp(g, v, u), (v, u)
+
+
+def test_strict_skew_count_keeps_the_cap():
+    with pytest.raises(ValueError):
+        strict_skew_count((1,), (2,), SYMMETRIZATION_CAP + 1)
+
+
+def test_strict_skew_count_rejects_negative_count(monkeypatch):
+    monkeypatch.setattr(formulas, "skew_weight_limit",
+                        lambda rows, point: Fraction(-1))
+    with pytest.raises(ArithmeticError, match="negative"):
+        strict_skew_count((1,), (2, 1), 2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableaux.graded_graphs import (CustomBoxGraph, SeriesConstructionError,
-                                    check_coordinate_convex,
+                                    WeightSeries, check_coordinate_convex,
                                     check_minimum_closed, constraint_monomials,
                                     construct_weight_series, count_paths_dp,
                                     degree, make_graph, path_count_table,
@@ -168,6 +168,13 @@ def test_weighted_count_rejects_mismatched_series():
         weighted_path_count(g, phi, (0, 2), (0, 3))
     with pytest.raises(ValueError):
         weighted_path_count(g, phi, (0, 1), (2, 5))  # beyond the bound
+
+
+def test_weighted_count_rejects_negative_count():
+    g = make_graph("pascal", 2)
+    phi = WeightSeries(base=(0, 0), coeffs={(0, 0): -1}, degree_bound=2)
+    with pytest.raises(ArithmeticError, match="negative"):
+        weighted_path_count(g, phi, (0, 0), (0, 0))
 
 
 def test_verify_weight_conditions_flags_wrong_table():
