@@ -16,9 +16,8 @@ from .formulas import (format_partition, hook_lengths, hook_product,
                        strict_vertex_to_partition, syt_count, syt_count_hook,
                        young_path_count, young_vertex_to_partition)
 from .laurent import (LaurentSeries, LimitInfiniteError, RationalFn,
-                      StabilizationError, alternating_ratio, coefficient,
-                      coefficients, evaluate_with_limits, expand,
-                      polynomial_component, strict_path_series,
+                      alternating_ratio, coefficients, evaluate_with_limits,
+                      expand, polynomial_component, strict_path_series,
                       strict_skew_path_series, verify_pfaffian_product)
 from .multipoly import MultiPoly, canonical_text
 from .reports import CountReport, VerifyReport
@@ -26,9 +25,9 @@ from .reports import CountReport, VerifyReport
 __all__ = [
     "CountReport", "CustomBoxGraph", "GradedGraph", "LaurentSeries",
     "LimitInfiniteError", "MultiPoly", "PascalGraph", "RationalFn",
-    "RestrictedYoungGraph", "SeriesConstructionError", "StabilizationError",
+    "RestrictedYoungGraph", "SeriesConstructionError",
     "StrictPartitionGraph", "VerifyReport", "WeightSeries",
-    "alternating_ratio", "canonical_text", "coefficient", "coefficients",
+    "alternating_ratio", "canonical_text", "coefficients",
     "construct_weight_series", "count_paths_dp", "evaluate_with_limits",
     "expand", "format_partition", "hook_lengths", "hook_product",
     "make_graph", "multinomial_paths", "parse_partition",

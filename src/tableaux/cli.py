@@ -32,8 +32,7 @@ from .graded_graphs import (CustomBoxGraph, GradedGraph,
                             count_paths_dp, degree, make_graph,
                             path_count_table, verify_weight_conditions,
                             weighted_path_count)
-from .laurent import (LimitInfiniteError, StabilizationError,
-                      verify_pfaffian_product)
+from .laurent import LimitInfiniteError, verify_pfaffian_product
 from .reports import CountReport, VerifyReport
 
 DEFAULT_BUDGETS = {"max_k": 6, "max_degree": 16, "max_n": 8}
@@ -408,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         where = f" at {exc.monomial}" if exc.monomial else ""
         print(f"weight series construction failed{where}: {exc}", file=sys.stderr)
         return 1
-    except (StabilizationError, LimitInfiniteError) as exc:
+    except LimitInfiniteError as exc:
         print(f"exact expansion failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:

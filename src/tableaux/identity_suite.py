@@ -29,10 +29,9 @@ from .graded_graphs import (GradedGraph, SeriesConstructionError,
                             verify_weight_conditions, weighted_path_count)
 from .laurent import (RationalFn, alternating_ratio,
                       check_antipolynomial_vanishes,
-                      check_trailing_negative_coeffs, default_truncation,
-                      evaluate_with_limits, polynomial_component,
-                      strict_path_series, strict_skew_path_series,
-                      verify_pfaffian_product)
+                      check_trailing_negative_coeffs, evaluate_with_limits,
+                      polynomial_component, strict_path_series,
+                      strict_skew_path_series, verify_pfaffian_product)
 from .multipoly import (Coeff, Exponents, MultiPoly, exact_compositions,
                         falling_alternant, falling_alternant_at, ff_expansion,
                         ff_of_poly, grlex_key, multinomial, power_alternant)
@@ -180,7 +179,6 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     * has zero coefficients at every trailing-negative exponent pattern.
     """
     n = params["n"]
-    params["truncation"] = default_truncation(fn, n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
     closed = ff_expansion(fn.k, n, lambda comp: _over_factorials(
         factorial(steps) * evaluate_with_limits(weight_fn, comp), comp))

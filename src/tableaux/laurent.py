@@ -1,4 +1,4 @@
-"""Truncated Laurent expansion of rational functions with pair denominators.
+"""Exact Laurent coefficients of rational functions with pair denominators.
 
 The rational functions handled here have an arbitrary polynomial numerator
 and a denominator that is a product of variable-pair sums (x_i + x_j) with
@@ -7,12 +7,13 @@ i < j.  Expanding each inverse factor as
     (x_i + x_j)^-1 = x_i^-1 - x_j x_i^-2 + x_j^2 x_i^-3 - ...
 
 (negative powers always on the smaller-index variable) embeds everything in
-a Laurent cone where coefficient extraction is well defined.  Expansions are
-truncated: every geometric factor keeps its first T terms, and the series
-carries an explicit certificate window inside which the truncated
-coefficients equal the true ones.  Every public coefficient query recomputes
-at T+1 and insists the answers agree, so a too-small truncation aborts
-loudly instead of returning silently wrong numbers.
+a Laurent cone where coefficient extraction is well defined.  Every query
+names a window, a box of exponent vectors, and only finitely many terms of
+each geometric series can reach it: ``factor_limits`` derives, from the
+window's upper corner alone, the largest term index t of every factor that
+can, and ``expand`` multiplies out exactly those terms, once.  Nothing is
+truncated by guesswork, so the coefficients inside the window are the true
+ones.
 
 The module also evaluates these functions at non-negative points where some
 coordinates vanish, by substituting t, t^2, ... for the zeros (in ascending
@@ -33,10 +34,6 @@ from .multipoly import (Coeff, MultiPoly, _perm_sign, bounded_exponents,
 from .reports import VerifyReport, failed, passed
 
 SignedExponents = tuple[int, ...]
-
-
-class StabilizationError(ArithmeticError):
-    """Truncations T and T+1 disagreed inside the requested window."""
 
 
 class LimitInfiniteError(ArithmeticError):
@@ -67,88 +64,70 @@ class RationalFn:
         return factors
 
 
-@dataclass(frozen=True)
-class ExactWindow:
-    """Certificate: coefficients are exact wherever sum(|e_i|) stays within
-    ``abs_sum_bound`` (None = exact everywhere); ``coord_lower`` are hard
-    cone floors no stored key can cross."""
-
-    abs_sum_bound: int | None
-    coord_lower: tuple[int, ...]
-
-    def contains(self, exps: SignedExponents) -> bool:
-        if self.abs_sum_bound is None:
-            return True
-        return sum(abs(e) for e in exps) <= self.abs_sum_bound
-
-
 @dataclass
 class LaurentSeries:
     k: int
     terms: dict[SignedExponents, Coeff]
-    trunc: int
-    window: ExactWindow
-
-    def coefficient(self, exps: SignedExponents) -> Coeff:
-        return self.terms.get(tuple(exps), 0)
 
 
-def default_truncation(fn: RationalFn, target_abs_sum: int) -> int:
-    """Pinned default: numerator total degree + sum|e_i| + k^2 + 8."""
-    num_deg = fn.numerator.degree()
-    base = 0 if num_deg == float("-inf") else int(num_deg)
-    return max(1, base + target_abs_sum + fn.k * fn.k + 8)
+def factor_limits(fn: RationalFn, hi: Sequence[int]) -> list[int]:
+    """The largest term index t of each factor, in ``factor_list`` order,
+    that can contribute to a coefficient at or below ``hi`` in every
+    coordinate.
 
+    Term t of factor (a, b), a < b, is (-1)^t x_a^(-1-t) x_b^t, and the
+    numerator only raises exponents.  So in every product term, coordinate
+    c is at least the sum of t over the factors (a, c) ending at c, minus
+    the sum of 1 + t over the factors (c, b) starting at c.  Each factor
+    (c, b) ends above c, so by induction down from c = k-1 its t is at most
+    U_b, and a term at or below hi[c] has, for every factor ending at c,
 
-def expand(fn: RationalFn, trunc: int,
-           window: tuple[Sequence[int], Sequence[int]] | None = None) -> LaurentSeries:
-    """Multiply the numerator by every inverse factor's first ``trunc`` terms.
+        t <= U_c = hi[c] + sum over factors (c, b) of (1 + U_b).
 
-    With ``window=(lo, hi)`` only terms landing inside the inclusive
-    per-coordinate box are kept; partial products that provably cannot
-    re-enter the box (given the factors still to come) are pruned early.
-    The certificate window of the result is the same either way.
+    A term with a larger t lands outside the window, and every term up to
+    the limits is kept, so the expansion is exact inside it.  A negative
+    limit means that no term of that factor reaches the window.
     """
-    if trunc < 1:
-        raise ValueError("truncation must be at least 1")
-    k = fn.k
     factors = fn.factor_list()
+    bound = list(hi)
+    for a, b in sorted(factors, reverse=True):
+        bound[a] += 1 + bound[b]
+    return [bound[b] for _a, b in factors]
 
-    num_max = [0] * k
-    for exps in fn.numerator.terms:
-        for c in range(k):
-            num_max[c] = max(num_max[c], exps[c])
 
-    lo = hi = None
-    if window is not None:
-        lo, hi = (tuple(window[0]), tuple(window[1]))
-        if len(lo) != k or len(hi) != k:
-            raise ValueError("window has wrong dimension")
+def expand(fn: RationalFn, lo: Sequence[int],
+           hi: Sequence[int]) -> LaurentSeries:
+    """Every coefficient of the expansion inside the inclusive box
+    ``lo <= e <= hi``.
 
-    cur: dict[SignedExponents, Coeff] = {(0,) * k: 1}
-    if not fn.numerator.terms:
-        cur = {}
+    The numerator is multiplied by one factor at a time, each with its
+    terms up to ``factor_limits``.  A partial product that cannot re-enter
+    the box, given the factors still to come and their limits, is dropped.
+    """
+    k = fn.k
+    lo, hi = tuple(lo), tuple(hi)
+    if len(lo) != k or len(hi) != k:
+        raise ValueError("window has wrong dimension")
+    factors = fn.factor_list()
+    limits = factor_limits(fn, hi)
+
+    cur = dict(fn.numerator.terms)
     for idx, (fi, fj) in enumerate(factors):
-        if not cur:
-            break
-        remaining = factors[idx + 1:]
-        if window is not None:
-            dec_left = [0] * k
-            inc_left = [0] * k
-            for (a, b) in remaining:
-                dec_left[a] += 1
-                inc_left[b] += 1
-            eff_lo = [lo[c] - (trunc - 1) * inc_left[c] - num_max[c] for c in range(k)]
-            eff_hi = [hi[c] + trunc * dec_left[c] for c in range(k)]
+        dec_left = [0] * k
+        inc_left = [0] * k
+        for (a, b), limit in zip(factors[idx + 1:], limits[idx + 1:]):
+            dec_left[a] += 1 + limit
+            inc_left[b] += limit
+        eff_lo = [lo[c] - inc_left[c] for c in range(k)]
+        eff_hi = [hi[c] + dec_left[c] for c in range(k)]
         nxt: dict[SignedExponents, Coeff] = {}
         for exps, coeff in cur.items():
-            t_start, t_stop = 0, trunc
-            if window is not None:
-                if any(not (eff_lo[c] <= exps[c] <= eff_hi[c])
-                       for c in range(k) if c not in (fi, fj)):
-                    continue
-                t_start = max(t_start, exps[fi] - 1 - eff_hi[fi], eff_lo[fj] - exps[fj])
-                t_stop = min(t_stop, exps[fi] - eff_lo[fi], eff_hi[fj] - exps[fj] + 1)
+            if any(not (eff_lo[c] <= exps[c] <= eff_hi[c])
+                   for c in range(k) if c not in (fi, fj)):
+                continue
+            t_start = max(0, exps[fi] - 1 - eff_hi[fi], eff_lo[fj] - exps[fj])
+            t_stop = min(limits[idx] + 1, exps[fi] - eff_lo[fi],
+                         eff_hi[fj] - exps[fj] + 1)
             base = list(exps)
             for t in range(t_start, t_stop):
                 base[fi] = exps[fi] - 1 - t
@@ -160,38 +139,15 @@ def expand(fn: RationalFn, trunc: int,
                     nxt[key] = new
                 else:
                     del nxt[key]
-            base[fi], base[fj] = exps[fi], exps[fj]
         cur = nxt
-
-    out: dict[SignedExponents, Coeff] = {}
-    for exps, coeff in cur.items():
-        for nexps, ncoeff in fn.numerator.terms.items():
-            key = tuple(a + b for a, b in zip(exps, nexps))
-            if window is not None and any(
-                    not (lo[c] <= key[c] <= hi[c]) for c in range(k)):
-                continue
-            new = out.get(key, 0) + coeff * ncoeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-
-    num_deg = fn.numerator.degree()
-    base_deg = 0 if num_deg == float("-inf") else int(num_deg)
-    abs_bound: int | None
-    if factors:
-        abs_bound = trunc - base_deg - k * k - 8
-    else:
-        abs_bound = None
-    dec_total = [0] * k
-    for (a, _b) in factors:
-        dec_total[a] += 1
-    floors = tuple(-trunc * dec_total[c] for c in range(k))
-    return LaurentSeries(k, out, trunc, ExactWindow(abs_bound, floors))
+    out = {e: c for e, c in cur.items()
+           if all(lo[i] <= e[i] <= hi[i] for i in range(k))}
+    return LaurentSeries(k, out)
 
 
 def coefficients(fn: RationalFn, targets: Iterable[SignedExponents]) -> dict[SignedExponents, Coeff]:
-    """Exact coefficients at the given exponent vectors, stabilization-guarded."""
+    """Exact coefficients at the given exponent vectors, from one expansion
+    over the smallest box holding them all."""
     wanted = [tuple(e) for e in targets]
     if not wanted:
         return {}
@@ -200,42 +156,20 @@ def coefficients(fn: RationalFn, targets: Iterable[SignedExponents]) -> dict[Sig
         raise ValueError("target exponents have wrong dimension")
     lo = tuple(min(e[c] for e in wanted) for c in range(k))
     hi = tuple(max(e[c] for e in wanted) for c in range(k))
-    trunc = default_truncation(fn, max(sum(abs(x) for x in e) for e in wanted))
-    first = expand(fn, trunc, (lo, hi))
-    second = expand(fn, trunc + 1, (lo, hi))
-    result: dict[SignedExponents, Coeff] = {}
-    for e in wanted:
-        c1 = first.terms.get(e, 0)
-        c2 = second.terms.get(e, 0)
-        if c1 != c2:
-            raise StabilizationError(
-                f"coefficient at {e} changed between T={trunc} and T+1")
-        result[e] = c1
-    return result
-
-
-def coefficient(fn: RationalFn, exps: SignedExponents) -> Coeff:
-    return coefficients(fn, [exps])[tuple(exps)]
+    terms = expand(fn, lo, hi).terms
+    return {e: terms.get(e, 0) for e in wanted}
 
 
 def polynomial_component(fn: RationalFn, degree_bound: int) -> MultiPoly:
-    """The non-negative-exponent part of the expansion, certified up to the
-    given total degree.  The caller guarantees the polynomial part has no
-    terms above the bound."""
+    """The non-negative-exponent part of the expansion up to the given total
+    degree.  The caller guarantees the polynomial part has no terms above
+    the bound."""
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     k = fn.k
-    lo = (0,) * k
-    hi = (degree_bound,) * k
-    trunc = default_truncation(fn, degree_bound)
-    first = expand(fn, trunc, (lo, hi))
-    second = expand(fn, trunc + 1, (lo, hi))
-    pick = lambda s: {e: c for e, c in s.terms.items() if sum(e) <= degree_bound}
-    p1, p2 = pick(first), pick(second)
-    if p1 != p2:
-        raise StabilizationError(
-            f"polynomial component changed between T={trunc} and T+1")
-    return MultiPoly(k, p1)
+    terms = expand(fn, (0,) * k, (degree_bound,) * k).terms
+    return MultiPoly(k, {e: c for e, c in terms.items()
+                         if sum(e) <= degree_bound})
 
 
 # -- exact limits -------------------------------------------------------------

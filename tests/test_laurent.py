@@ -1,16 +1,19 @@
 """Laurent expansion, coefficient extraction, exact limits, Pfaffians."""
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from tableaux.laurent import (ExactWindow, LimitInfiniteError, RationalFn,
+from tableaux.formulas import strict_partition_to_vertex
+from tableaux.laurent import (LimitInfiniteError, RationalFn,
                               alternating_ratio,
                               check_antipolynomial_vanishes,
-                              check_trailing_negative_coeffs, coefficient,
-                              coefficients, default_truncation,
+                              check_trailing_negative_coeffs, coefficients,
                               difference_product, evaluate_with_limits,
-                              expand, pfaffian_matchings,
+                              expand, factor_limits, pfaffian_matchings,
                               polynomial_component, strict_path_series,
                               strict_skew_path_series, trailing_negative,
                               verify_pfaffian_product)
@@ -28,27 +31,25 @@ def test_rational_fn_validation():
 
 def test_expand_polynomial_only():
     p = MultiPoly(2, {(2, 0): 1, (0, 1): -3})
-    series = expand(RationalFn(2, p, {}), trunc=5)
+    series = expand(RationalFn(2, p, {}), (0, 0), (5, 5))
     assert series.terms == {(2, 0): 1, (0, 1): -3}
-    assert series.window.abs_sum_bound is None
+    assert expand(RationalFn(2, p, {}), (1, 0), (5, 5)).terms == {(2, 0): 1}
 
 
 def test_pair_inverse_geometric_series():
     # 1/(x1+x2) = x1^-1 - x2 x1^-2 + x2^2 x1^-3 - ...
     fn = RationalFn(2, MultiPoly.one(2), {(0, 1): 1})
-    series = expand(fn, trunc=4)
+    series = expand(fn, (-9, 0), (-1, 3))
     assert series.terms == {(-1, 0): 1, (-2, 1): -1, (-3, 2): 1, (-4, 3): -1}
 
 
 def test_alternating_ratio_coefficients():
     R = alternating_ratio(2)
-    assert coefficient(R, (0, 0)) == 1
+    targets = [(0, 0), (-1, 1), (-2, 2), (1, -1), (1, 0)]
     # the derived regression pinning the trailing-negative orientation:
     # the expansion carries -2 at x1^-1 x2, not at x1 x2^-1
-    assert coefficient(R, (-1, 1)) == -2
-    assert coefficient(R, (-2, 2)) == 2
-    assert coefficient(R, (1, -1)) == 0
-    assert coefficient(R, (1, 0)) == 0
+    assert coefficients(R, targets) == {(0, 0): 1, (-1, 1): -2, (-2, 2): 2,
+                                        (1, -1): 0, (1, 0): 0}
 
 
 def test_coefficients_batch_matches_single():
@@ -56,34 +57,43 @@ def test_coefficients_batch_matches_single():
     targets = [(0, 0, 0), (-1, 1, 0), (-2, 1, 1), (0, -1, 1)]
     batch = coefficients(R, targets)
     for e in targets:
-        assert batch[e] == coefficient(R, e)
+        assert batch[e] == coefficients(R, [e])[e]
 
 
-def test_windowed_expand_agrees_with_full():
+def test_windowed_expand_agrees_with_larger_window():
     fn = strict_path_series(2, 2)
-    trunc = default_truncation(fn, 6)
-    full = expand(fn, trunc)
     lo, hi = (-3, -3), (3, 3)
-    pruned = expand(fn, trunc, (lo, hi))
-    expected = {e: c for e, c in full.terms.items()
+    wide = expand(fn, (-6, -6), (6, 6))
+    expected = {e: c for e, c in wide.terms.items()
                 if all(lo[i] <= e[i] <= hi[i] for i in range(2))}
-    assert pruned.terms == expected
+    assert expand(fn, lo, hi).terms == expected
 
 
 def test_expansion_is_supported_on_one_total_degree():
     # every denominator factor lowers total degree by exactly one, so the
     # ratio series is homogeneous in the graded sense
-    series = expand(alternating_ratio(2), trunc=9)
+    series = expand(alternating_ratio(2), (-9, -9), (9, 9))
     assert {sum(e) for e in series.terms} == {0}
 
 
-def test_short_truncations_disagree_where_the_guard_looks():
-    fn = RationalFn(2, MultiPoly.var(2, 1) ** 6, {(0, 1): 1})
-    window = ((-2, 6), (-1, 7))
-    first = expand(fn, 1, window)
-    second = expand(fn, 2, window)
-    assert first.terms == {(-1, 6): 1}
-    assert second.terms == {(-1, 6): 1, (-2, 7): -1}
+@pytest.mark.parametrize("t1, t2", [(0, 0), (1, 0), (0, 2), (3, 1), (2, 5)])
+def test_factor_limits_are_tight(t1, t2):
+    # in 1/((x1+x2)(x2+x3)) only the term with t = t1 from the first factor
+    # and t = t2 from the second reaches the target, so a limit one smaller
+    # on either factor would lose its coefficient (-1)^(t1+t2)
+    fn = RationalFn(3, MultiPoly.one(3), {(0, 1): 1, (1, 2): 1})
+    target = (-1 - t1, t1 - 1 - t2, t2)
+    assert factor_limits(fn, target) == [t1, t2]
+    assert coefficients(fn, [target]) == {target: (-1) ** (t1 + t2)}
+
+
+def test_factor_limits_follow_the_recursion():
+    # U_2 = hi[2]; U_1 = hi[1] + 1 + U_2; U_0 is not a factor end
+    fn = RationalFn(3, MultiPoly.one(3), {(0, 1): 2, (0, 2): 1, (1, 2): 1})
+    assert factor_limits(fn, (0, 1, 2)) == [4, 4, 2, 2]
+    # x3 never gets a negative exponent, so nothing reaches hi[2] = -1
+    assert factor_limits(fn, (0, 0, -1)) == [0, 0, -1, -1]
+    assert expand(fn, (-9, -9, -9), (0, 0, -1)).terms == {}
 
 
 def test_polynomial_component_golden():
@@ -201,8 +211,58 @@ def test_difference_product_antisymmetry():
         assert MultiPoly(3, swapped) == p * -1
 
 
-def test_exact_window_contains():
-    w = ExactWindow(3, (-5, -5))
-    assert w.contains((1, -2))
-    assert not w.contains((2, -2))
-    assert ExactWindow(None, (0, 0)).contains((100, 100))
+
+@functools.lru_cache(maxsize=None)
+def _geometric_product(k, factors, terms):
+    """prod over factors (a, b) of sum_{t < terms} (-1)^t x_a^(-1-t) x_b^t,
+    multiplied out in full."""
+    product = {(0,) * k: 1}
+    for a, b in factors:
+        nxt = {}
+        for exps, coeff in product.items():
+            for t in range(terms):
+                key = list(exps)
+                key[a] -= 1 + t
+                key[b] += t
+                key = tuple(key)
+                nxt[key] = nxt.get(key, 0) + (-coeff if t % 2 else coeff)
+        product = nxt
+    return product
+
+
+def _hand_coefficients(fn, targets, terms):
+    product = _geometric_product(fn.k, tuple(fn.factor_list()), terms)
+    return {e: sum(c * product.get(tuple(x - y for x, y in zip(e, n)), 0)
+                   for n, c in fn.numerator.terms.items())
+            for e in targets}
+
+
+def test_coefficients_match_hand_expansion_seeded():
+    rng = random.Random(2015)
+    nonzero = 0
+    for _ in range(100):
+        k = rng.randint(2, 4)
+        kind = rng.choice(["ratio", "path", "skew"])
+        if kind == "ratio":
+            fn = alternating_ratio(k)
+        elif kind == "path":
+            fn = strict_path_series(k, rng.randint(0, 2))
+        else:
+            sigma = rng.choice([(1,), (2,), (2, 1)][:k])
+            fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k),
+                                         sum(sigma) + rng.randint(0, 1))
+        # centre the window on one product term, so that it meets the support
+        centre = list(rng.choice(sorted(fn.numerator.terms)))
+        for a, b in fn.factor_list():
+            t = rng.randint(0, 2)
+            centre[a] -= 1 + t
+            centre[b] += t
+        lo = [c - rng.randint(0, 1) for c in centre]
+        hi = [c + rng.randint(0, 1) for c in centre]
+        targets = list(itertools.product(*(range(a, b + 1)
+                                           for a, b in zip(lo, hi))))
+        expected = _hand_coefficients(fn, targets, 12)
+        assert _hand_coefficients(fn, targets, 15) == expected, (kind, lo, hi)
+        assert coefficients(fn, targets) == expected, (kind, lo, hi)
+        nonzero += sum(1 for v in expected.values() if v)
+    assert nonzero > 50

@@ -1,12 +1,33 @@
 """The benchmark's per-layer tracer names functions of ``tableaux`` by
 module and attribute; every name must still resolve, or a traced benchmark
-run crashes."""
+run crashes.  Its work counters read the results of the wrapped functions,
+so a traced run must also still count."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
+
+# ``install`` rebinds module globals of ``tableaux``, so it runs in a child
+# interpreter, as the benchmark's traced run does.
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+import tableaux.cli as cli
+spec = importlib.util.spec_from_file_location("_bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    exits = [cli.main(argv.split()) for argv in sys.argv[2:]]
+print(json.dumps({"exits": exits, "metrics": tracer.metrics()}))
+"""
 
 
 def _load_tracing():
@@ -27,3 +48,18 @@ def test_traced_layers_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_traced_run_counts_laurent_expansions():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACING),
+         "verify polycomponent --k 2 --n 2",
+         "count --graph strict --k 3 --to-partition 3,1 --method phi"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    result = json.loads(done.stdout)
+    assert result["exits"] == [0, 0]
+    assert result["metrics"]["laurent.expand.calls"] > 0
+    assert result["metrics"]["laurent.expand.terms_out"] > 0
