@@ -9,8 +9,10 @@ Subcommands:
 * ``table``  - DP path counts from a vertex to every target in range
 
 Exit codes: 0 success, 1 a verification or agreement failure, 2 usage or
-budget errors.  Budgets default to max_k=6, max_degree=16, max_n=8 and can
-be overridden with TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".
+budget errors.  Budgets default to max_k=6, max_degree=16, max_n=8,
+max_compositions=30000 and can be overridden with
+TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".  ``max_compositions`` bounds
+the terms of the composition sum behind ``verify hook`` and ``verify skew``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from math import comb
 from typing import Sequence
 
 from . import identity_suite
@@ -35,7 +38,8 @@ from .graded_graphs import (CustomBoxGraph, GradedGraph,
 from .laurent import LimitInfiniteError, verify_pfaffian_product
 from .reports import CountReport, VerifyReport
 
-DEFAULT_BUDGETS = {"max_k": 6, "max_degree": 16, "max_n": 8}
+DEFAULT_BUDGETS = {"max_k": 6, "max_degree": 16, "max_n": 8,
+                   "max_compositions": 30000}
 BUDGET_ENV = "TABLEAUX_BUDGET_OVERRIDE"
 
 VERIFY_CHECKS = ("vandermonde", "multinomial", "hook", "skew", "polycomponent",
@@ -72,6 +76,15 @@ def _require(budgets: dict[str, int], **named: int) -> None:
             raise BudgetError(
                 f"{key}={budgets[key]} but the request needs {value} "
                 f"(raise it via {BUDGET_ENV})")
+
+
+def _composition_count(anchor: tuple[int, ...], steps: int) -> int:
+    """Compositions of steps + |anchor| into len(anchor) parts: the terms of
+    the anchored composition sum."""
+    total = steps + sum(anchor)
+    if not anchor or total < 0:
+        return 0
+    return comb(total + len(anchor) - 1, len(anchor) - 1)
 
 
 def _parse_vertex(text: str) -> tuple[int, ...]:
@@ -195,10 +208,13 @@ def _verify_reports(args: argparse.Namespace,
     if name == "multinomial":
         return [identity_suite.check_multinomial(args.k, args.n)]
     if name == "hook":
+        _require(budgets, max_compositions=_composition_count(
+            tuple(range(args.k)), args.n))
         return [identity_suite.check_hook_identity(args.k, args.n)]
     if name == "skew":
         anchor = (_parse_vertex(args.anchor) if args.anchor
                   else tuple(range(args.k)))
+        _require(budgets, max_compositions=_composition_count(anchor, args.n))
         return [identity_suite.check_skew_identity(args.k, anchor, args.n)]
     if name == "polycomponent":
         return [identity_suite.check_polycomponent(args.k, args.n)]

@@ -24,14 +24,36 @@ of u in phi * (x_1+..+x_k)^(deg u - deg v).  `construct_weight_series` builds
 such a table whenever the vertex set is minimum-closed and coordinate-convex,
 by solving the constraints degree by degree; each constraint is settled on a
 pivot monomial no other constraint of the same or lower degree can reach.
+
+Both hypotheses reduce to two dimensions for the built-in graphs.  Their
+vertex sets all have one form: c is a vertex when every c_i >= 0 and every
+neighbouring pair (c_i, c_{i+1}) lies in one relation R on N^2, the class's
+``neighbour_ok`` (young: a < b; strict: a < b or a == b == 0; pascal: no
+relation, so every pair).  ``GradedGraph.contains`` is defined once from R,
+so this form holds by construction.  Inside the box [0, b]^k:
+
+* minimum-closed: min acts one coordinate at a time, so the pair of
+  min(u, w) at (i, i+1) is the minimum of the pairs of u and w there.  If
+  R restricted to [0, b]^2 is minimum-closed, that pair lies in R, and
+  min(u, w) >= 0, so min(u, w) is a vertex;
+* coordinate-convex: fixing every coordinate but c_i, the admissible c_i
+  are those >= 0 with (c_{i-1}, c_i) and (c_i, c_{i+1}) in R.  That is an
+  intersection of line sections of R, and if each is an interval, so is
+  their intersection.
+
+So ``check_minimum_closed`` and ``check_coordinate_convex`` scan the points
+of R in [0, b]^2, at most (b+1)^2 of them, whatever k is; pascal scans
+nothing.  A custom graph has no such form and is scanned over its own
+vertex list.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .multipoly import Coeff, exact_compositions, multinomial
 from .reports import VerifyReport, failed, passed
@@ -53,9 +75,15 @@ def majorates(w: Vertex, u: Vertex) -> bool:
 
 
 class GradedGraph:
-    """Base: a membership predicate plus the induced +e_i edges."""
+    """Base: a membership predicate plus the induced +e_i edges.
+
+    c is a vertex when it has k entries, all >= 0, and every neighbouring
+    pair (c_i, c_{i+1}) satisfies ``neighbour_ok``; None admits every pair.
+    A subclass sets ``neighbour_ok`` and keeps this ``contains``: the
+    hypothesis checks rely on that form (see the module docstring)."""
 
     name = "graph"
+    neighbour_ok: Callable[[int, int], bool] | None = None
 
     def __init__(self, k: int):
         if k < 1:
@@ -63,7 +91,10 @@ class GradedGraph:
         self.k = k
 
     def contains(self, v: Vertex) -> bool:
-        raise NotImplementedError
+        if len(v) != self.k or min(v) < 0:
+            return False
+        ok = self.neighbour_ok
+        return ok is None or all(map(ok, v, v[1:]))
 
     def base_vertex(self) -> Vertex:
         """Canonical minimal vertex used as the default source."""
@@ -85,10 +116,14 @@ class GradedGraph:
         return [v for v in exact_compositions(self.k, d) if self.contains(v)]
 
     def scanned_vertices(self, box_bound: int) -> list[Vertex]:
-        """The vertices the hypothesis checks scan: those in [0, bound]^k,
-        in lexicographic order."""
-        return [v for v in itertools.product(range(box_bound + 1), repeat=self.k)
-                if self.contains(v)]
+        """The points the hypothesis checks scan: the pairs (a, b) in
+        [0, bound]^2 that satisfy ``neighbour_ok``, in lexicographic order,
+        and none when there is no relation."""
+        ok = self.neighbour_ok
+        if ok is None:
+            return []
+        side = range(box_bound + 1)
+        return [(a, b) for a in side for b in side if ok(a, b)]
 
 
 def _bump(v: Vertex, i: int, step: int = 1) -> Vertex:
@@ -99,9 +134,6 @@ class PascalGraph(GradedGraph):
     """All of N^k; paths are lattice words, counted by multinomials."""
 
     name = "pascal"
-
-    def contains(self, v: Vertex) -> bool:
-        return len(v) == self.k and all(isinstance(c, int) and c >= 0 for c in v)
 
     def base_vertex(self) -> Vertex:
         return (0,) * self.k
@@ -115,11 +147,7 @@ class RestrictedYoungGraph(GradedGraph):
     """
 
     name = "young"
-
-    def contains(self, v: Vertex) -> bool:
-        if len(v) != self.k or v[0] < 0:
-            return False
-        return all(a < b for a, b in zip(v, v[1:]))
+    neighbour_ok = staticmethod(operator.lt)
 
     def base_vertex(self) -> Vertex:
         return tuple(range(self.k))
@@ -133,13 +161,9 @@ class StrictPartitionGraph(GradedGraph):
 
     name = "strict"
 
-    def contains(self, v: Vertex) -> bool:
-        if len(v) != self.k or v[0] < 0:
-            return False
-        for a, b in zip(v, v[1:]):
-            if a > b or (a == b and a != 0):
-                return False
-        return True
+    @staticmethod
+    def neighbour_ok(a: int, b: int) -> bool:
+        return a < b or a == b == 0
 
     def base_vertex(self) -> Vertex:
         return (0,) * self.k
@@ -235,34 +259,48 @@ def path_count_table(graph: GradedGraph, v: Vertex,
 # -- hypothesis checks --------------------------------------------------------
 
 def check_minimum_closed(graph: GradedGraph, box_bound: int) -> VerifyReport:
-    """Entrywise minimum of any two scanned vertices is a vertex."""
+    """Entrywise minimum of any two scanned points is a scanned point.
+
+    For a custom graph the scan is its whole vertex list, so this is minimum
+    closure itself.  For a built-in graph it is the relation R of
+    ``neighbour_ok`` in [0, box_bound]^2, and that suffices for every k: the
+    pair of min(u, w) at coordinates (i, i+1) is the minimum of the pairs of
+    u and w there, which lies in R when R in the box is minimum-closed; with
+    min(u, w) >= 0 this makes min(u, w) a vertex.  The minimum of two points
+    stays in the scanned region, where membership is the scanned set."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
-    for u, w in itertools.combinations(graph.scanned_vertices(box_bound), 2):
+    scanned = graph.scanned_vertices(box_bound)
+    members = set(scanned)
+    for u, w in itertools.combinations(scanned, 2):
         m = vector_min(u, w)
-        if not graph.contains(m):
+        if m not in members:
             return failed("minimum_closed", params,
                           {"pair": [u, w], "minimum": m}, started)
     return passed("minimum_closed", params, started)
 
 
 def check_coordinate_convex(graph: GradedGraph, box_bound: int) -> VerifyReport:
-    """Between two scanned vertices on one coordinate line, every lattice
-    point of the line is a vertex."""
+    """Between two scanned points on one coordinate line, every lattice
+    point of the line is a scanned point.
+
+    For a built-in graph the scan is the relation R in [0, box_bound]^2: a
+    line section of the k-D vertex set is an intersection of line sections
+    of R, and intervals intersect in an interval (module docstring)."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
     scanned = graph.scanned_vertices(box_bound)
-    vertex_set = set(scanned)
+    members = set(scanned)
     highest = max((max(v) for v in scanned), default=0)
     for v in scanned:
-        for i in range(graph.k):
+        for i in range(len(v)):
             for top in range(v[i] + 2, highest + 1):
                 far = v[:i] + (top,) + v[i + 1:]
-                if far not in vertex_set:
+                if far not in members:
                     continue
                 for mid in range(v[i] + 1, top):
                     between = v[:i] + (mid,) + v[i + 1:]
-                    if not graph.contains(between):
+                    if between not in members:
                         return failed("coordinate_convex", params,
                                       {"endpoints": [v, far], "gap": between},
                                       started)
@@ -338,10 +376,11 @@ class WeightSeries:
 def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> WeightSeries:
     """Solve the weight-series constraints for v up to the given degree bound.
 
-    Runs the two hypothesis checks first, over the enclosing box (or a custom
-    graph's own vertex list); any violation (including a pivot collision
-    during the solve) raises ``SeriesConstructionError`` with the offending
-    monomial.
+    Runs the two hypothesis checks first, over the neighbour relation in
+    the enclosing box's square (or a custom graph's own vertex list); any
+    violation (including a pivot collision during the solve) raises
+    ``SeriesConstructionError`` with the offending monomial, which for a
+    relation is a point (a, b) of that square.
     """
     v = tuple(v)
     if not graph.contains(v):

@@ -27,7 +27,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .multipoly import (Coeff, MultiPoly, _perm_sign, bounded_exponents,
                         ff_of_poly, grlex_key)
@@ -388,16 +388,30 @@ def check_antipolynomial_vanishes(fn: RationalFn, poly_part: MultiPoly,
     return passed("antipolynomial_vanishing", params, started)
 
 
-def trailing_negative(exps: SignedExponents) -> bool:
-    """True when some entry is negative and every later entry is zero, i.e.
-    there is no positive entry after the last negative one."""
-    last_neg = None
-    for i, e in enumerate(exps):
-        if e < 0:
-            last_neg = i
-    if last_neg is None:
-        return False
-    return all(e == 0 for e in exps[last_neg + 1:])
+def _box_vectors(length: int, total: int,
+                 bound: int) -> Iterator[SignedExponents]:
+    """Vectors in [-bound, bound]^length with entry sum ``total``, in
+    lexicographic order."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    slack = (length - 1) * bound
+    for first in range(max(-bound, total - slack), min(bound, total + slack) + 1):
+        for rest in _box_vectors(length - 1, total - first, bound):
+            yield (first,) + rest
+
+
+def trailing_negative_targets(k: int, total_degree: int,
+                              bound: int) -> list[SignedExponents]:
+    """The exponent vectors in [-bound, bound]^k with entry sum
+    ``total_degree`` whose last nonzero entry is negative (no positive entry
+    after the last negative one), in lexicographic order.  Each is built
+    from its last nonzero position j and value e < 0: zeros after j, and
+    before j a vector carrying the rest of the sum."""
+    return sorted(head + (last,) + (0,) * (k - 1 - j)
+                  for j in range(k) for last in range(-bound, 0)
+                  for head in _box_vectors(j, total_degree - last, bound))
 
 
 def check_trailing_negative_coeffs(fn: RationalFn, total_degree: int,
@@ -406,13 +420,11 @@ def check_trailing_negative_coeffs(fn: RationalFn, total_degree: int,
     vanishing coefficient must indeed have coefficient zero."""
     started = time.perf_counter()
     params = {"k": fn.k, "total_degree": total_degree, "probe_bound": probe_bound}
-    targets = [e for e in itertools.product(range(-probe_bound, probe_bound + 1),
-                                            repeat=fn.k)
-               if sum(e) == total_degree and trailing_negative(e)]
+    targets = trailing_negative_targets(fn.k, total_degree, probe_bound)
     if not targets:
         return passed("trailing_negative_vanishing", params, started)
     values = coefficients(fn, targets)
-    for e in sorted(targets):
+    for e in targets:
         if values[e] != 0:
             return failed("trailing_negative_vanishing", params,
                           {"exponent": e, "value": values[e]}, started)

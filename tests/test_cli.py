@@ -126,6 +126,28 @@ def test_verify_pfaffian_rejects_k_beyond_range_at_once(capsys, monkeypatch):
     assert "2 <= k <= 6" in err
 
 
+def test_verify_hook_beyond_composition_budget_exits_at_once(capsys):
+    # C(28, 5) = 98280 compositions of 8 + 15 into 6 parts
+    for check in ("hook", "skew"):
+        rc, out, err = run(capsys, "verify", check, "--k", "6", "--n", "8")
+        assert rc == 2
+        assert out == ""
+        assert "max_compositions" in err and "98280" in err
+
+
+def test_composition_budget_counts_the_anchored_sum(capsys, monkeypatch):
+    # hook --k 2 --n 3 sums over the C(5, 1) = 5 compositions of 3 + 1;
+    # skew at anchor (1, 3) over the C(8, 1) = 8 compositions of 3 + 4
+    monkeypatch.setenv(BUDGET_ENV, "max_compositions=5")
+    assert run(capsys, "verify", "hook", "--k", "2", "--n", "3")[0] == 0
+    rc, _, err = run(capsys, "verify", "skew", "--k", "2", "--anchor", "1,3",
+                     "--n", "3")
+    assert rc == 2 and "needs 8" in err
+    monkeypatch.setenv(BUDGET_ENV, "max_compositions=4")
+    rc, _, err = run(capsys, "verify", "hook", "--k", "2", "--n", "3")
+    assert rc == 2 and "needs 5" in err
+
+
 def test_budget_env_rejects_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "max_q=3")
     rc, _, err = run(capsys, "count", "--graph", "pascal", "--k", "2",
@@ -213,6 +235,21 @@ def test_count_strict_formula_at_k6(capsys):
                      "--method", "formula")
     assert rc == 0
     assert out.strip() == "35"
+
+
+def test_count_strict_series_at_k5_staircase(capsys):
+    # the hypothesis checks scan the neighbour relation in [0, 16]^2, not
+    # vertex pairs of [0, 16]^5, so this count takes well under a second
+    target = ("--to-partition", "5,4,3,2,1")
+    rc, out, _ = run(capsys, "count", "--graph", "strict", "--k", "5", *target,
+                     "--method", "phi")
+    assert rc == 0
+    assert out.strip() == "286"
+    rc, out, _ = run(capsys, "count", "--graph", "strict", "--k", "5", *target,
+                     "--method", "all", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["counts"] == {"formula": "286", "oracle": "286",
+                                         "phi": "286"}
 
 
 def test_table_csv_quotes_vertices(capsys):

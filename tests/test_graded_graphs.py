@@ -1,11 +1,15 @@
 """Graph membership, the DP oracle, and the weight-series machinery."""
 
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableaux.graded_graphs import (CustomBoxGraph, SeriesConstructionError,
-                                    WeightSeries, check_coordinate_convex,
+from tableaux.graded_graphs import (CustomBoxGraph, GradedGraph,
+                                    SeriesConstructionError, WeightSeries,
+                                    check_coordinate_convex,
                                     check_minimum_closed, constraint_monomials,
                                     construct_weight_series, count_paths_dp,
                                     degree, make_graph, path_count_table,
@@ -101,6 +105,82 @@ def test_hypothesis_checks_pass_for_lattice_families():
         g = make_graph(kind, 3)
         assert check_minimum_closed(g, 5).ok
         assert check_coordinate_convex(g, 5).ok
+
+
+def _box_graph(graph, box):
+    """The graph's vertices in [0, box]^k as a custom graph, which the
+    checks scan pair by pair in all k coordinates."""
+    return CustomBoxGraph(graph.k, [
+        v for v in itertools.product(range(box + 1), repeat=graph.k)
+        if graph.contains(v)])
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_relation_check_agrees_with_full_scan(kind, k):
+    g = make_graph(kind, k)
+    # the reduction to the 2-D relation needs membership to come from it
+    assert type(g).contains is GradedGraph.contains
+    for box in range(7):
+        for check in (check_minimum_closed, check_coordinate_convex):
+            full = check(_box_graph(g, box), box)
+            assert full.ok, (box, full.witness)
+            assert check(g, box).ok
+
+
+class _MutantGraph(GradedGraph):
+    name = "mutant"
+
+    def __init__(self, k, relation):
+        super().__init__(k)
+        self.neighbour_ok = relation
+
+
+@pytest.mark.parametrize("relation, check, identity", [
+    (operator.ne, check_minimum_closed, "minimum_closed"),
+    (lambda a, b: (b - a) % 2 == 0, check_coordinate_convex,
+     "coordinate_convex"),
+])
+@pytest.mark.parametrize("k", [2, 3])
+def test_mutant_relations_fail_both_scans(relation, check, identity, k):
+    g = _MutantGraph(k, relation)
+    box = 4
+    relation_scan = check(g, box)
+    full_scan = check(_box_graph(g, box), box)
+    for rep, member in ((relation_scan, lambda p: relation(*p)),
+                        (full_scan, g.contains)):
+        assert not rep.ok
+        assert rep.identity == identity
+        if identity == "minimum_closed":
+            u, w = rep.witness["pair"]
+            assert member(u) and member(w)
+            assert not member(rep.witness["minimum"])
+        else:
+            ends = rep.witness["endpoints"]
+            assert all(member(p) for p in ends)
+            assert not member(rep.witness["gap"])
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+def test_builtin_checks_call_membership_at_most_box_squared(kind, monkeypatch):
+    g = make_graph(kind, 3)
+    box = 6
+    calls = 0
+
+    def counted(fn):
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(g, "contains", counted(g.contains))
+    if getattr(g, "neighbour_ok", None) is not None:
+        monkeypatch.setattr(g, "neighbour_ok", counted(g.neighbour_ok))
+    for check in (check_minimum_closed, check_coordinate_convex):
+        calls = 0
+        assert check(g, box).ok
+        assert calls <= (box + 1) ** 2, (check.__name__, calls)
 
 
 def test_hypothesis_checks_catch_violations():

@@ -15,7 +15,8 @@ from tableaux.laurent import (LimitInfiniteError, RationalFn,
                               difference_product, evaluate_with_limits,
                               expand, factor_limits, pfaffian_matchings,
                               polynomial_component, strict_path_series,
-                              strict_skew_path_series, trailing_negative,
+                              strict_skew_path_series,
+                              trailing_negative_targets,
                               verify_pfaffian_product)
 from tableaux.multipoly import MultiPoly, canonical_text
 
@@ -172,13 +173,33 @@ def test_pfaffian_product_identity(k):
 
 
 def test_trailing_negative_patterns():
-    assert trailing_negative((-1,))
-    assert trailing_negative((-1, 0))
-    assert trailing_negative((2, -1, 0))
-    assert trailing_negative((3, -2))
-    assert not trailing_negative((0, 0))
-    assert not trailing_negative((-1, 2))
-    assert not trailing_negative((2, -1, 1))
+    assert (-1,) in trailing_negative_targets(1, -1, 1)
+    assert (-1, 0) in trailing_negative_targets(2, -1, 1)
+    assert (2, -1, 0) in trailing_negative_targets(3, 1, 2)
+    assert (3, -2) in trailing_negative_targets(2, 1, 3)
+    assert (0, 0) not in trailing_negative_targets(2, 0, 1)
+    assert (-1, 2) not in trailing_negative_targets(2, 1, 2)
+    assert (2, -1, 1) not in trailing_negative_targets(3, 2, 2)
+
+
+def _filtered_trailing_negative(k, total, bound):
+    """The probe box filtered point by point: sum == total, some entry
+    negative and only zeros after the last negative one."""
+    out = []
+    for e in itertools.product(range(-bound, bound + 1), repeat=k):
+        negatives = [i for i, x in enumerate(e) if x < 0]
+        if (sum(e) == total and negatives
+                and all(x == 0 for x in e[negatives[-1] + 1:])):
+            out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_trailing_negative_targets_match_box_filter(k):
+    for bound in range(4):
+        for total in range(-k * bound - 1, k * bound + 2):
+            assert trailing_negative_targets(k, total, bound) == \
+                _filtered_trailing_negative(k, total, bound), (bound, total)
 
 
 def test_trailing_negative_coeffs_vanish_for_path_series():
