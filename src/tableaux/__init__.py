@@ -16,9 +16,9 @@ from .formulas import (format_partition, hook_lengths, hook_product,
                        strict_vertex_to_partition, syt_count, syt_count_hook,
                        young_path_count, young_vertex_to_partition)
 from .laurent import (LaurentSeries, LimitInfiniteError, RationalFn,
-                      alternating_ratio, coefficients, evaluate_with_limits,
-                      expand, polynomial_component, strict_path_series,
-                      strict_skew_path_series, verify_pfaffian_product)
+                      coefficients, evaluate_with_limits, expand,
+                      polynomial_component, strict_skew_path_series,
+                      verify_pfaffian_product)
 from .multipoly import MultiPoly, canonical_text
 from .reports import CountReport, VerifyReport
 
@@ -26,14 +26,13 @@ __all__ = [
     "CountReport", "CustomBoxGraph", "GradedGraph", "LaurentSeries",
     "LimitInfiniteError", "MultiPoly", "PascalGraph", "RationalFn",
     "RestrictedYoungGraph", "SeriesConstructionError",
-    "StrictPartitionGraph", "VerifyReport", "WeightSeries",
-    "alternating_ratio", "canonical_text", "coefficients",
-    "construct_weight_series", "count_paths_dp", "evaluate_with_limits",
-    "expand", "format_partition", "hook_lengths", "hook_product",
-    "make_graph", "multinomial_paths", "parse_partition",
+    "StrictPartitionGraph", "VerifyReport", "WeightSeries", "canonical_text",
+    "coefficients", "construct_weight_series", "count_paths_dp",
+    "evaluate_with_limits", "expand", "format_partition", "hook_lengths",
+    "hook_product", "make_graph", "multinomial_paths", "parse_partition",
     "partition_to_young_vertex", "path_count_table", "polynomial_component",
     "skew_weight_fn", "skew_weight_polynomial", "strict_count",
-    "strict_partition_to_vertex", "strict_path_series", "strict_skew_count",
+    "strict_partition_to_vertex", "strict_skew_count",
     "strict_skew_path_series", "strict_vertex_to_partition", "syt_count",
     "syt_count_hook", "verify_pfaffian_product", "verify_weight_conditions",
     "weighted_path_count", "young_path_count", "young_vertex_to_partition",

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 a verification or agreement failure, 2 usage or
 budget errors.  Budgets default to max_k=6, max_degree=16, max_n=8,
 max_compositions=30000 and can be overridden with
 TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".  ``max_compositions`` bounds
-the terms of the composition sum behind ``verify hook`` and ``verify skew``.
+the terms of the composition sum behind ``verify hook`` and ``verify skew``,
+and ``verify skew`` also needs max(anchor) + n <= max_degree.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ def _verify_reports(args: argparse.Namespace,
     if name == "skew":
         anchor = (_parse_vertex(args.anchor) if args.anchor
                   else tuple(range(args.k)))
-        _require(budgets, max_compositions=_composition_count(anchor, args.n))
+        # the alternants have degree max(anchor) in each variable
+        _require(budgets, max_degree=max(anchor, default=0) + args.n,
+                 max_compositions=_composition_count(anchor, args.n))
         return [identity_suite.check_skew_identity(args.k, anchor, args.n)]
     if name == "polycomponent":
         return [identity_suite.check_polycomponent(args.k, args.n)]

@@ -13,9 +13,11 @@ Counts come from product and determinant formulas: multinomials for the
 full lattice, the ratio product / hook lengths / falling-factorial
 determinant family for the Young case, and a symmetrized weight function
 for the distinct-parts case.  That last one is a sum over permutations; a
-count evaluates it directly at the target, as truncated power series in the
-t that replaces each zero coordinate, and never expands it into a
-polynomial.  The identity suite uses the expanded form, ``skew_weight_fn``.
+count hands it to ``laurent.evaluate_with_limits``, which evaluates it
+directly at the target, as truncated power series in the t that replaces
+each zero coordinate, and never expands it into a polynomial.
+``skew_weight_fn`` keeps the expanded form, for the Laurent expansions of
+the identity suite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
-from .laurent import LimitInfiniteError, RationalFn
+from .laurent import RationalFn, evaluate_with_limits
 from .multipoly import (Coeff, MultiPoly, divide_exact_linear,
                         falling_alternant_at, falling_factorial, multinomial)
 from .reports import VerifyReport, failed, passed
@@ -329,78 +331,13 @@ def skew_weight_fn(rows: Sequence[int], k: int) -> RationalFn:
     return RationalFn(k, _symmetrized_numerator(rows, k), pairs)
 
 
-class _TruncatedSeries:
-    """A polynomial in t with exact coefficients and every power above a
-    fixed order dropped: an element of Q[t] / (t^(order+1))."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list[Coeff]):
-        self.coeffs = coeffs
-
-    def __add__(self, other: "_TruncatedSeries") -> "_TruncatedSeries":
-        return _TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "_TruncatedSeries | int") -> "_TruncatedSeries":
-        if isinstance(other, int):
-            return _TruncatedSeries([self.coeffs[0] - other, *self.coeffs[1:]])
-        return _TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "_TruncatedSeries | int") -> "_TruncatedSeries":
-        if isinstance(other, int):
-            return _TruncatedSeries([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        out = [0] * len(a)
-        for i, c in enumerate(a):
-            if c:
-                for j in range(len(a) - i):
-                    out[i + j] += c * b[j]
-        return _TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-
 def skew_weight_limit(rows: Sequence[int], point: Sequence[Coeff]) -> Fraction:
-    """``evaluate_with_limits(skew_weight_fn(rows, len(point)), point)``,
-    without building a polynomial.
-
-    The zero coordinates of the point become t, t^2, ... in ascending
-    coordinate order.  Every factor of S / (k-l)! and of prod (x_i + x_j)
-    is then a polynomial in t, and both are evaluated modulo t^(d+1),
-    where d is the t-order of the denominator.
-    Substitution and truncation are ring homomorphisms, so the coefficients
-    up to t^d are exact.  Raises LimitInfiniteError when one below t^d is
-    nonzero."""
-    k = len(point)
-    rows = _checked_symmetrization(rows, k)
-    point = tuple(point)
-    if any(c < 0 for c in point):
-        raise ValueError("limit evaluation needs a non-negative point")
-    t_power: dict[int, int] = {}
-    for i, c in enumerate(point):
-        if c == 0:
-            t_power[i] = len(t_power) + 1
-    # prod (x_i + x_j) = lowest * t^order + higher powers of t
-    order, lowest = 0, 1
-    for a, b in itertools.combinations(range(k), 2):
-        if a in t_power and b in t_power:
-            order += min(t_power[a], t_power[b])
-        else:
-            lowest *= point[a] + point[b]
-    xs = []
-    for i, c in enumerate(point):
-        coeffs = [c] + [0] * order
-        d = t_power.get(i)
-        if d is not None and d <= order:
-            coeffs[d] = 1
-        xs.append(_TruncatedSeries(coeffs))
-    numerator = _symmetrized_sum(rows, xs, _TruncatedSeries([1] + [0] * order))
-    if any(numerator.coeffs[:order]):
-        raise LimitInfiniteError(f"limit at {point} diverges")
-    return Fraction(numerator.coeffs[order], lowest)
+    """The exact limit of ``skew_weight_fn(rows, len(point))`` at the point,
+    from ``evaluate_with_limits`` on the symmetrized sum, without building
+    a polynomial."""
+    rows = _checked_symmetrization(rows, len(point))
+    return evaluate_with_limits(
+        lambda xs, one: _symmetrized_sum(rows, xs, one), point)
 
 
 def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],

@@ -20,20 +20,18 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from .formulas import (closed_form_count, skew_weight_fn,
+from .formulas import (closed_form_count, skew_weight_limit,
                        strict_partition_to_vertex, syt_count, syt_count_hook,
                        young_vertex_to_partition)
 from .graded_graphs import (GradedGraph, SeriesConstructionError,
                             construct_weight_series, count_paths_dp, degree,
                             make_graph, path_count_table,
                             verify_weight_conditions, weighted_path_count)
-from .laurent import (RationalFn, alternating_ratio,
-                      check_antipolynomial_vanishes,
-                      check_trailing_negative_coeffs, evaluate_with_limits,
-                      polynomial_component, strict_path_series,
+from .laurent import (check_trailing_negative_coeffs, polynomial_component,
                       strict_skew_path_series, verify_pfaffian_product)
-from .multipoly import (Coeff, Exponents, MultiPoly, exact_compositions,
-                        falling_alternant, falling_alternant_at, ff_expansion,
+from .multipoly import (Coeff, Exponents, MultiPoly, bounded_exponents,
+                        exact_compositions, falling_alternant,
+                        falling_alternant_at, falling_factorial, ff_expansion,
                         ff_of_poly, grlex_key, multinomial, power_alternant)
 from .reports import VerifyReport, failed, passed
 
@@ -166,22 +164,33 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
 # -- distinct parts ------------------------------------------------------------
 
 def _check_polycomponent(identity: str, params: dict, started: float,
-                         fn: RationalFn, weight_fn: RationalFn,
-                         steps: int) -> VerifyReport:
-    """The polynomial component of ``fn`` up to total degree n = params["n"]:
+                         sigma: tuple[int, ...], k: int,
+                         n: int) -> VerifyReport:
+    """The three checks on the strict path series anchored at the
+    distinct-parts partition sigma, with m = |sigma|,
+
+        fn = prod(ratios) * psi_sigma * ff(sum(x) - m, n - m),
+
+    whose weight function w = prod(ratios) * psi_sigma is
+    ``skew_weight_fn``.  The limit of w at a non-negative point is finite:
+    its numerator carries prod(x_i - x_j), whose order in t is that of the
+    denominator prod(x_i + x_j).  The polynomial component of ``fn`` up to
+    total degree n
 
     * equals the falling-factorial expansion with weights
-      steps!/prod(c_i!) * weight_fn(c), limits taken exactly (they are
-      finite: weight_fn's numerator carries prod(x_i - x_j), whose order in
-      t at a non-negative point is that of the denominator prod(x_i + x_j)),
-    * differs from the full function by a part vanishing at every lattice
-      point of the simplex sum <= n,
+      (n - m)!/prod(c_i!) * w(c),
+    * differs from ``fn`` by a part vanishing at every lattice point p of
+      the simplex sum <= n, where ``fn`` tends to w(p) * ff(sum(p) - m, n - m),
     * has zero coefficients at every trailing-negative exponent pattern.
+
+    The polynomial side always comes from ``expand`` and the limits never
+    do, so each step pits the expansion against the closed form.
     """
-    n = params["n"]
+    m = sum(sigma)
+    fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
-    closed = ff_expansion(fn.k, n, lambda comp: _over_factorials(
-        factorial(steps) * evaluate_with_limits(weight_fn, comp), comp))
+    closed = ff_expansion(k, n, lambda comp: _over_factorials(
+        factorial(n - m) * skew_weight_limit(sigma, comp), comp))
     if part != closed:
         diff = part - closed
         top = max(diff.terms, key=grlex_key)
@@ -189,10 +198,14 @@ def _check_polycomponent(identity: str, params: dict, started: float,
                       {"part": "closed_form", "monomial": top,
                        "difference": diff.terms[top]}, started)
 
-    anti = check_antipolynomial_vanishes(fn, part, n)
-    if not anti.ok:
-        return failed(identity, params,
-                      {"part": "antipolynomial", **(anti.witness or {})}, started)
+    for point in bounded_exponents(k, n):
+        value = skew_weight_limit(sigma, point) * \
+            falling_factorial(sum(point) - m, n - m)
+        expected = Fraction(part.evaluate(point))
+        if value != expected:
+            return failed(identity, params,
+                          {"part": "antipolynomial", "point": point,
+                           "function": value, "polynomial": expected}, started)
     probes = check_trailing_negative_coeffs(fn, n, n + 2)
     if not probes.ok:
         return failed(identity, params,
@@ -203,11 +216,12 @@ def _check_polycomponent(identity: str, params: dict, started: float,
 
 def check_polycomponent(k: int, n: int, perturb: bool = False) -> VerifyReport:
     """The three polynomial-component checks for prod(ratios) * ff(sum(x), n),
-    with the ratio product itself as the weight function."""
+    with the ratio product itself as the weight function: the skew checks
+    at the empty partition."""
     started = time.perf_counter()
     return _check_polycomponent(
         "polynomial_component", {"k": k, "n": n, "perturbed": perturb},
-        started, strict_path_series(k, n), alternating_ratio(k), n)
+        started, (), k, n)
 
 
 def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
@@ -217,14 +231,10 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
     The closed form weights are limit values of the anchored weight function."""
     started = time.perf_counter()
     sigma = tuple(sigma)
-    m = sum(sigma)
-    if n < m:
-        raise ValueError(f"need n >= {m}")
-    fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     return _check_polycomponent(
         "skew_polynomial_component",
         {"sigma": sigma, "k": k, "n": n, "perturbed": perturb},
-        started, fn, skew_weight_fn(sigma, k), n - m)
+        started, sigma, k, n)
 
 
 # -- cross validation against the DP oracle -------------------------------------

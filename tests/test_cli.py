@@ -148,6 +148,22 @@ def test_composition_budget_counts_the_anchored_sum(capsys, monkeypatch):
     assert rc == 2 and "needs 5" in err
 
 
+def test_verify_skew_bounds_the_anchor_by_max_degree(capsys, monkeypatch):
+    # 1009 compositions, far below max_compositions, but alternants of
+    # degree 1000: the anchor's largest entry plus n must fit max_degree
+    rc, out, err = run(capsys, "verify", "skew", "--k", "2", "--anchor",
+                       "0,1000", "--n", "8")
+    assert rc == 2
+    assert out == ""
+    assert "max_degree" in err and "1008" in err
+    monkeypatch.setenv(BUDGET_ENV, "max_degree=6")
+    assert run(capsys, "verify", "skew", "--k", "2", "--anchor", "1,3",
+               "--n", "3")[0] == 0
+    rc, _, err = run(capsys, "verify", "skew", "--k", "2", "--anchor", "1,3",
+                     "--n", "4")
+    assert rc == 2 and "max_degree" in err and "needs 7" in err
+
+
 def test_budget_env_rejects_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "max_q=3")
     rc, _, err = run(capsys, "count", "--graph", "pascal", "--k", "2",

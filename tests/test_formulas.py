@@ -20,8 +20,10 @@ from tableaux.formulas import (SYMMETRIZATION_CAP, check_hook_length_claim,
                                syt_count, syt_count_hook,
                                young_path_count, young_vertex_to_partition)
 from tableaux.graded_graphs import count_paths_dp, make_graph
-from tableaux.laurent import difference_product, evaluate_with_limits
-from tableaux.multipoly import MultiPoly, _perm_sign, canonical_text, ff_poly
+from tableaux.laurent import (LimitInfiniteError, difference_product,
+                              strict_skew_path_series)
+from tableaux.multipoly import (MultiPoly, _perm_sign, bounded_exponents,
+                                canonical_text, falling_factorial, ff_poly)
 
 partitions = st.lists(st.integers(min_value=1, max_value=6),
                       min_size=0, max_size=4).map(
@@ -225,16 +227,65 @@ def test_difference_product_times_weight_is_symmetrized_sum(rows, k):
     assert skew_weight_fn(rows, k).numerator == quotient
 
 
+def _limit_by_terms(fn, point):
+    """The exact limit of fn at a non-negative point, from the expanded
+    numerator term by term: each zero coordinate becomes t, t^2, ... in
+    ascending order, numerator and denominator become polynomials in t with
+    Fraction coefficients, and their lowest terms give the limit."""
+    t_power = {}
+    for i, c in enumerate(point):
+        if c == 0:
+            t_power[i] = len(t_power) + 1
+
+    def in_t(poly):
+        out = {}
+        for exps, coeff in poly.terms.items():
+            scale, deg = Fraction(coeff), 0
+            for i, e in enumerate(exps):
+                if i in t_power:
+                    deg += t_power[i] * e
+                else:
+                    scale *= Fraction(point[i]) ** e
+            out[deg] = out.get(deg, 0) + scale
+        return {d: c for d, c in out.items() if c}
+
+    x = [MultiPoly.var(fn.k, i) for i in range(fn.k)]
+    denominator = MultiPoly.one(fn.k)
+    for a, b in fn.factor_list():
+        denominator = denominator * (x[a] + x[b])
+    num, den = in_t(fn.numerator), in_t(denominator)
+    order = min(den)
+    if num and min(num) < order:
+        raise LimitInfiniteError(f"limit at {point} diverges")
+    return num.get(order, 0) / den[order]
+
+
 def test_skew_weight_limit_matches_evaluate_with_limits():
     rng = random.Random(5)
-    for k in (1, 2, 3, 4):
-        for _ in range(25):
-            rows = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, k)),
-                                reverse=True))
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(25 if k < 5 else 10):
+            # at k = 5 an expanded numerator of three parts takes a second
+            parts = rng.randint(0, k if k < 5 else 2)
+            rows = tuple(sorted(rng.sample(range(1, 5), parts), reverse=True))
             # small entries, so zeros and repeated entries both occur
             point = tuple(rng.randint(0, 4) for _ in range(k))
             assert skew_weight_limit(rows, point) == \
-                evaluate_with_limits(skew_weight_fn(rows, k), point)
+                _limit_by_terms(skew_weight_fn(rows, k), point), (rows, point)
+
+
+@pytest.mark.parametrize("rows,k,n", [((), 3, 2), ((), 5, 2), ((1,), 2, 3),
+                                      ((1,), 5, 2), ((2, 1), 3, 4),
+                                      ((3, 1), 4, 5)])
+def test_weight_limit_times_falling_factorial_is_the_series_limit(rows, k, n):
+    # the antipolynomial step of the polynomial-component checks reads the
+    # series' limit at each simplex point as the weight's limit times
+    # ff(sum(p) - |rows|, n - |rows|)
+    m = sum(rows)
+    fn = strict_skew_path_series(strict_partition_to_vertex(rows, k), n)
+    for point in bounded_exponents(k, n):
+        assert skew_weight_limit(rows, point) * \
+            falling_factorial(sum(point) - m, n - m) == \
+            _limit_by_terms(fn, point), point
 
 
 @pytest.mark.parametrize("k", [5, 6])

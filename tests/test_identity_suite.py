@@ -2,6 +2,7 @@
 
 import pytest
 
+from tableaux import identity_suite
 from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_counts_from_base,
                                      check_hook_identity, check_multinomial,
@@ -11,6 +12,8 @@ from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_skew_polycomponent,
                                      check_vandermonde, default_sweep,
                                      negative_controls)
+from tableaux.laurent import polynomial_component, strict_skew_path_series
+from tableaux.multipoly import MultiPoly
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -62,6 +65,29 @@ def test_perturbed_identities_fail():
     assert not check_skew_identity(2, (0, 2), 1, perturb=True).ok
     assert not check_polycomponent(2, 1, perturb=True).ok
     assert not check_skew_polycomponent((1,), 2, 2, perturb=True).ok
+
+
+def test_antipolynomial_check_is_sharp(monkeypatch):
+    # the perturbed controls fail the closed-form comparison first, so here
+    # both the expansion and the closed form return the same wrong part
+    part = polynomial_component(strict_skew_path_series((0, 0, 0), 1), 1)
+    wrong = part + MultiPoly.one(3)
+    monkeypatch.setattr(identity_suite, "polynomial_component",
+                        lambda fn, n: wrong)
+    monkeypatch.setattr(identity_suite, "ff_expansion",
+                        lambda k, n, weight: wrong)
+    rep = check_polycomponent(3, 1)
+    assert not rep.ok
+    assert rep.witness["part"] == "antipolynomial"
+    # the true part x1 - x2 + x3 and the series vanish at the origin, the
+    # first point of the simplex, where the planted constant does not
+    assert rep.witness["point"] == (0, 0, 0)
+    assert (rep.witness["function"], rep.witness["polynomial"]) == (0, 1)
+    monkeypatch.setattr(identity_suite, "ff_expansion",
+                        lambda k, n, weight: part)
+    monkeypatch.setattr(identity_suite, "polynomial_component",
+                        lambda fn, n: part)
+    assert check_polycomponent(3, 1).ok
 
 
 def test_failure_reports_carry_a_witness():

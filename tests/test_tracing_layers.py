@@ -50,16 +50,30 @@ def test_traced_layers_resolve():
     assert missing == []
 
 
-def test_traced_run_counts_laurent_expansions():
+def _traced(*argvs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(TRACING),
-         "verify polycomponent --k 2 --n 2",
-         "count --graph strict --k 3 --to-partition 3,1 --method phi"],
+        [sys.executable, "-c", TRACED_RUN, str(TRACING), *argvs],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    result = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_traced_run_counts_laurent_expansions():
+    result = _traced("verify polycomponent --k 2 --n 2",
+                     "count --graph strict --k 3 --to-partition 3,1 --method phi")
     assert result["exits"] == [0, 0]
     assert result["metrics"]["laurent.expand.calls"] > 0
     assert result["metrics"]["laurent.expand.terms_out"] > 0
+    # the phi count takes no limit, so these calls are the identity suite's
+    assert result["metrics"]["laurent.evaluate_with_limits.calls"] > 0
+
+
+def test_traced_formula_count_evaluates_limits():
+    # closed-form strict counts take their exact limit through the same
+    # evaluator as the identity suite
+    result = _traced(
+        "count --graph strict --k 3 --to-partition 3,1 --method formula")
+    assert result["exits"] == [0]
+    assert result["metrics"]["laurent.evaluate_with_limits.calls"] > 0
