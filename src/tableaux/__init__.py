@@ -13,12 +13,12 @@ from .formulas import (format_partition, hook_lengths, hook_product,
                        partition_to_young_vertex, skew_weight_fn,
                        skew_weight_polynomial, strict_count,
                        strict_partition_to_vertex, strict_skew_count,
-                       strict_vertex_to_partition, syt_count, syt_count_hook,
-                       young_path_count, young_vertex_to_partition)
+                       strict_skew_path_series, strict_vertex_to_partition,
+                       syt_count, syt_count_hook, young_path_count,
+                       young_vertex_to_partition)
 from .laurent import (LaurentSeries, LimitInfiniteError, RationalFn,
                       coefficients, evaluate_with_limits, expand,
-                      polynomial_component, strict_skew_path_series,
-                      verify_pfaffian_product)
+                      polynomial_component, verify_pfaffian_product)
 from .multipoly import MultiPoly, canonical_text
 from .reports import CountReport, VerifyReport
 

@@ -16,8 +16,9 @@ for the distinct-parts case.  That last one is a sum over permutations; a
 count hands it to ``laurent.evaluate_with_limits``, which evaluates it
 directly at the target, as truncated power series in the t that replaces
 each zero coordinate, and never expands it into a polynomial.
-``skew_weight_fn`` keeps the expanded form, for the Laurent expansions of
-the identity suite.
+``skew_weight_fn`` keeps the expanded form, and ``strict_skew_path_series``
+multiplies it by a falling factorial, for the Laurent expansions of the
+identity suite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Sequence
 
 from .laurent import RationalFn, evaluate_with_limits
 from .multipoly import (Coeff, MultiPoly, divide_exact_linear,
-                        falling_alternant_at, falling_factorial, multinomial)
+                        falling_alternant_at, falling_factorial, ff_of_poly,
+                        multinomial)
 from .reports import VerifyReport, failed, passed
 
 Vertex = tuple[int, ...]
@@ -329,6 +331,24 @@ def skew_weight_fn(rows: Sequence[int], k: int) -> RationalFn:
     rows = _checked_symmetrization(rows, k)
     pairs = {p: 1 for p in itertools.combinations(range(k), 2)}
     return RationalFn(k, _symmetrized_numerator(rows, k), pairs)
+
+
+def strict_skew_path_series(v: Sequence[int], n: int) -> RationalFn:
+    """The strict path series anchored at the strict vertex v: the skew
+    weight function for v (the alternating ratio times the skew weight
+    polynomial) times ff(sum(x) - m, n - m).  At the zero vertex it is the
+    plain series prod (x_i - x_j)/(x_i + x_j) * ff(sum(x), n), whose
+    polynomial component generates degree-n strict path counts."""
+    v = tuple(v)
+    k = len(v)
+    rows = strict_vertex_to_partition(v)
+    m = sum(rows)
+    if n < m:
+        raise ValueError(f"need n >= {m}")
+    total = sum((MultiPoly.var(k, i) for i in range(k)), MultiPoly.zero(k))
+    weight = skew_weight_fn(rows, k)
+    return RationalFn(k, weight.numerator * ff_of_poly(total - m, n - m),
+                      weight.denominators)
 
 
 def skew_weight_limit(rows: Sequence[int], point: Sequence[Coeff]) -> Fraction:

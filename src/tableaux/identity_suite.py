@@ -14,21 +14,23 @@ and the weight-series construction against both, over seeded samples.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from .formulas import (closed_form_count, skew_weight_limit,
-                       strict_partition_to_vertex, syt_count, syt_count_hook,
+from .formulas import (closed_form_count, skew_weight_limit, strict_count,
+                       strict_partition_to_vertex, strict_skew_path_series,
+                       strict_vertex_to_partition, syt_count, syt_count_hook,
                        young_vertex_to_partition)
 from .graded_graphs import (GradedGraph, SeriesConstructionError,
                             construct_weight_series, count_paths_dp, degree,
                             make_graph, path_count_table,
                             verify_weight_conditions, weighted_path_count)
 from .laurent import (check_trailing_negative_coeffs, polynomial_component,
-                      strict_skew_path_series, verify_pfaffian_product)
+                      verify_pfaffian_product)
 from .multipoly import (Coeff, Exponents, MultiPoly, bounded_exponents,
                         exact_compositions, falling_alternant,
                         falling_alternant_at, falling_factorial, ff_expansion,
@@ -184,13 +186,16 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     * has zero coefficients at every trailing-negative exponent pattern.
 
     The polynomial side always comes from ``expand`` and the limits never
-    do, so each step pits the expansion against the closed form.
+    do, so each step pits the expansion against the closed form.  The top
+    layer's limits serve both the closed form and the antipolynomial step,
+    so each point's limit is computed once.
     """
     m = sum(sigma)
     fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
+    limit = functools.cache(functools.partial(skew_weight_limit, sigma))
     closed = ff_expansion(k, n, lambda comp: _over_factorials(
-        factorial(n - m) * skew_weight_limit(sigma, comp), comp))
+        factorial(n - m) * limit(comp), comp))
     if part != closed:
         diff = part - closed
         top = max(diff.terms, key=grlex_key)
@@ -199,8 +204,7 @@ def _check_polycomponent(identity: str, params: dict, started: float,
                        "difference": diff.terms[top]}, started)
 
     for point in bounded_exponents(k, n):
-        value = skew_weight_limit(sigma, point) * \
-            falling_factorial(sum(point) - m, n - m)
+        value = limit(point) * falling_factorial(sum(point) - m, n - m)
         expected = Fraction(part.evaluate(point))
         if value != expected:
             return failed(identity, params,
@@ -243,9 +247,12 @@ def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
                     u: tuple[int, ...]) -> dict[str, int]:
     route, count = closed_form_count(graph.name, v, u)
     routes = {route: count}
-    if graph.name == "young" and v == graph.base_vertex():
-        routes["ratio_product"] = syt_count(u)
-        routes["hooks"] = syt_count_hook(young_vertex_to_partition(u))
+    if v == graph.base_vertex():
+        if graph.name == "young":
+            routes["ratio_product"] = syt_count(u)
+            routes["hooks"] = syt_count_hook(young_vertex_to_partition(u))
+        elif graph.name == "strict":
+            routes["ratio_product"] = strict_count(strict_vertex_to_partition(u))
     return routes
 
 

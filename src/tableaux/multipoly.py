@@ -13,8 +13,9 @@ rest of the package is built on:
   compositions c of a fixed total, the form the identity checks compare
   against,
 * alternants: determinants det(x_i^{m_j}) and det(ff(x_i, m_j)),
-* exact division by a difference of variables (used to divide
-  prod (x_i - x_j) out of the symmetrized skew weight numerator).
+* exact division by a difference of variables (``skew_weight_polynomial``
+  divides prod (x_i - x_j) out of the symmetrized skew weight numerator
+  with it; no count or check goes through that form).
 
 Term order everywhere is graded lexicographic, leading term first.
 """

@@ -16,12 +16,12 @@ from tableaux.formulas import (SYMMETRIZATION_CAP, check_hook_length_claim,
                                skew_weight_fn, skew_weight_limit,
                                skew_weight_polynomial,
                                strict_count, strict_partition_to_vertex,
-                               strict_skew_count, strict_vertex_to_partition,
+                               strict_skew_count, strict_skew_path_series,
+                               strict_vertex_to_partition,
                                syt_count, syt_count_hook,
                                young_path_count, young_vertex_to_partition)
 from tableaux.graded_graphs import count_paths_dp, make_graph
-from tableaux.laurent import (LimitInfiniteError, difference_product,
-                              strict_skew_path_series)
+from tableaux.laurent import LimitInfiniteError
 from tableaux.multipoly import (MultiPoly, _perm_sign, bounded_exponents,
                                 canonical_text, falling_factorial, ff_poly)
 
@@ -223,7 +223,10 @@ def _raw_symmetrized_sum(rows, k):
                                     ((3, 1), 3), ((1,), 4), ((3, 2, 1), 4)])
 def test_difference_product_times_weight_is_symmetrized_sum(rows, k):
     quotient = _raw_symmetrized_sum(rows, k) * Fraction(1, factorial(k - len(rows)))
-    assert difference_product(k) * skew_weight_polynomial(rows, k) == quotient
+    differences = MultiPoly.one(k)
+    for i, j in itertools.combinations(range(k), 2):
+        differences = differences * (MultiPoly.var(k, i) - MultiPoly.var(k, j))
+    assert differences * skew_weight_polynomial(rows, k) == quotient
     assert skew_weight_fn(rows, k).numerator == quotient
 
 

@@ -12,7 +12,8 @@ from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_skew_polycomponent,
                                      check_vandermonde, default_sweep,
                                      negative_controls)
-from tableaux.laurent import polynomial_component, strict_skew_path_series
+from tableaux.formulas import strict_skew_path_series
+from tableaux.laurent import polynomial_component
 from tableaux.multipoly import MultiPoly
 
 
@@ -90,6 +91,26 @@ def test_antipolynomial_check_is_sharp(monkeypatch):
     assert check_polycomponent(3, 1).ok
 
 
+@pytest.mark.parametrize("check,args,points", [
+    (check_polycomponent, (3, 6), 84),
+    (check_skew_polycomponent, ((3, 1), 3, 7), 120),
+])
+def test_each_polycomponent_limit_is_computed_once(monkeypatch, check, args,
+                                                   points):
+    # the closed form needs the top layer's limits and the antipolynomial
+    # step every simplex point's, top layer included
+    seen = []
+    real = identity_suite.skew_weight_limit
+
+    def spy(sigma, point):
+        seen.append(point)
+        return real(sigma, point)
+
+    monkeypatch.setattr(identity_suite, "skew_weight_limit", spy)
+    assert check(*args).ok
+    assert len(seen) == len(set(seen)) == points
+
+
 def test_failure_reports_carry_a_witness():
     rep = check_vandermonde(2, 2, perturb=True)
     assert rep.witness is not None
@@ -101,6 +122,15 @@ def test_counts_from_base(kind):
     rep = check_counts_from_base(kind, 3, 5)
     assert rep.ok, rep.witness
     assert rep.params["graph"] == kind
+
+
+def test_counts_from_base_checks_the_strict_product(monkeypatch):
+    real = identity_suite.strict_count
+    monkeypatch.setattr(identity_suite, "strict_count",
+                        lambda rows: real(rows) + 1)
+    rep = check_counts_from_base("strict", 3, 4)
+    assert not rep.ok
+    assert rep.witness["ratio_product"] == rep.witness["dp"] + 1
 
 
 @pytest.mark.parametrize("kind", ["pascal", "young", "strict"])

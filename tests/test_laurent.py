@@ -7,15 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from tableaux.formulas import skew_weight_fn, strict_partition_to_vertex
-from tableaux.laurent import (LimitInfiniteError, RationalFn,
+from tableaux.formulas import (skew_weight_fn, strict_partition_to_vertex,
+                               strict_skew_path_series)
+from tableaux.laurent import (LimitInfiniteError, RationalFn, _matching_sum,
                               check_trailing_negative_coeffs, coefficients,
-                              difference_product, evaluate_with_limits,
-                              expand, factor_limits, pfaffian_matchings,
-                              polynomial_component, strict_skew_path_series,
-                              trailing_negative_targets,
+                              evaluate_with_limits, expand, factor_limits,
+                              polynomial_component, trailing_negative_targets,
                               verify_pfaffian_product)
-from tableaux.multipoly import MultiPoly, canonical_text
+from tableaux.multipoly import MultiPoly, _perm_sign, canonical_text
 
 
 def _differences(xs, one):
@@ -156,20 +155,46 @@ def test_strict_skew_path_series_requires_enough_steps():
         strict_skew_path_series((0, 1, 2), 2)  # partition weight is 3
 
 
-def test_pfaffian_matchings_count_and_signs():
-    matchings = pfaffian_matchings(4)
-    assert len(matchings) == 3
-    by_pairs = {m.pairs: m.sign for m in matchings}
-    assert by_pairs[((0, 1), (2, 3))] == 1
-    assert by_pairs[((0, 2), (1, 3))] == -1
-    assert by_pairs[((0, 3), (1, 2))] == 1
-    with pytest.raises(ValueError):
-        pfaffian_matchings(3)
+def _brute_force_matching_sum(xs):
+    """The cleared Pfaffian straight from its definition: every perfect
+    matching, read off the permutations that list it as sorted pairs in
+    increasing order of their first entries, signed by inversion count."""
+    m = len(xs)
+    total = MultiPoly.zero(xs[0].k)
+    for p in itertools.permutations(range(m)):
+        pairs = list(zip(p[::2], p[1::2]))
+        if any(a > b for a, b in pairs) or list(p[::2]) != sorted(p[::2]):
+            continue
+        term = MultiPoly.const(xs[0].k, _perm_sign(p))
+        for a, b in itertools.combinations(range(m), 2):
+            term = term * (xs[a] - xs[b] if (a, b) in pairs else xs[a] + xs[b])
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("k,padded", [(2, False), (4, False), (6, False),
+                                      (3, True), (5, True)])
+def test_matching_sum_is_the_signed_matching_sum(k, padded):
+    xs = [MultiPoly.var(k, i) for i in range(k)]
+    if padded:
+        xs.append(MultiPoly.zero(k))
+    assert _matching_sum(xs) == _brute_force_matching_sum(xs)
+
+
+def test_matching_sum_of_four_variables_by_hand():
+    x = [MultiPoly.var(4, i) for i in range(4)]
+    d = lambda a, b: x[a] - x[b]
+    s = lambda a, b: x[a] + x[b]
+    # matchings 01|23 (+), 02|13 (-), 03|12 (+)
+    expected = (d(0, 1) * d(2, 3) * s(0, 2) * s(0, 3) * s(1, 2) * s(1, 3)
+                - d(0, 2) * d(1, 3) * s(0, 1) * s(0, 3) * s(1, 2) * s(2, 3)
+                + d(0, 3) * d(1, 2) * s(0, 1) * s(0, 2) * s(1, 3) * s(2, 3))
+    assert _matching_sum(x) == expected
 
 
 @pytest.mark.parametrize("k", [7, 8])
 def test_pfaffian_product_rejects_k_beyond_six(k):
-    # both pad to the 8-variable matching sum, which takes minutes
+    # the range is the default max_k budget
     with pytest.raises(ValueError, match="2 <= k <= 6"):
         verify_pfaffian_product(k)
 
@@ -225,14 +250,6 @@ def test_trailing_negative_check_catches_planted_term():
     rep = check_trailing_negative_coeffs(fn, -1, 2)
     assert not rep.ok
     assert rep.witness["exponent"] == (-1, 0)
-
-
-def test_difference_product_antisymmetry():
-    p = difference_product(3)
-    for perm in ((1, 0, 2), (0, 2, 1)):
-        swapped = {tuple(e[q] for q in perm): c for e, c in p.terms.items()}
-        assert MultiPoly(3, swapped) == p * -1
-
 
 
 @functools.lru_cache(maxsize=None)
