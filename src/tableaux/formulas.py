@@ -30,6 +30,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
+from .graded_graphs import RestrictedYoungGraph, StrictPartitionGraph
 from .laurent import RationalFn, evaluate_with_limits
 from .multipoly import (Coeff, MultiPoly, divide_exact_linear,
                         falling_alternant_at, falling_factorial, ff_of_poly,
@@ -46,16 +47,14 @@ SYMMETRIZATION_CAP = 7
 
 def _checked_young_vertex(v: Sequence[int]) -> Vertex:
     v = tuple(int(c) for c in v)
-    if not v or v[0] < 0 or any(a >= b for a, b in zip(v, v[1:])):
+    if not RestrictedYoungGraph(len(v)).contains(v):
         raise ValueError(f"{v} is not a strictly increasing non-negative tuple")
     return v
 
 
 def _checked_strict_vertex(v: Sequence[int]) -> Vertex:
     v = tuple(int(c) for c in v)
-    ok = bool(v) and v[0] >= 0 and all(
-        a < b or (a == b == 0) for a, b in zip(v, v[1:]))
-    if not ok:
+    if not StrictPartitionGraph(len(v)).contains(v):
         raise ValueError(f"{v} must increase weakly, with repeats only at zero")
     return v
 
@@ -167,13 +166,15 @@ def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
         raise ValueError("dimension mismatch")
     if not all(a <= b for a, b in zip(v, u)):
         return 0
-    value = Fraction(factorial(sum(u) - sum(v)))
-    for c in u:
-        value /= factorial(c)
-    value *= Fraction(falling_alternant_at(v, u))
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer count {value} for {v} -> {u}")
-    return int(value)
+    numerator = factorial(sum(u) - sum(v)) * falling_alternant_at(v, u)
+    denominator = prod(factorial(c) for c in u)
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"non-integer count {numerator}/{denominator} for {v} -> {u}")
+    if count < 0:
+        raise ArithmeticError(f"negative count {count} for {v} -> {u}")
+    return count
 
 
 def hook_lengths(rows: Sequence[int]) -> list[list[int]]:

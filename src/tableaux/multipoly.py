@@ -12,7 +12,9 @@ rest of the package is built on:
 * the falling-factorial expansion sum_c w(c) * prod ff(x_i, c_i) over the
   compositions c of a fixed total, the form the identity checks compare
   against,
-* alternants: determinants det(x_i^{m_j}) and det(ff(x_i, m_j)),
+* one determinant over any commutative ring (ints, Fractions, MultiPolys),
+  by top-row expansion with each minor of the lower rows built once, and the
+  alternants det(x_i^{m_j}) and det(ff(x_i, m_j)) built on it,
 * exact division by a difference of variables (``skew_weight_polynomial``
   divides prod (x_i - x_j) out of the symmetrized skew weight numerator
   with it; no count or check goes through that form).
@@ -25,10 +27,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 Exponents = tuple[int, ...]
 Coeff = int | Fraction
+Ring = TypeVar("Ring")
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -286,69 +289,55 @@ def ff_expansion(k: int, total: int,
 
 # -- alternants --------------------------------------------------------------
 
+def det(rows: Sequence[Sequence[Ring]]) -> Ring:
+    """Determinant of a square matrix over any commutative ring whose
+    elements support +, - and * (int, Fraction, MultiPoly).
+
+    Expansion along the top row, where each minor is itself expanded along
+    its own top row.  A minor of the rows below row r is fixed by its column
+    set, so each one is built once, from the bottom row up, keyed by the
+    sorted tuple of its columns: n * 2^(n-1) products in all, against n * n!
+    for the Leibniz sum.  The 1x1 minors are the entries of the bottom row,
+    so no unit of the ring is needed."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("need a non-empty square matrix")
+    minors = {(j,): rows[-1][j] for j in range(n)}
+    for r in range(n - 2, -1, -1):
+        row = rows[r]
+        larger = {}
+        for cols in itertools.combinations(range(n), n - r):
+            total = row[cols[0]] * minors[cols[1:]]
+            for pos in range(1, len(cols)):
+                term = row[cols[pos]] * minors[cols[:pos] + cols[pos + 1:]]
+                total = total - term if pos % 2 else total + term
+            larger[cols] = total
+        minors = larger
+    return minors[tuple(range(n))]
+
+
 def power_alternant(exponents: Sequence[int]) -> MultiPoly:
     """det(x_i ^ m_j) for the k exponents m; zero when exponents repeat."""
     k = len(exponents)
-    result = MultiPoly.zero(k)
-    for perm in itertools.permutations(range(k)):
-        exps = tuple(exponents[perm[i]] for i in range(k))
-        result = result + MultiPoly.monomial(k, exps, _perm_sign(perm))
-    return result
+    return det([[MultiPoly.monomial(k, (0,) * i + (m,) + (0,) * (k - 1 - i))
+                 for m in exponents] for i in range(k)])
 
 
 def falling_alternant(exponents: Sequence[int]) -> MultiPoly:
     """det(ff(x_i, m_j)) for the k exponents m."""
     k = len(exponents)
-    result = MultiPoly.zero(k)
-    for perm in itertools.permutations(range(k)):
-        term = MultiPoly.const(k, _perm_sign(perm))
-        for i in range(k):
-            term = term * ff_poly(k, i, exponents[perm[i]])
-        result = result + term
-    return result
+    return det([[ff_poly(k, i, m) for m in exponents] for i in range(k)])
 
 
 def falling_alternant_at(exponents: Sequence[int], point: Sequence[Coeff]) -> Coeff:
-    """det(ff(point_i, m_j)) evaluated numerically."""
+    """det(ff(point_i, m_j)) evaluated numerically; an int at an integer
+    point."""
     k = len(exponents)
     if len(point) != k:
         raise ValueError("point has wrong dimension")
     if len(set(point)) < k:
         return 0  # two equal rows
-    rows = [[falling_factorial(point[i], m) for m in exponents] for i in range(k)]
-    return det_exact(rows)
-
-
-def det_exact(rows: Sequence[Sequence[Coeff]]) -> Coeff:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
-    sign = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            sign = -sign
-        pivot = mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] / pivot
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= mat[i][i]
-    return result
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return det([[falling_factorial(c, m) for m in exponents] for c in point])
 
 
 # -- exact division ----------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tableaux import formulas
+from tableaux.cli import main
 from tableaux.formulas import (SYMMETRIZATION_CAP, check_hook_length_claim,
                                format_partition, hook_lengths, hook_product,
                                parse_partition, partition_to_young_vertex,
@@ -22,7 +23,7 @@ from tableaux.formulas import (SYMMETRIZATION_CAP, check_hook_length_claim,
                                young_path_count, young_vertex_to_partition)
 from tableaux.graded_graphs import count_paths_dp, make_graph
 from tableaux.laurent import LimitInfiniteError
-from tableaux.multipoly import (MultiPoly, _perm_sign, bounded_exponents,
+from tableaux.multipoly import (MultiPoly, bounded_exponents,
                                 canonical_text, falling_factorial, ff_poly)
 
 partitions = st.lists(st.integers(min_value=1, max_value=6),
@@ -89,6 +90,11 @@ def test_vertex_validators():
         strict_vertex_to_partition((2, 2))
     with pytest.raises(ValueError):
         strict_vertex_to_partition((3, 1))
+    with pytest.raises(ValueError):
+        young_vertex_to_partition((2, 1))
+    for codec in (young_vertex_to_partition, strict_vertex_to_partition):
+        with pytest.raises(ValueError):
+            codec(())
 
 
 def test_spot_counts():
@@ -202,13 +208,19 @@ def test_strict_skew_from_empty_matches_plain_count():
         assert strict_skew_count((), rows, 3) == strict_count(rows)
 
 
+def _sign(p):
+    """The sign of a permutation, by inversion count."""
+    inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+    return -1 if inversions % 2 else 1
+
+
 def _raw_symmetrized_sum(rows, k):
     """S summed over all k! permutations, straight from its definition."""
     ell = len(rows)
     x = lambda i: MultiPoly.var(k, i)
     total = MultiPoly.zero(k)
     for p in itertools.permutations(range(k)):
-        term = MultiPoly.const(k, _perm_sign(p))
+        term = MultiPoly.const(k, _sign(p))
         for i in range(ell):
             term = term * ff_poly(k, p[i], rows[i])
             for j in range(i + 1, k):
@@ -315,3 +327,13 @@ def test_strict_skew_count_rejects_negative_count(monkeypatch):
                         lambda rows, point: Fraction(-1))
     with pytest.raises(ArithmeticError, match="negative"):
         strict_skew_count((1,), (2, 1), 2)
+
+
+def test_young_path_count_rejects_negative_count(monkeypatch):
+    alternant = formulas.falling_alternant_at
+    monkeypatch.setattr(formulas, "falling_alternant_at",
+                        lambda v, u: -alternant(v, u))
+    with pytest.raises(ArithmeticError, match="negative"):
+        young_path_count((0, 1, 2), (1, 3, 5))
+    assert main("count --graph young --k 3 --to-partition 3,2,1 "
+                "--method formula".split()) == 2

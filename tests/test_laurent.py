@@ -14,7 +14,7 @@ from tableaux.laurent import (LimitInfiniteError, RationalFn, _matching_sum,
                               evaluate_with_limits, expand, factor_limits,
                               polynomial_component, trailing_negative_targets,
                               verify_pfaffian_product)
-from tableaux.multipoly import MultiPoly, _perm_sign, canonical_text
+from tableaux.multipoly import MultiPoly, canonical_text
 
 
 def _differences(xs, one):
@@ -155,6 +155,12 @@ def test_strict_skew_path_series_requires_enough_steps():
         strict_skew_path_series((0, 1, 2), 2)  # partition weight is 3
 
 
+def _sign(p):
+    """The sign of a permutation, by inversion count."""
+    inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+    return -1 if inversions % 2 else 1
+
+
 def _brute_force_matching_sum(xs):
     """The cleared Pfaffian straight from its definition: every perfect
     matching, read off the permutations that list it as sorted pairs in
@@ -165,7 +171,7 @@ def _brute_force_matching_sum(xs):
         pairs = list(zip(p[::2], p[1::2]))
         if any(a > b for a, b in pairs) or list(p[::2]) != sorted(p[::2]):
             continue
-        term = MultiPoly.const(xs[0].k, _perm_sign(p))
+        term = MultiPoly.const(xs[0].k, _sign(p))
         for a, b in itertools.combinations(range(m), 2):
             term = term * (xs[a] - xs[b] if (a, b) in pairs else xs[a] + xs[b])
         total = total + term

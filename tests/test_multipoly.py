@@ -1,6 +1,8 @@
-"""Exact polynomial arithmetic, falling-factorial expansion, alternants,
-division."""
+"""Exact polynomial arithmetic, falling-factorial expansion, determinants,
+alternants, division."""
 
+import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableaux.multipoly import (MultiPoly, bounded_exponents, canonical_text,
-                                det_exact, divide_exact_linear,
+                                det, divide_exact_linear,
                                 exact_compositions, falling_alternant,
                                 falling_alternant_at, falling_factorial,
                                 ff_expansion, ff_of_poly, ff_poly, grlex_key,
@@ -132,10 +134,57 @@ def test_falling_alternant_triangular_at_own_point():
     assert falling_alternant_at(m, (5, 2, 5)) == poly.evaluate((5, 2, 5)) == 0
 
 
-def test_det_exact_values():
-    assert det_exact([[1, 2], [3, 4]]) == -2
-    assert det_exact([[1, 2], [2, 4]]) == 0
-    assert det_exact([[Fraction(1, 2), 0], [7, 2]]) == 1
+def test_det_values():
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[Fraction(1, 2), 0], [7, 2]]) == 1
+
+
+def _leibniz(rows):
+    """The determinant straight from its definition: a sum over all
+    permutations, each signed by its inversion count."""
+    n = len(rows)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * rows[i][p[i]]
+        total = total + term
+    return total
+
+
+def _seeded_matrices():
+    rng = random.Random(9)
+    for n in range(1, 7):
+        for seed in range(3):
+            yield pytest.param([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)],
+                               id=f"int-{n}x{n}-{seed}")
+    yield pytest.param([[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(4)]
+                        for _ in range(4)], id="fraction-4x4")
+    yield pytest.param([[1, 2, 3], [4, 5, 6], [1, 2, 3]], id="equal-rows")
+    yield pytest.param([[1, 0, 3, 2], [4, 0, 6, 1], [7, 0, 9, 5], [2, 0, 1, 1]],
+                       id="zero-column")
+
+
+@pytest.mark.parametrize("rows", _seeded_matrices())
+def test_det_is_the_leibniz_sum(rows):
+    assert det(rows) == _leibniz(rows)
+
+
+def test_det_of_polynomials_is_the_leibniz_sum():
+    k = 3
+    rows = [[x(k, 0) + i, x(k, 1) * x(k, 2) - i, (x(k, i) - 2) ** (i + 1)]
+            for i in range(k)]
+    assert det(rows) == _leibniz(rows)
+    assert det(rows) != 0
+
+
+def test_det_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+    with pytest.raises(ValueError):
+        det([])
 
 
 def test_divide_exact_linear_round_trip():
