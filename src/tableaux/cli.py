@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -351,7 +352,11 @@ def _add_graph_options(sub: argparse.ArgumentParser) -> None:
                      help="source as partition rows, decreasing ('-' for empty)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no per-request state
+    (budgets are read per call, and handlers look up their helpers when
+    they run), so ``main`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="tableaux",
         description="Exact path counts in graded lattice graphs, verified "
@@ -414,8 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         budgets = _load_budgets()
         return args.handler(args, budgets)

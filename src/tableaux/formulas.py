@@ -157,21 +157,29 @@ def syt_count(v: Sequence[int]) -> int:
     return int(value)
 
 
-def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
-    """Paths between two strictly increasing tuples: the determinant formula
-    steps! / prod(u_i!) * det(ff(u_i, v_j))."""
-    v = _checked_young_vertex(v_from)
-    u = _checked_young_vertex(v_to)
-    if len(v) != len(u):
-        raise ValueError("dimension mismatch")
-    if not all(a <= b for a, b in zip(v, u)):
-        return 0
+def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
+    """Aitken's determinant steps! / prod(u_i!) * det(ff(u_i, v_j)), with
+    steps = |u| - |v|.  At strictly increasing v <= u it counts the skew
+    standard tableaux of shape u / v; reordering u only changes its sign.
+    An integer either way, so a remainder raises ArithmeticError."""
     numerator = factorial(sum(u) - sum(v)) * falling_alternant_at(v, u)
     denominator = prod(factorial(c) for c in u)
     count, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(
             f"non-integer count {numerator}/{denominator} for {v} -> {u}")
+    return count
+
+
+def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
+    """Paths between two strictly increasing tuples: ``aitken_weight``."""
+    v = _checked_young_vertex(v_from)
+    u = _checked_young_vertex(v_to)
+    if len(v) != len(u):
+        raise ValueError("dimension mismatch")
+    if not all(a <= b for a, b in zip(v, u)):
+        return 0
+    count = aitken_weight(v, u)
     if count < 0:
         raise ArithmeticError(f"negative count {count} for {v} -> {u}")
     return count

@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from .formulas import (closed_form_count, skew_weight_limit, strict_count,
-                       strict_partition_to_vertex, strict_skew_path_series,
-                       strict_vertex_to_partition, syt_count, syt_count_hook,
-                       young_vertex_to_partition)
+from .formulas import (aitken_weight, closed_form_count, skew_weight_limit,
+                       strict_count, strict_partition_to_vertex,
+                       strict_skew_path_series, strict_vertex_to_partition,
+                       syt_count, syt_count_hook, young_vertex_to_partition)
 from .graded_graphs import (GradedGraph, SeriesConstructionError,
                             construct_weight_series, count_paths_dp, degree,
                             make_graph, path_count_table,
@@ -33,8 +33,8 @@ from .laurent import (check_trailing_negative_coeffs, polynomial_component,
                       verify_pfaffian_product)
 from .multipoly import (Coeff, Exponents, MultiPoly, bounded_exponents,
                         exact_compositions, falling_alternant,
-                        falling_alternant_at, falling_factorial, ff_expansion,
-                        ff_of_poly, grlex_key, multinomial, power_alternant)
+                        falling_factorial, ff_expansion, ff_of_poly, grlex_key,
+                        multinomial, power_alternant)
 from .reports import VerifyReport, failed, passed
 
 # anchor vertices exercised by the default sweep, per dimension
@@ -112,12 +112,12 @@ def _anchored_sides(anchor: tuple[int, ...], falling: MultiPoly,
     * falling * ff(sum(x) - |a|, steps) = sum w(c) prod ff(x_i, c_i),
     * power * sum(x)^steps = sum w(c) x^c,
 
-    where ``falling`` is det(ff(x_i, a_j)) and ``power`` is det(x_i^{a_j})."""
+    where ``falling`` is det(ff(x_i, a_j)) and ``power`` is det(x_i^{a_j}).
+    w is ``aitken_weight``, an integer."""
     k = len(anchor)
     total = steps + sum(anchor)
     weights = MultiPoly(k, {
-        comp: _over_factorials(factorial(steps) * falling_alternant_at(anchor, comp),
-                               comp)
+        comp: aitken_weight(anchor, comp)
         for comp in exact_compositions(k, total)})
     lhs_ff = _perturbed(falling * ff_of_poly(_variable_sum(k) - sum(anchor), steps),
                         perturb)

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, budgets."""
 
+import argparse
 import csv
 import io
 import json
@@ -299,3 +300,60 @@ def test_count_requires_k_for_lattice(capsys):
     rc, _, err = run(capsys, "count", "--graph", "young", "--to", "1,3")
     assert rc == 2
     assert "--k is required" in err
+
+
+# -- one process, many requests ---------------------------------------------------
+
+def test_same_request_twice_gives_the_same_reply(capsys):
+    argv = ("count", "--graph", "strict", "--k", "5", "--to-partition",
+            "5,4,3,2,1", "--method", "formula", "--format", "json")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and json.loads(first[1])["counts"] == {"formula": "286"}
+    assert run(capsys, *argv) == first
+
+
+def test_usage_error_twice_exits_2_with_the_same_usage(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--graph", "nonsense"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: tableaux count")
+    assert "invalid choice: 'nonsense'" in errors[0]
+
+
+def test_budgets_are_read_on_every_call(capsys, monkeypatch):
+    # hook --k 2 --n 3 sums over 5 compositions
+    argv = ("verify", "hook", "--k", "2", "--n", "3")
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv(BUDGET_ENV, "max_compositions=4")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and "needs 5" in err
+    monkeypatch.delenv(BUDGET_ENV)
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    # one build makes the top-level parser and one parser per subcommand
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(5):
+            rc, out, _ = run(capsys, "hooks", "--partition", "3,2,1")
+            assert (rc, out) == (0, "5 3 1\n3 1\n1\nproduct 45\ncount 16\n")
+        assert built.count("tableaux") == 1
+        assert len(built) == 6
+    finally:
+        cli._build_parser.cache_clear()

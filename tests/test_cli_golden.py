@@ -61,6 +61,13 @@ def test_cli_output_matches_golden(golden, command):
     assert capture(command) == golden[command]
 
 
+def test_golden_replays_in_reverse_in_one_process(golden):
+    # one process, one parser, every request in the opposite order to the
+    # recording: nothing may carry over from one request to the next
+    for command in reversed(list(golden)):
+        assert capture(command) == golden[command]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([capture(c) for c in COMMANDS], indent=1)
                       + "\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tableaux import identity_suite
+from tableaux import formulas, identity_suite
 from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_counts_from_base,
                                      check_hook_identity, check_multinomial,
@@ -89,6 +89,18 @@ def test_antipolynomial_check_is_sharp(monkeypatch):
     monkeypatch.setattr(identity_suite, "polynomial_component",
                         lambda fn, n: part)
     assert check_polycomponent(3, 1).ok
+
+
+def test_anchored_weight_with_a_remainder_raises(monkeypatch):
+    # at anchor (0, 1) and composition (0, 2) the alternant is 2; one more
+    # gives 1!/(0! 2!) * 3, which is no integer
+    real = formulas.falling_alternant_at
+    monkeypatch.setattr(formulas, "falling_alternant_at",
+                        lambda anchor, comp: real(anchor, comp) + 1)
+    with pytest.raises(ArithmeticError, match="non-integer count 3/2"):
+        check_skew_identity(2, (0, 1), 1)
+    with pytest.raises(ArithmeticError, match="non-integer count 3/2"):
+        check_hook_identity(2, 1)
 
 
 @pytest.mark.parametrize("check,args,points", [
