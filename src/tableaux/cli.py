@@ -216,6 +216,9 @@ def _verify_reports(args: argparse.Namespace,
     if name == "skew":
         anchor = (_parse_vertex(args.anchor) if args.anchor
                   else tuple(range(args.k)))
+        if len(anchor) != args.k:
+            raise ValueError(
+                f"--k {args.k} disagrees with --anchor (k={len(anchor)})")
         # the alternants have degree max(anchor) in each variable
         _require(budgets, max_degree=max(anchor, default=0) + args.n,
                  max_compositions=_composition_count(anchor, args.n))

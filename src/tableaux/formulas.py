@@ -15,18 +15,17 @@ determinant family for the Young case, and a symmetrized weight function
 for the distinct-parts case.  That last one is a sum over permutations; a
 count hands it to ``laurent.evaluate_with_limits``, which evaluates it
 directly at the target, as truncated power series in the t that replaces
-each zero coordinate, and never expands it into a polynomial.
-``skew_weight_fn`` keeps the expanded form, and ``strict_skew_path_series``
-multiplies it by a falling factorial, for the Laurent expansions of the
-identity suite.
+each zero coordinate, and never expands it into a polynomial.  For the
+Laurent expansions of the identity suite, ``skew_weight_fn`` writes the
+same weight function as a Pfaffian, one small fraction per matching over
+that matching's own pair sums, and ``strict_skew_path_series`` multiplies
+each fraction by a falling factorial.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
@@ -34,8 +33,7 @@ from .graded_graphs import RestrictedYoungGraph, StrictPartitionGraph
 from .laurent import RationalFn, evaluate_with_limits
 from .multipoly import (Coeff, MultiPoly, divide_exact_linear,
                         falling_alternant_at, falling_factorial, ff_of_poly,
-                        multinomial)
-from .reports import VerifyReport, failed, passed
+                        ff_poly, multinomial)
 
 Vertex = tuple[int, ...]
 Rows = tuple[int, ...]
@@ -199,40 +197,21 @@ def hook_lengths(rows: Sequence[int]) -> list[list[int]]:
     return grid
 
 
-def _hook_product_and_ratio(rows: Rows) -> tuple[int, Fraction]:
-    """The product of all hook lengths, and the value the coordinate encoding
-    predicts for it: prod(m_i!) / prod_{i<j} (m_j - m_i), where m is the
-    vertex for the partition on exactly its number of rows."""
+def hook_product(rows: Sequence[int]) -> int:
+    """Product of all hook lengths, cross-checked against the value the
+    coordinate encoding predicts for it: prod(m_i!) / prod_{i<j} (m_j - m_i),
+    where m is the vertex for the partition on exactly its number of rows."""
+    rows = _checked_partition(rows)
     product = prod(h for line in hook_lengths(rows) for h in line)
     ratio = Fraction(1)
     if rows:
         m = partition_to_young_vertex(rows, len(rows))
         ratio = Fraction(prod(factorial(c) for c in m),
                          prod(b - a for a, b in itertools.combinations(m, 2)))
-    return product, ratio
-
-
-def hook_product(rows: Sequence[int]) -> int:
-    """Product of all hook lengths, cross-checked against the coordinate
-    encoding (see ``check_hook_length_claim``)."""
-    rows = _checked_partition(rows)
-    product, ratio = _hook_product_and_ratio(rows)
     if ratio != product:
         raise ArithmeticError(
             f"hook product {product} disagrees with {ratio} for {rows}")
     return product
-
-
-def check_hook_length_claim(rows: Sequence[int]) -> VerifyReport:
-    """Report form of the hook-product cross-check."""
-    started = time.perf_counter()
-    rows = _checked_partition(rows)
-    params = {"partition": rows}
-    product, ratio = _hook_product_and_ratio(rows)
-    if ratio != product:
-        return failed("hook_length_product", params,
-                      {"hooks": product, "ratio": ratio}, started)
-    return passed("hook_length_product", params, started)
 
 
 def syt_count_hook(rows: Sequence[int]) -> int:
@@ -312,19 +291,14 @@ def _symmetrized_sum(rows: Rows, xs: Sequence, one):
     return total
 
 
-@lru_cache(maxsize=None)
-def _symmetrized_numerator(rows: Rows, k: int) -> MultiPoly:
-    return _symmetrized_sum(rows, [MultiPoly.var(k, i) for i in range(k)],
-                            MultiPoly.one(k))
-
-
 def skew_weight_polynomial(rows: Sequence[int], k: int) -> MultiPoly:
     """The symmetric polynomial of degree sum(rows) in k variables obtained
     by symmetrizing ff(x_1, m_1)..ff(x_l, m_l) against the pair ratios
     (x_i + x_j)/(x_i - x_j): S / (k-l)! with every (x_i - x_j) divided out.
     The counts never need it in this form; see ``skew_weight_fn``."""
     rows = _checked_symmetrization(rows, k)
-    result = _symmetrized_numerator(rows, k)
+    result = _symmetrized_sum(rows, [MultiPoly.var(k, i) for i in range(k)],
+                              MultiPoly.one(k))
     for a, b in itertools.combinations(range(k), 2):
         result = divide_exact_linear(result, a, b)
     if result.degree() != sum(rows):
@@ -333,21 +307,53 @@ def skew_weight_polynomial(rows: Sequence[int], k: int) -> MultiPoly:
     return result
 
 
+def _matchings(free: tuple[int, ...], allowed):
+    """Each perfect matching of ``free`` with allowed(a, b) on all its pairs,
+    as (sign, pairs), by first-row expansion: the first index a is paired
+    with each later index b, the sign alternating with b's position."""
+    if not free:
+        yield 1, ()
+        return
+    a, rest = free[0], free[1:]
+    for pos, b in enumerate(rest):
+        if allowed(a, b):
+            for sign, pairs in _matchings(rest[:pos] + rest[pos + 1:], allowed):
+                yield (-sign if pos % 2 else sign), ((a, b),) + pairs
+
+
 def skew_weight_fn(rows: Sequence[int], k: int) -> RationalFn:
-    """The weight polynomial times prod (x_i - x_j)/(x_i + x_j), kept as
-    S / (k-l)! over prod (x_i + x_j): the product prod (x_i - x_j) that the
-    weight polynomial divides out is never divided out here."""
+    """The weight function prod (x_i - x_j)/(x_i + x_j) * psi_rows as the
+    Pfaffian of [[R, F], [-F^T, 0]] (Jozefiak-Pragacz, Nimmo), where
+    R_ab = (x_a - x_b)/(x_a + x_b) and F_ai = ff(x_a, m_i), on the indices:
+    the k variables, a zero variable when k + l is odd, the rows from last
+    to first.  Row-row and zero-variable-row entries vanish; a variable
+    paired with the zero variable gives R = 1.  Expanded along its first
+    row, it is one fraction per perfect matching, over the sums
+    (x_a + x_b) of that matching's variable pairs only."""
     rows = _checked_symmetrization(rows, k)
-    pairs = {p: 1 for p in itertools.combinations(range(k), 2)}
-    return RationalFn(k, _symmetrized_numerator(rows, k), pairs)
+    pad = (k + len(rows)) % 2
+    size = k + pad + len(rows)
+    xs = [MultiPoly.var(k, i) for i in range(k)]
+    terms = []
+    for sign, pairs in _matchings(tuple(range(size)), lambda a, b: a < k):
+        numerator = MultiPoly.const(k, sign)
+        variable_pairs = []
+        for a, b in pairs:
+            if b < k:
+                numerator = numerator * (xs[a] - xs[b])
+                variable_pairs.append((a, b))
+            elif b >= k + pad:
+                numerator = numerator * ff_poly(k, a, rows[size - 1 - b])
+        terms.append((numerator, tuple(variable_pairs)))
+    return RationalFn(k, tuple(terms))
 
 
 def strict_skew_path_series(v: Sequence[int], n: int) -> RationalFn:
-    """The strict path series anchored at the strict vertex v: the skew
-    weight function for v (the alternating ratio times the skew weight
-    polynomial) times ff(sum(x) - m, n - m).  At the zero vertex it is the
-    plain series prod (x_i - x_j)/(x_i + x_j) * ff(sum(x), n), whose
-    polynomial component generates degree-n strict path counts."""
+    """The strict path series anchored at the strict vertex v: each fraction
+    of the skew weight function for v times ff(sum(x) - m, n - m).  At the
+    zero vertex it is the plain series prod (x_i - x_j)/(x_i + x_j) *
+    ff(sum(x), n), whose polynomial component generates degree-n strict
+    path counts."""
     v = tuple(v)
     k = len(v)
     rows = strict_vertex_to_partition(v)
@@ -355,9 +361,9 @@ def strict_skew_path_series(v: Sequence[int], n: int) -> RationalFn:
     if n < m:
         raise ValueError(f"need n >= {m}")
     total = sum((MultiPoly.var(k, i) for i in range(k)), MultiPoly.zero(k))
-    weight = skew_weight_fn(rows, k)
-    return RationalFn(k, weight.numerator * ff_of_poly(total - m, n - m),
-                      weight.denominators)
+    falling = ff_of_poly(total - m, n - m)
+    return RationalFn(k, tuple((numerator * falling, pairs) for numerator, pairs
+                               in skew_weight_fn(rows, k).terms))
 
 
 def skew_weight_limit(rows: Sequence[int], point: Sequence[Coeff]) -> Fraction:

@@ -14,7 +14,6 @@ and the weight-series construction against both, over seeded samples.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from fractions import Fraction
@@ -184,16 +183,17 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     * has zero coefficients at every trailing-negative exponent pattern.
 
     The polynomial side always comes from ``expand`` and the limits never
-    do, so each step pits the expansion against the closed form.  The top
-    layer's limits serve both the closed form and the antipolynomial step,
-    so each point's limit is computed once.
+    do, so each step pits the expansion against the closed form.  The
+    second check skips the top layer sum(p) = n, where the first forces it:
+    ff(p_i, c_i) = 0 unless c_i <= p_i, and c <= p with |c| = |p| gives
+    c = p, so there the closed form is (n - m)! * w(p) = w(p) * ff(n - m,
+    n - m).  So each point's limit is computed once.
     """
     m = sum(sigma)
     fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
-    limit = functools.cache(functools.partial(skew_weight_limit, sigma))
     closed = ff_expansion(k, n, lambda comp: _over_factorials(
-        factorial(n - m) * limit(comp), comp))
+        factorial(n - m) * skew_weight_limit(sigma, comp), comp))
     if part != closed:
         diff = part - closed
         top = max(diff.terms, key=grlex_key)
@@ -201,8 +201,9 @@ def _check_polycomponent(identity: str, params: dict, started: float,
                       {"part": "closed_form", "monomial": top,
                        "difference": diff.terms[top]}, started)
 
-    for point in bounded_exponents(k, n):
-        value = limit(point) * falling_factorial(sum(point) - m, n - m)
+    for point in bounded_exponents(k, n - 1):
+        value = (skew_weight_limit(sigma, point)
+                 * falling_factorial(sum(point) - m, n - m))
         expected = Fraction(part.evaluate(point))
         if value != expected:
             return failed(identity, params,

@@ -15,9 +15,10 @@ rest of the package is built on:
 * one determinant over any commutative ring (ints, Fractions, MultiPolys),
   by top-row expansion with each minor of the lower rows built once, and the
   alternants det(x_i^{m_j}) and det(ff(x_i, m_j)) built on it,
-* exact division by a difference of variables (``skew_weight_polynomial``
-  divides prod (x_i - x_j) out of the symmetrized skew weight numerator
-  with it; no count or check goes through that form).
+* exact division by a difference of variables.  Only
+  ``skew_weight_polynomial`` uses it, to divide prod (x_i - x_j) out of the
+  symmetrized sum; the counts take limits of that sum and the Laurent
+  expansions use its Pfaffian terms, so neither goes through that form.
 
 Term order everywhere is graded lexicographic, leading term first.
 """

@@ -165,6 +165,19 @@ def test_verify_skew_bounds_the_anchor_by_max_degree(capsys, monkeypatch):
     assert rc == 2 and "max_degree" in err and "needs 7" in err
 
 
+def test_verify_skew_ties_the_anchor_to_k(capsys):
+    # the anchor fixes the number of variables; a check in three variables
+    # must not pass under max_k and report k=2
+    for k, anchor in (("2", "0,1,3"), ("3", "0,1"), ("1", ",".join("0" * 20))):
+        rc, out, err = run(capsys, "verify", "skew", "--k", k, "--anchor",
+                           anchor, "--n", "1")
+        assert rc == 2
+        assert out == ""
+        assert f"--k {k} disagrees with --anchor" in err
+    assert run(capsys, "verify", "skew", "--k", "3", "--anchor", "0,1,3",
+               "--n", "1")[0] == 0
+
+
 def test_budget_env_rejects_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "max_q=3")
     rc, _, err = run(capsys, "count", "--graph", "pascal", "--k", "2",

@@ -1,9 +1,10 @@
 """Codecs, closed-form counts, hook lengths, skew weight polynomials."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from tableaux import formulas
 from tableaux.cli import main
-from tableaux.formulas import (SYMMETRIZATION_CAP, check_hook_length_claim,
+from tableaux.formulas import (SYMMETRIZATION_CAP, _symmetrized_sum,
                                format_partition, hook_lengths, hook_product,
                                parse_partition, partition_to_young_vertex,
                                skew_weight_fn, skew_weight_limit,
@@ -130,15 +131,12 @@ def test_hook_length_goldens():
     assert hook_product(()) == 1
 
 
-def test_hook_length_claim_reports():
-    rep = check_hook_length_claim((4, 2, 1))
-    assert rep.ok
-    assert rep.identity == "hook_length_product"
-
-
 @given(partitions)
 def test_hook_length_claim_property(rows):
-    assert check_hook_length_claim(rows).ok
+    # hook_product raises when the hooks disagree with the coordinate
+    # encoding's prod(m_i!) / prod(m_j - m_i)
+    assert hook_product(rows) == \
+        prod(h for line in hook_lengths(rows) for h in line)
 
 
 def test_syt_hook_route_matches_alternant_route():
@@ -181,9 +179,15 @@ def test_skew_weight_polynomial_caps_symmetrization():
 
 
 def test_skew_weight_fn_shape():
+    # indices x1, x2, x3, then the row 1; the row pairs with one variable
+    # and the other two make the one denominator pair
+    x = [MultiPoly.var(3, i) for i in range(3)]
     fn = skew_weight_fn((1,), 3)
-    assert set(fn.denominators) == {(0, 1), (0, 2), (1, 2)}
-    assert all(m == 1 for m in fn.denominators.values())
+    assert [(numerator, pairs) for numerator, pairs in fn.terms] == [
+        ((x[0] - x[1]) * x[2], ((0, 1),)),
+        (-(x[0] - x[2]) * x[1], ((0, 2),)),
+        (x[0] * (x[1] - x[2]), ((1, 2),)),
+    ]
 
 
 def test_strict_skew_count_against_dp():
@@ -239,11 +243,40 @@ def test_difference_product_times_weight_is_symmetrized_sum(rows, k):
     for i, j in itertools.combinations(range(k), 2):
         differences = differences * (MultiPoly.var(k, i) - MultiPoly.var(k, j))
     assert differences * skew_weight_polynomial(rows, k) == quotient
-    assert skew_weight_fn(rows, k).numerator == quotient
+    assert _cleared(skew_weight_fn(rows, k)) == quotient
+
+
+@functools.lru_cache(maxsize=None)
+def _cleared(fn):
+    """The sum of fn's fractions as one numerator over prod_{a<b} (x_a + x_b):
+    each numerator times the sums (x_a + x_b) of the pairs it lacks.  The
+    numerators over the same pairs are added first."""
+    x = [MultiPoly.var(fn.k, i) for i in range(fn.k)]
+    by_pairs = {}
+    for numerator, pairs in fn.terms:
+        by_pairs[pairs] = by_pairs.get(pairs, MultiPoly.zero(fn.k)) + numerator
+    total = MultiPoly.zero(fn.k)
+    for pairs, numerator in by_pairs.items():
+        for a, b in itertools.combinations(range(fn.k), 2):
+            if (a, b) not in pairs:
+                numerator = numerator * (x[a] + x[b])
+        total = total + numerator
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pfaffian_terms_clear_to_the_symmetrized_sum(k):
+    # every strict partition with parts <= 4 on at most k rows, so both
+    # parities of k + l occur, and a zero variable pads the odd ones
+    x = [MultiPoly.var(k, i) for i in range(k)]
+    for ell in range(k + 1):
+        for rows in itertools.combinations(range(4, 0, -1), ell):
+            assert _cleared(skew_weight_fn(rows, k)) == \
+                _symmetrized_sum(rows, x, MultiPoly.one(k)), rows
 
 
 def _limit_by_terms(fn, point):
-    """The exact limit of fn at a non-negative point, from the expanded
+    """The exact limit of fn at a non-negative point, from its cleared
     numerator term by term: each zero coordinate becomes t, t^2, ... in
     ascending order, numerator and denominator become polynomials in t with
     Fraction coefficients, and their lowest terms give the limit."""
@@ -266,9 +299,9 @@ def _limit_by_terms(fn, point):
 
     x = [MultiPoly.var(fn.k, i) for i in range(fn.k)]
     denominator = MultiPoly.one(fn.k)
-    for a, b in fn.factor_list():
+    for a, b in itertools.combinations(range(fn.k), 2):
         denominator = denominator * (x[a] + x[b])
-    num, den = in_t(fn.numerator), in_t(denominator)
+    num, den = in_t(_cleared(fn)), in_t(denominator)
     order = min(den)
     if num and min(num) < order:
         raise LimitInfiniteError(f"limit at {point} diverges")

@@ -12,8 +12,7 @@ from tableaux.formulas import (skew_weight_fn, strict_partition_to_vertex,
 from tableaux.laurent import (LimitInfiniteError, RationalFn, _matching_sum,
                               check_trailing_negative_coeffs, coefficients,
                               evaluate_with_limits, expand, factor_limits,
-                              polynomial_component, trailing_negative_targets,
-                              verify_pfaffian_product)
+                              polynomial_component, verify_pfaffian_product)
 from tableaux.multipoly import MultiPoly, canonical_text
 
 
@@ -25,25 +24,32 @@ def _differences(xs, one):
     return value
 
 
+def _fraction(numerator, *pairs):
+    """numerator / prod over pairs (a, b) of (x_a + x_b), as one fraction."""
+    return RationalFn(numerator.k, ((numerator, pairs),))
+
+
 def test_rational_fn_validation():
     with pytest.raises(ValueError):
-        RationalFn(2, MultiPoly.one(2), {(1, 0): 1})  # pair must be ordered
+        _fraction(MultiPoly.one(2), (1, 0))  # pair must be ordered
     with pytest.raises(ValueError):
-        RationalFn(2, MultiPoly.one(2), {(0, 1): 0})
+        _fraction(MultiPoly.one(2), (0, 1), (0, 1))  # at most once
     with pytest.raises(ValueError):
-        RationalFn(2, MultiPoly.one(3), {})
+        RationalFn(2, ((MultiPoly.one(3), ()),))
+    # a pair may recur across fractions
+    RationalFn(2, ((MultiPoly.one(2), ((0, 1),)), (MultiPoly.one(2), ((0, 1),))))
 
 
 def test_expand_polynomial_only():
     p = MultiPoly(2, {(2, 0): 1, (0, 1): -3})
-    series = expand(RationalFn(2, p, {}), (0, 0), (5, 5))
+    series = expand(_fraction(p), (0, 0), (5, 5))
     assert series.terms == {(2, 0): 1, (0, 1): -3}
-    assert expand(RationalFn(2, p, {}), (1, 0), (5, 5)).terms == {(2, 0): 1}
+    assert expand(_fraction(p), (1, 0), (5, 5)).terms == {(2, 0): 1}
 
 
 def test_pair_inverse_geometric_series():
     # 1/(x1+x2) = x1^-1 - x2 x1^-2 + x2^2 x1^-3 - ...
-    fn = RationalFn(2, MultiPoly.one(2), {(0, 1): 1})
+    fn = _fraction(MultiPoly.one(2), (0, 1))
     series = expand(fn, (-9, 0), (-1, 3))
     assert series.terms == {(-1, 0): 1, (-2, 1): -1, (-3, 2): 1, (-4, 3): -1}
 
@@ -88,18 +94,21 @@ def test_factor_limits_are_tight(t1, t2):
     # in 1/((x1+x2)(x2+x3)) only the term with t = t1 from the first factor
     # and t = t2 from the second reaches the target, so a limit one smaller
     # on either factor would lose its coefficient (-1)^(t1+t2)
-    fn = RationalFn(3, MultiPoly.one(3), {(0, 1): 1, (1, 2): 1})
+    fn = _fraction(MultiPoly.one(3), (0, 1), (1, 2))
     target = (-1 - t1, t1 - 1 - t2, t2)
-    assert factor_limits(fn, target) == [t1, t2]
+    assert factor_limits([(0, 1), (1, 2)], target) == [t1, t2]
     assert coefficients(fn, [target]) == {target: (-1) ** (t1 + t2)}
 
 
 def test_factor_limits_follow_the_recursion():
     # U_2 = hi[2]; U_1 = hi[1] + 1 + U_2; U_0 is not a factor end
-    fn = RationalFn(3, MultiPoly.one(3), {(0, 1): 2, (0, 2): 1, (1, 2): 1})
-    assert factor_limits(fn, (0, 1, 2)) == [4, 4, 2, 2]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert factor_limits(pairs, (0, 1, 2)) == [4, 2, 2]
+    # the limits follow each pair, in the order given
+    assert factor_limits(pairs[::-1], (0, 1, 2)) == [2, 2, 4]
     # x3 never gets a negative exponent, so nothing reaches hi[2] = -1
-    assert factor_limits(fn, (0, 0, -1)) == [0, 0, -1, -1]
+    assert factor_limits(pairs, (0, 0, -1)) == [0, -1, -1]
+    fn = _fraction(MultiPoly.one(3), *pairs)
     assert expand(fn, (-9, -9, -9), (0, 0, -1)).terms == {}
 
 
@@ -111,7 +120,7 @@ def test_polynomial_component_golden():
 
 def test_polynomial_component_of_polynomial_is_itself():
     p = MultiPoly(2, {(1, 1): 4, (0, 0): -2})
-    assert polynomial_component(RationalFn(2, p, {}), 3) == p
+    assert polynomial_component(_fraction(p), 3) == p
 
 
 def test_evaluate_with_limits_plain_point():
@@ -142,10 +151,13 @@ def test_evaluate_with_limits_divergence():
 
 def test_strict_path_series_shape():
     # the plain series prod (x_i - x_j)/(x_i + x_j) * ff(sum(x), n) is the
-    # one anchored at the zero vertex
+    # one anchored at the zero vertex.  k = 3 is padded by a zero variable:
+    # each matching pairs two variables and leaves the third with the zero
+    # variable, which contributes 1
     fn = strict_skew_path_series((0, 0, 0), 2)
-    assert fn.numerator.degree() == 3 + 2
-    assert set(fn.denominators) == {(0, 1), (0, 2), (1, 2)}
+    assert [pairs for _numerator, pairs in fn.terms] == \
+        [((0, 1),), ((0, 2),), ((1, 2),)]
+    assert all(numerator.degree() == 1 + 2 for numerator, _pairs in fn.terms)
     with pytest.raises(ValueError):
         strict_skew_path_series((0, 0), -1)
 
@@ -213,34 +225,44 @@ def test_pfaffian_product_identity(k):
     assert rep.params["padded"] == (k % 2 == 1)
 
 
-def test_trailing_negative_patterns():
-    assert (-1,) in trailing_negative_targets(1, -1, 1)
-    assert (-1, 0) in trailing_negative_targets(2, -1, 1)
-    assert (2, -1, 0) in trailing_negative_targets(3, 1, 2)
-    assert (3, -2) in trailing_negative_targets(2, 1, 3)
-    assert (0, 0) not in trailing_negative_targets(2, 0, 1)
-    assert (-1, 2) not in trailing_negative_targets(2, 1, 2)
-    assert (2, -1, 1) not in trailing_negative_targets(3, 2, 2)
-
-
-def _filtered_trailing_negative(k, total, bound):
-    """The probe box filtered point by point: sum == total, some entry
-    negative and only zeros after the last negative one."""
-    out = []
-    for e in itertools.product(range(-bound, bound + 1), repeat=k):
-        negatives = [i for i, x in enumerate(e) if x < 0]
-        if (sum(e) == total and negatives
-                and all(x == 0 for x in e[negatives[-1] + 1:])):
-            out.append(e)
-    return out
+def _trailing_negative(e):
+    """Some entry is negative, and only zeros follow the last negative one."""
+    negatives = [i for i, x in enumerate(e) if x < 0]
+    return bool(negatives) and all(x == 0 for x in e[negatives[-1] + 1:])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_trailing_negative_targets_match_box_filter(k):
-    for bound in range(4):
-        for total in range(-k * bound - 1, k * bound + 2):
-            assert trailing_negative_targets(k, total, bound) == \
-                _filtered_trailing_negative(k, total, bound), (bound, total)
+    # each factor 1/(x_a + x_b) plants the terms x_a^(-1-t) x_b^t, some of
+    # them trailing-negative, and a unit numerator over one pair plants
+    # x_a^-1 itself.  The check expands a smaller box than [-bound, bound]^k,
+    # and its witness must be the lexicographically first point of
+    # [-bound, bound]^k that the filter below keeps.
+    rng = random.Random(k)
+    found = 0
+    for _ in range(30):
+        bound = rng.randint(0, 3)
+        numerator = MultiPoly(k, {
+            tuple(rng.randint(0, 2) for _ in range(k)): rng.choice([-2, -1, 1, 3])
+            for _ in range(rng.randint(1, 4))})
+        pairs = rng.sample(list(itertools.combinations(range(k), 2)),
+                           rng.randint(0, min(3, k * (k - 1) // 2)))
+        fn = RationalFn(k, ((numerator, tuple(pairs)),
+                            (MultiPoly.one(k), tuple(pairs[:1]))))
+        terms = expand(fn, (-bound,) * k, (bound,) * k).terms
+        planted = [e for e in terms if _trailing_negative(e)]
+        total = sum(rng.choice(sorted(planted or terms or [(0,) * k])))
+        want = next((e for e in itertools.product(range(-bound, bound + 1),
+                                                  repeat=k)
+                     if sum(e) == total and terms.get(e)
+                     and _trailing_negative(e)), None)
+        rep = check_trailing_negative_coeffs(fn, total, bound)
+        assert rep.ok == (want is None), (numerator, pairs, total, bound)
+        if want is not None:
+            found += 1
+            assert rep.witness == {"exponent": want, "value": terms[want]}
+    # one variable makes no pair, so nothing is planted at k = 1
+    assert found >= 5 or k == 1
 
 
 def test_trailing_negative_coeffs_vanish_for_path_series():
@@ -252,7 +274,7 @@ def test_trailing_negative_coeffs_vanish_for_path_series():
 
 def test_trailing_negative_check_catches_planted_term():
     # 1/(x1+x2) alone has support x1^{-1-t} x2^t including (-1, 0)
-    fn = RationalFn(2, MultiPoly.one(2), {(0, 1): 1})
+    fn = _fraction(MultiPoly.one(2), (0, 1))
     rep = check_trailing_negative_coeffs(fn, -1, 2)
     assert not rep.ok
     assert rep.witness["exponent"] == (-1, 0)
@@ -277,10 +299,13 @@ def _geometric_product(k, factors, terms):
 
 
 def _hand_coefficients(fn, targets, terms):
-    product = _geometric_product(fn.k, tuple(fn.factor_list()), terms)
-    return {e: sum(c * product.get(tuple(x - y for x, y in zip(e, n)), 0)
-                   for n, c in fn.numerator.terms.items())
-            for e in targets}
+    out = dict.fromkeys(targets, 0)
+    for numerator, pairs in fn.terms:
+        product = _geometric_product(fn.k, pairs, terms)
+        for e in targets:
+            out[e] += sum(c * product.get(tuple(x - y for x, y in zip(e, n)), 0)
+                          for n, c in numerator.terms.items())
+    return out
 
 
 def test_coefficients_match_hand_expansion_seeded():
@@ -297,9 +322,11 @@ def test_coefficients_match_hand_expansion_seeded():
             sigma = rng.choice([(1,), (2,), (2, 1)][:k])
             fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k),
                                          sum(sigma) + rng.randint(0, 1))
-        # centre the window on one product term, so that it meets the support
-        centre = list(rng.choice(sorted(fn.numerator.terms)))
-        for a, b in fn.factor_list():
+        # centre the window on one product term of one fraction, so that it
+        # meets the support
+        numerator, pairs = rng.choice(fn.terms)
+        centre = list(rng.choice(sorted(numerator.terms)))
+        for a, b in pairs:
             t = rng.randint(0, 2)
             centre[a] -= 1 + t
             centre[b] += t

@@ -61,9 +61,12 @@ def _traced(*argvs):
 
 
 def test_traced_run_counts_laurent_expansions():
+    # k + l = 3 + 2 is odd, so the strict series carries a zero variable and
+    # expands as a sum of several fractions
     result = _traced("verify polycomponent --k 2 --n 2",
+                     "verify skew-polycomponent --sigma 2,1 --k 3 --n 4",
                      "count --graph strict --k 3 --to-partition 3,1 --method phi")
-    assert result["exits"] == [0, 0]
+    assert result["exits"] == [0, 0, 0]
     assert result["metrics"]["laurent.expand.calls"] > 0
     assert result["metrics"]["laurent.expand.terms_out"] > 0
     # the phi count takes no limit, so these calls are the identity suite's
