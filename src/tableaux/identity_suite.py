@@ -148,9 +148,13 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
     the composition sum weighted by det(ff(c_i, a_j)), and likewise with the
     power alternant det(x_i^{a_j}) on the left.  At the staircase anchor
     (0..k-1) the falling alternant collapses to the power alternant
-    prod(x_j - x_i), recovering the un-anchored identity."""
+    prod(x_j - x_i), recovering the un-anchored identity.  An anchor with
+    a repeated entry is rejected: both alternants vanish, so the check
+    would compare 0 with 0."""
     started = time.perf_counter()
     anchor = tuple(anchor)
+    if len(set(anchor)) != len(anchor):
+        raise ValueError(f"anchor {anchor} has a repeated entry")
     params = {"k": k, "anchor": anchor, "steps": steps, "perturbed": perturb}
     falling = falling_alternant(anchor)
     power = power_alternant(anchor)
@@ -275,6 +279,8 @@ def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:
 def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
                      seed: int) -> VerifyReport:
     """Seeded random source/target pairs: skew closed form against the DP."""
+    if pairs < 0:
+        raise ValueError(f"pairs must be non-negative, got {pairs}")
     started = time.perf_counter()
     rng = random.Random(seed)
     graph = make_graph(kind, k)

@@ -1,19 +1,20 @@
 """Exact Laurent coefficients of rational functions with pair denominators.
 
 The rational functions handled here are sums of fractions, each a
-polynomial numerator over a product of distinct variable-pair sums
-(x_i + x_j) with i < j.  Expanding each inverse factor as
+polynomial numerator over a product of variable-pair sums (x_i + x_j) with
+i < j.  Expanding each inverse factor as
 
     (x_i + x_j)^-1 = x_i^-1 - x_j x_i^-2 + x_j^2 x_i^-3 - ...
 
 (negative powers always on the smaller-index variable) embeds everything in
-a Laurent cone where coefficient extraction is well defined.  Every query
-names a window, a box of exponent vectors, and only finitely many terms of
-each geometric series can reach it: ``factor_limits`` derives, from the
-window's upper corner alone, the largest term index t of every factor that
-can, and ``expand`` multiplies out exactly those terms, once.  Nothing is
-truncated by guesswork, so the coefficients inside the window are the true
-ones.
+a Laurent cone where coefficient extraction is well defined.  No two pairs
+of one fraction share a variable: each fraction is one term of a Pfaffian
+expanded over perfect matchings, and a matching's pairs are disjoint.  So
+each factor alone moves its two coordinates, and for every numerator
+monomial the terms of that factor which land in a query's window, a box of
+exponent vectors, form one exact interval.  ``expand`` multiplies out
+exactly those terms, once, so the coefficients inside the window are the
+true ones.
 
 ``evaluate_with_limits`` is the one exact limit evaluator: it takes a
 numerator over prod (x_i + x_j) to a non-negative point where some
@@ -55,7 +56,8 @@ Pairs = tuple[tuple[int, int], ...]
 @dataclass(frozen=True, eq=False)
 class RationalFn:
     """A sum of fractions, each a numerator over prod over its own pairs
-    (i, j), i < j, of (x_i + x_j), with no pair twice in one fraction."""
+    (i, j), i < j, of (x_i + x_j), with no two pairs of one fraction sharing
+    an index."""
 
     k: int
     terms: tuple[tuple[MultiPoly, Pairs], ...]
@@ -64,9 +66,9 @@ class RationalFn:
         for numerator, pairs in self.terms:
             if numerator.k != self.k:
                 raise ValueError("numerator dimension mismatch")
-            if (len(set(pairs)) != len(pairs)
+            if (len({c for pair in pairs for c in pair}) != 2 * len(pairs)
                     or not all(0 <= i < j < self.k for i, j in pairs)):
-                raise ValueError(f"bad or repeated denominator pair in {pairs}")
+                raise ValueError(f"bad or overlapping denominator pairs {pairs}")
 
 
 @dataclass
@@ -75,29 +77,13 @@ class LaurentSeries:
     terms: dict[SignedExponents, Coeff]
 
 
-def factor_limits(pairs: Sequence[tuple[int, int]],
-                  hi: Sequence[int]) -> list[int]:
-    """The largest term index t of each factor (x_a + x_b)^-1, in the order
-    of ``pairs``, that can contribute to a coefficient at or below ``hi`` in
-    every coordinate.
-
-    Term t of factor (a, b), a < b, is (-1)^t x_a^(-1-t) x_b^t, and the
-    numerator only raises exponents.  So in every product term, coordinate
-    c is at least the sum of t over the factors (a, c) ending at c, minus
-    the sum of 1 + t over the factors (c, b) starting at c.  Each factor
-    (c, b) ends above c, so by induction down from c = k-1 its t is at most
-    U_b, and a term at or below hi[c] has, for every factor ending at c,
-
-        t <= U_c = hi[c] + sum over factors (c, b) of (1 + U_b).
-
-    A term with a larger t lands outside the window, and every term up to
-    the limits is kept, so the expansion is exact inside it.  A negative
-    limit means that no term of that factor reaches the window.
-    """
-    bound = list(hi)
-    for a, b in sorted(pairs, reverse=True):
-        bound[a] += 1 + bound[b]
-    return [bound[b] for _a, b in pairs]
+def _span(f: SignedExponents, a: int, b: int, lo: Sequence[int],
+          hi: Sequence[int]) -> range:
+    """The indices t of the terms (-1)^t x_a^(-1-t) x_b^t of
+    (x_a + x_b)^-1 that take the monomial x^f into the box in coordinates
+    a and b."""
+    return range(max(0, lo[b] - f[b], f[a] - 1 - hi[a]),
+                 min(hi[b] - f[b], f[a] - 1 - lo[a]) + 1)
 
 
 def expand(fn: RationalFn, lo: Sequence[int],
@@ -106,10 +92,12 @@ def expand(fn: RationalFn, lo: Sequence[int],
     ``lo <= e <= hi``.
 
     Expansion into the Laurent cone is a ring map, so each fraction is
-    expanded on its own and added into one window.  A numerator is
-    multiplied by one factor at a time, each with its terms up to
-    ``factor_limits``.  A partial product that cannot re-enter the box,
-    given the factors still to come and their limits, is dropped.
+    expanded on its own and added into one window.  Its pairs are disjoint,
+    so factor (a, b) alone moves coordinates a and b, and ``_span`` gives
+    exactly the terms that land in the box there.  A numerator monomial is
+    kept when it lies in the box off the pairs and every span is non-empty;
+    the factors are then applied one at a time, like terms merged after
+    each.
     """
     k = fn.k
     lo, hi = tuple(lo), tuple(hi)
@@ -117,40 +105,21 @@ def expand(fn: RationalFn, lo: Sequence[int],
         raise ValueError("window has wrong dimension")
     window: dict[SignedExponents, Coeff] = {}
     for numerator, pairs in fn.terms:
-        limits = factor_limits(pairs, hi)
-        cur = dict(numerator.terms)
-        for idx, (fi, fj) in enumerate(pairs):
-            dec_left = [0] * k
-            inc_left = [0] * k
-            for (a, b), limit in zip(pairs[idx + 1:], limits[idx + 1:]):
-                dec_left[a] += 1 + limit
-                inc_left[b] += limit
-            eff_lo = [lo[c] - inc_left[c] for c in range(k)]
-            eff_hi = [hi[c] + dec_left[c] for c in range(k)]
+        free = [c for c in range(k) if all(c not in pair for pair in pairs)]
+        cur = {f: coeff for f, coeff in numerator.terms.items()
+               if all(lo[c] <= f[c] <= hi[c] for c in free)
+               and all(_span(f, a, b, lo, hi) for a, b in pairs)}
+        for a, b in pairs:
             nxt: dict[SignedExponents, Coeff] = {}
-            for exps, coeff in cur.items():
-                if any(not (eff_lo[c] <= exps[c] <= eff_hi[c])
-                       for c in range(k) if c not in (fi, fj)):
-                    continue
-                t_start = max(0, exps[fi] - 1 - eff_hi[fi],
-                              eff_lo[fj] - exps[fj])
-                t_stop = min(limits[idx] + 1, exps[fi] - eff_lo[fi],
-                             eff_hi[fj] - exps[fj] + 1)
-                base = list(exps)
-                for t in range(t_start, t_stop):
-                    base[fi] = exps[fi] - 1 - t
-                    base[fj] = exps[fj] + t
-                    key = tuple(base)
-                    value = coeff if t % 2 == 0 else -coeff
-                    new = nxt.get(key, 0) + value
-                    if new:
-                        nxt[key] = new
-                    else:
-                        del nxt[key]
-            cur = nxt
+            for f, coeff in cur.items():
+                e = list(f)
+                for t in _span(f, a, b, lo, hi):
+                    e[a], e[b] = f[a] - 1 - t, f[b] + t
+                    key = tuple(e)
+                    nxt[key] = nxt.get(key, 0) + (-coeff if t % 2 else coeff)
+            cur = {e: c for e, c in nxt.items() if c}
         for e, c in cur.items():
-            if all(lo[i] <= e[i] <= hi[i] for i in range(k)):
-                window[e] = window.get(e, 0) + c
+            window[e] = window.get(e, 0) + c
     return LaurentSeries(k, {e: c for e, c in window.items() if c})
 
 
@@ -334,13 +303,18 @@ def check_trailing_negative_coeffs(fn: RationalFn, total_degree: int,
     sum ``total_degree`` whose last nonzero entry is negative must have
     coefficient zero.  Such a vector ends in a non-positive entry, so one
     expansion over [-b, b]^(k-1) x [-b, 0] holds them all; the witness is
-    the lexicographically smallest one with a nonzero coefficient."""
+    the lexicographically smallest one with a nonzero coefficient.  Each
+    factor lowers the total degree by one, so only the numerator terms of
+    degree ``total_degree`` plus the number of pairs are expanded."""
     started = time.perf_counter()
     params = {"k": fn.k, "total_degree": total_degree, "probe_bound": probe_bound}
+    layer = RationalFn(fn.k, tuple(
+        (MultiPoly(fn.k, {e: c for e, c in numerator.terms.items()
+                          if sum(e) == total_degree + len(pairs)}), pairs)
+        for numerator, pairs in fn.terms))
     b = probe_bound
-    terms = expand(fn, (-b,) * fn.k, (b,) * (fn.k - 1) + (0,)).terms
-    offending = [e for e in terms if sum(e) == total_degree
-                 and next((c for c in reversed(e) if c), 0) < 0]
+    terms = expand(layer, (-b,) * fn.k, (b,) * (fn.k - 1) + (0,)).terms
+    offending = [e for e in terms if next((c for c in reversed(e) if c), 0) < 0]
     if offending:
         e = min(offending)
         return failed("trailing_negative_vanishing", params,

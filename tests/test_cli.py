@@ -178,6 +178,18 @@ def test_verify_skew_ties_the_anchor_to_k(capsys):
                "--n", "1")[0] == 0
 
 
+def test_verify_rejects_requests_that_check_nothing(capsys):
+    # a repeated anchor entry makes both alternants 0, and a negative
+    # --pairs samples no pair: neither may print pass
+    for argv in (("skew", "--k", "2", "--anchor", "1,1", "--n", "2"),
+                 ("pairs", "--graph", "young", "--k", "2", "--deg", "4",
+                  "--pairs", "-4")):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_budget_env_rejects_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "max_q=3")
     rc, _, err = run(capsys, "count", "--graph", "pascal", "--k", "2",

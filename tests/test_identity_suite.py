@@ -44,6 +44,15 @@ def test_skew_identity_passes_with_each_anchor():
                 assert rep.params["anchor"] == anchor
 
 
+def test_skew_identity_rejects_a_repeated_anchor_entry():
+    # both alternants vanish there, so the check would compare 0 with 0
+    for anchor in ((1, 1), (0, 2, 2)):
+        with pytest.raises(ValueError, match="repeated entry"):
+            check_skew_identity(len(anchor), anchor, 3)
+    # an unsorted anchor only flips the sign of both sides
+    assert check_skew_identity(2, (1, 0), 2).ok
+
+
 @pytest.mark.parametrize("k,n", [(2, 0), (2, 2), (3, 1), (3, 3)])
 def test_polycomponent_passes(k, n):
     rep = check_polycomponent(k, n)
@@ -150,6 +159,12 @@ def test_skew_pairs_seeded(kind):
     rep = check_skew_pairs(kind, 3, 8, pairs=25, seed=7)
     assert rep.ok, rep.witness
     assert rep.seed == 7
+
+
+def test_skew_pairs_rejects_a_negative_count():
+    # a negative count would check no pair and pass
+    with pytest.raises(ValueError, match="non-negative"):
+        check_skew_pairs("young", 2, 4, pairs=-4, seed=1)
 
 
 def test_skew_pairs_are_reproducible():

@@ -11,7 +11,7 @@ from tableaux.formulas import (skew_weight_fn, strict_partition_to_vertex,
                                strict_skew_path_series)
 from tableaux.laurent import (LimitInfiniteError, RationalFn, _matching_sum,
                               check_trailing_negative_coeffs, coefficients,
-                              evaluate_with_limits, expand, factor_limits,
+                              evaluate_with_limits, expand,
                               polynomial_component, verify_pfaffian_product)
 from tableaux.multipoly import MultiPoly, canonical_text
 
@@ -34,6 +34,8 @@ def test_rational_fn_validation():
         _fraction(MultiPoly.one(2), (1, 0))  # pair must be ordered
     with pytest.raises(ValueError):
         _fraction(MultiPoly.one(2), (0, 1), (0, 1))  # at most once
+    with pytest.raises(ValueError):
+        _fraction(MultiPoly.one(3), (0, 1), (1, 2))  # pairs are disjoint
     with pytest.raises(ValueError):
         RationalFn(2, ((MultiPoly.one(3), ()),))
     # a pair may recur across fractions
@@ -90,26 +92,14 @@ def test_expansion_is_supported_on_one_total_degree():
 
 
 @pytest.mark.parametrize("t1, t2", [(0, 0), (1, 0), (0, 2), (3, 1), (2, 5)])
-def test_factor_limits_are_tight(t1, t2):
-    # in 1/((x1+x2)(x2+x3)) only the term with t = t1 from the first factor
-    # and t = t2 from the second reaches the target, so a limit one smaller
-    # on either factor would lose its coefficient (-1)^(t1+t2)
-    fn = _fraction(MultiPoly.one(3), (0, 1), (1, 2))
-    target = (-1 - t1, t1 - 1 - t2, t2)
-    assert factor_limits([(0, 1), (1, 2)], target) == [t1, t2]
+def test_pair_intervals_are_exact(t1, t2):
+    # in 1/((x1+x2)(x3+x4)) only the term with t = t1 from the first factor
+    # and t = t2 from the second reaches the target, so a window of exactly
+    # that point must keep both and return (-1)^(t1+t2)
+    fn = _fraction(MultiPoly.one(4), (0, 1), (2, 3))
+    target = (-1 - t1, t1, -1 - t2, t2)
+    assert expand(fn, target, target).terms == {target: (-1) ** (t1 + t2)}
     assert coefficients(fn, [target]) == {target: (-1) ** (t1 + t2)}
-
-
-def test_factor_limits_follow_the_recursion():
-    # U_2 = hi[2]; U_1 = hi[1] + 1 + U_2; U_0 is not a factor end
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    assert factor_limits(pairs, (0, 1, 2)) == [4, 2, 2]
-    # the limits follow each pair, in the order given
-    assert factor_limits(pairs[::-1], (0, 1, 2)) == [2, 2, 4]
-    # x3 never gets a negative exponent, so nothing reaches hi[2] = -1
-    assert factor_limits(pairs, (0, 0, -1)) == [0, -1, -1]
-    fn = _fraction(MultiPoly.one(3), *pairs)
-    assert expand(fn, (-9, -9, -9), (0, 0, -1)).terms == {}
 
 
 def test_polynomial_component_golden():
@@ -245,8 +235,10 @@ def test_trailing_negative_targets_match_box_filter(k):
         numerator = MultiPoly(k, {
             tuple(rng.randint(0, 2) for _ in range(k)): rng.choice([-2, -1, 1, 3])
             for _ in range(rng.randint(1, 4))})
-        pairs = rng.sample(list(itertools.combinations(range(k), 2)),
-                           rng.randint(0, min(3, k * (k - 1) // 2)))
+        # a random partial matching: disjoint pairs, as in every fraction
+        order = rng.sample(range(k), k)
+        pairs = sorted(tuple(sorted(order[2 * i:2 * i + 2]))
+                       for i in range(rng.randint(0, k // 2)))
         fn = RationalFn(k, ((numerator, tuple(pairs)),
                             (MultiPoly.one(k), tuple(pairs[:1]))))
         terms = expand(fn, (-bound,) * k, (bound,) * k).terms
@@ -278,6 +270,12 @@ def test_trailing_negative_check_catches_planted_term():
     rep = check_trailing_negative_coeffs(fn, -1, 2)
     assert not rep.ok
     assert rep.witness["exponent"] == (-1, 0)
+    # only the probed total degree counts: x1/(x1+x2) plants nothing on
+    # degree 0, and the (-1, 0) of 1/(x1+x2) lies on degree -1
+    fn = _fraction(MultiPoly(2, {(0, 0): 1, (1, 0): 1}), (0, 1))
+    assert check_trailing_negative_coeffs(fn, 0, 2).ok
+    assert check_trailing_negative_coeffs(fn, -1, 2).witness == \
+        {"exponent": (-1, 0), "value": 1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,7 +310,7 @@ def test_coefficients_match_hand_expansion_seeded():
     rng = random.Random(2015)
     nonzero = 0
     for _ in range(100):
-        k = rng.randint(2, 4)
+        k = rng.randint(2, 5)
         kind = rng.choice(["ratio", "path", "skew"])
         if kind == "ratio":
             fn = skew_weight_fn((), k)
