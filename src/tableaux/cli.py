@@ -10,10 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or agreement failure, 2 usage or
 budget errors.  Budgets default to max_k=6, max_degree=16, max_n=8,
-max_compositions=30000 and can be overridden with
-TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".  ``max_compositions`` bounds
-the terms of the composition sum behind ``verify hook`` and ``verify skew``,
-and ``verify skew`` also needs max(anchor) + n <= max_degree.
+max_compositions=30000, max_pairs=2000, max_vertices=500 and can be
+overridden with TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".
+``max_compositions`` bounds the terms of the composition sum behind ``verify
+hook`` and ``verify skew``, and ``verify skew`` also needs max(anchor) + n <=
+max_degree.  ``max_pairs`` bounds the sampled pairs of ``verify pairs``, and
+``max_vertices`` the entries of a custom graph's ``--vertices`` list, whose
+hypothesis scan is quadratic in it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from .laurent import LimitInfiniteError, verify_pfaffian_product
 from .reports import CountReport, VerifyReport
 
 DEFAULT_BUDGETS = {"max_k": 6, "max_degree": 16, "max_n": 8,
-                   "max_compositions": 30000}
+                   "max_compositions": 30000, "max_pairs": 2000,
+                   "max_vertices": 500}
 BUDGET_ENV = "TABLEAUX_BUDGET_OVERRIDE"
 
 VERIFY_CHECKS = ("vandermonde", "multinomial", "hook", "skew", "polycomponent",
@@ -106,7 +110,7 @@ def _resolve_graph(args: argparse.Namespace, budgets: dict[str, int]) -> GradedG
         k = len(verts[0])
         if args.k is not None and args.k != k:
             raise ValueError(f"--k {args.k} disagrees with --vertices (k={k})")
-        _require(budgets, max_k=k)
+        _require(budgets, max_k=k, max_vertices=len(verts))
         return CustomBoxGraph(k, verts)
     if args.k is None:
         raise ValueError("--k is required")
@@ -235,7 +239,8 @@ def _verify_reports(args: argparse.Namespace,
         _require(budgets, max_k=args.k, max_degree=args.deg)
         return [identity_suite.check_counts_from_base(args.graph, args.k, args.deg)]
     if name == "pairs":
-        _require(budgets, max_k=args.k, max_degree=args.deg)
+        _require(budgets, max_k=args.k, max_degree=args.deg,
+                 max_pairs=args.pairs)
         return [identity_suite.check_skew_pairs(args.graph, args.k, args.deg,
                                                 args.pairs, args.seed)]
     if name == "construction":

@@ -44,7 +44,18 @@ so this form holds by construction.  Inside the box [0, b]^k:
 So ``check_minimum_closed`` and ``check_coordinate_convex`` scan the points
 of R in [0, b]^2, at most (b+1)^2 of them, whatever k is; pascal scans
 nothing.  A custom graph has no such form and is scanned over its own
-vertex list.
+vertex list.  The minimum of a comparable pair u <= w is u itself, a
+scanned point, so only incomparable pairs are looked up.
+
+The same form generates each level.  ``vertices_of_degree(d)`` extends a
+prefix only by values c that R admits after its last entry, and only when c
+plus the smallest sum of the entries that can still follow c fits in what
+is left of d.  A table ``least[m][p]`` over [0, d] holds that smallest sum
+of m entries after p; entries above d cannot occur at degree d.  So every
+prefix kept has a completion within d, and the level comes out in
+lexicographic order without filtering all C(d+k-1, k-1) compositions.  The
+solve and the check of its conditions share one list of constraint
+monomials per graph instance (``GradedGraph.constraints``).
 """
 
 from __future__ import annotations
@@ -65,13 +76,9 @@ def degree(v: Vertex) -> int:
     return sum(v)
 
 
-def vector_min(u: Vertex, w: Vertex) -> Vertex:
-    return tuple(min(a, b) for a, b in zip(u, w))
-
-
 def majorates(w: Vertex, u: Vertex) -> bool:
     """w majorates u when min(u, w) == u, i.e. u <= w entrywise."""
-    return all(a <= b for a, b in zip(u, w))
+    return all(map(operator.le, u, w))
 
 
 class GradedGraph:
@@ -89,6 +96,7 @@ class GradedGraph:
         if k < 1:
             raise ValueError("need k >= 1")
         self.k = k
+        self._constraints: dict[tuple[Vertex, int], tuple[Vertex, ...]] = {}
 
     def contains(self, v: Vertex) -> bool:
         if len(v) != self.k or min(v) < 0:
@@ -111,9 +119,38 @@ class GradedGraph:
         return result
 
     def vertices_of_degree(self, d: int) -> list[Vertex]:
+        """The vertices of entry sum d, in lexicographic order, generated
+        prefix by prefix (module docstring)."""
+        ok = self.neighbour_ok
         if d < 0:
             return []
-        return [v for v in exact_compositions(self.k, d) if self.contains(v)]
+        if ok is None:
+            return list(exact_compositions(self.k, d))
+        if self.k == 1:
+            return [(d,)]
+        side = range(d + 1)
+        follows = [[c for c in side if ok(p, c)] for p in side]
+        # least[m][p]: the smallest sum of m entries that can follow p, or
+        # d + 1 when none fits
+        least = [[0] * (d + 1)]
+        for _ in range(self.k - 1):
+            more = least[-1]
+            least.append([min([c + more[c] for c in after], default=d + 1)
+                          for after in follows])
+        level = [((c,), d - c) for c in side if c + least[-1][c] <= d]
+        for m in range(self.k - 2, 0, -1):
+            cost = least[m]
+            level = [(v + (c,), rest - c) for v, rest in level
+                     for c in follows[v[-1]] if c + cost[c] <= rest]
+        return [v + (rest,) for v, rest in level if ok(v[-1], rest)]
+
+    def constraints(self, v: Vertex, bound: int) -> tuple[Vertex, ...]:
+        """``constraint_monomials(self, v, bound)``, built once per graph
+        and shared by the solve and the check of its conditions."""
+        key = (v, bound)
+        if key not in self._constraints:
+            self._constraints[key] = tuple(constraint_monomials(self, v, bound))
+        return self._constraints[key]
 
     def scanned_vertices(self, box_bound: int) -> list[Vertex]:
         """The points the hypothesis checks scan: the pairs (a, b) in
@@ -267,14 +304,16 @@ def check_minimum_closed(graph: GradedGraph, box_bound: int) -> VerifyReport:
     pair of min(u, w) at coordinates (i, i+1) is the minimum of the pairs of
     u and w there, which lies in R when R in the box is minimum-closed; with
     min(u, w) >= 0 this makes min(u, w) a vertex.  The minimum of two points
-    stays in the scanned region, where membership is the scanned set."""
+    stays in the scanned region, where membership is the scanned set; for a
+    comparable pair it is one of the two points, so only incomparable pairs
+    are looked up."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
     scanned = graph.scanned_vertices(box_bound)
     members = set(scanned)
     for u, w in itertools.combinations(scanned, 2):
-        m = vector_min(u, w)
-        if m not in members:
+        m = tuple(map(min, u, w))
+        if m != u and m != w and m not in members:
             return failed("minimum_closed", params,
                           {"pair": [u, w], "minimum": m}, started)
     return passed("minimum_closed", params, started)
@@ -395,7 +434,7 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
                                               else "endpoints"][0]))
 
     coeffs: dict[Vertex, Coeff] = {}
-    for u in constraint_monomials(graph, v, bound):
+    for u in graph.constraints(v, bound):
         target = 1 if u == v else 0
         pivot = _pivot_monomial(graph, v, u)
         if pivot in coeffs:
@@ -404,7 +443,7 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
         acc: Coeff = 0
         for e, c in coeffs.items():
             if majorates(u, e):
-                acc += c * multinomial(tuple(a - b for a, b in zip(u, e)))
+                acc += c * multinomial(tuple(map(operator.sub, u, e)))
         # the pivot's own weight in the constraint is exactly 1
         value = target - acc
         if value:
@@ -420,7 +459,7 @@ def _extract_coefficient(phi: WeightSeries, w: Vertex, steps: int) -> Coeff:
     total: Coeff = 0
     for e, c in phi.coeffs.items():
         if majorates(w, e) and degree(w) - degree(e) == steps:
-            total += c * multinomial(tuple(a - b for a, b in zip(w, e)))
+            total += c * multinomial(tuple(map(operator.sub, w, e)))
     return total
 
 
@@ -447,7 +486,7 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: WeightSeries,
             return failed("weight_conditions", params,
                           {"condition": "same-degree vertex", "monomial": other,
                            "value": phi.coefficient(other)}, started)
-    for w in constraint_monomials(graph, v, bound):
+    for w in graph.constraints(v, bound):
         if graph.contains(w):
             continue
         steps = degree(w) - degree(v)

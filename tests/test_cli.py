@@ -190,6 +190,38 @@ def test_verify_rejects_requests_that_check_nothing(capsys):
         assert err.startswith("error:")
 
 
+def test_verify_pairs_is_bounded_by_max_pairs(capsys, monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    pairs = str(cli.DEFAULT_BUDGETS["max_pairs"] + 1)
+    rc, out, err = run(capsys, "verify", "pairs", "--graph", "young", "--k",
+                       "2", "--deg", "4", "--pairs", pairs)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("budget:") and "max_pairs" in err
+    monkeypatch.setenv(BUDGET_ENV, "max_pairs=5")
+    argv = ("verify", "pairs", "--graph", "young", "--k", "2", "--deg", "4")
+    assert run(capsys, *argv, "--pairs", "5")[0] == 0
+    rc, _, err = run(capsys, *argv, "--pairs", "6")
+    assert rc == 2 and "max_pairs=5" in err and "needs 6" in err
+
+
+def test_custom_vertex_list_is_bounded_by_max_vertices(capsys, monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    size = cli.DEFAULT_BUDGETS["max_vertices"] + 1
+    listed = ";".join(f"{i},0" for i in range(size))
+    for command in ("count", "phi", "table"):
+        rc, out, err = run(capsys, command, "--graph", "custom",
+                           "--vertices", listed, "--from", "0,0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("budget:") and "max_vertices" in err
+    monkeypatch.setenv(BUDGET_ENV, "max_vertices=3")
+    argv = ("phi", "--graph", "custom", "--deg", "1", "--vertices")
+    assert run(capsys, *argv, "0,0;1,0;0,1")[0] == 0
+    rc, _, err = run(capsys, *argv, "0,0;1,0;0,1;1,1")
+    assert rc == 2 and "max_vertices=3" in err and "needs 4" in err
+
+
 def test_budget_env_rejects_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "max_q=3")
     rc, _, err = run(capsys, "count", "--graph", "pascal", "--k", "2",

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tableaux import cli
+from tableaux import graded_graphs
 from tableaux.graded_graphs import (CustomBoxGraph, GradedGraph,
                                     SeriesConstructionError, WeightSeries,
                                     check_coordinate_convex,
@@ -15,6 +17,7 @@ from tableaux.graded_graphs import (CustomBoxGraph, GradedGraph,
                                     degree, make_graph, path_count_table,
                                     verify_weight_conditions,
                                     weighted_path_count)
+from tableaux.multipoly import exact_compositions
 
 
 def test_membership_pascal():
@@ -183,6 +186,45 @@ def test_builtin_checks_call_membership_at_most_box_squared(kind, monkeypatch):
         assert calls <= (box + 1) ** 2, (check.__name__, calls)
 
 
+def _filtered_level(graph, d):
+    return [v for v in exact_compositions(graph.k, d) if graph.contains(v)]
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_generated_levels_equal_filtered_compositions(kind, k):
+    # check_skew_pairs draws seeded vertices from these lists, so the order
+    # is pinned as well as the set
+    g = make_graph(kind, k)
+    for d in range(13):
+        assert g.vertices_of_degree(d) == _filtered_level(g, d), d
+    assert g.vertices_of_degree(-1) == []
+
+
+@pytest.mark.parametrize("d", [16, 31])
+def test_generated_young_levels_at_k6(d):
+    # degree 31 is the top level of a young k = 6 series with --deg 16
+    g = make_graph("young", 6)
+    assert g.vertices_of_degree(d) == _filtered_level(g, d)
+
+
+@pytest.mark.parametrize("relation", [
+    operator.ne, lambda a, b: (b - a) % 2 == 0, operator.gt,
+    lambda a, b: b == a + 3, lambda a, b: False, lambda a, b: a == 1,
+], ids=["ne", "parity", "gt", "step3", "never", "after1"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generated_levels_follow_any_relation(relation, k):
+    # from k = 2 on, each relation leaves some level empty; "never" and
+    # "after1" (a one only after a one) leave every level empty
+    g = _MutantGraph(k, relation)
+    empty = 0
+    for d in range(11):
+        level = g.vertices_of_degree(d)
+        assert level == _filtered_level(g, d), d
+        empty += not level
+    assert empty > 0 or k == 1
+
+
 def test_hypothesis_checks_catch_violations():
     # (0,0) is the minimum of (1,0) and (0,1) but missing from the box
     g = CustomBoxGraph(2, [(1, 0), (0, 1), (1, 1)])
@@ -194,6 +236,20 @@ def test_hypothesis_checks_catch_violations():
     rep2 = check_coordinate_convex(g2, 3)
     assert not rep2.ok
     assert rep2.witness["gap"] == (2, 0)
+
+
+def test_incomparable_pair_violation_is_found():
+    # every other pair is comparable, with its smaller point as minimum, so
+    # the scan skips it; the one violation is the incomparable pair
+    # (-1, 1, 0), (1, -1, 0), whose minimum (-1, -1, 0) is missing
+    g = CustomBoxGraph(3, [(-1, 1, 0), (1, -1, 0), (1, 1, 0), (1, 1, 2),
+                           (2, 3, 2)])
+    rep = check_minimum_closed(g, 3)
+    assert not rep.ok
+    assert rep.witness == {"pair": [(-1, 1, 0), (1, -1, 0)],
+                           "minimum": (-1, -1, 0)}
+    closed = CustomBoxGraph(3, [*g.vertices, (-1, -1, 0)])
+    assert check_minimum_closed(closed, 3).ok
 
 
 def test_constraint_monomials_derived_young():
@@ -264,6 +320,47 @@ def test_verify_weight_conditions_flags_wrong_table():
     rep = verify_weight_conditions(g, (0, 1), phi, 3)
     assert not rep.ok
     assert rep.witness["condition"] == "boundary vanishing"
+
+
+def test_one_constraint_list_per_request(capsys, monkeypatch):
+    built = []
+
+    def spy(graph, v, bound):
+        built.append((graph, v, bound))
+        return constraint_monomials(graph, v, bound)
+
+    monkeypatch.setattr(graded_graphs, "constraint_monomials", spy)
+    for argv in (["phi", "--graph", "young", "--k", "3", "--deg", "4"],
+                 ["count", "--graph", "strict", "--k", "3", "--to", "1,2,3",
+                  "--method", "phi"]):
+        built.clear()
+        assert cli.main(argv) == 0
+        assert len(built) == 1, argv
+    capsys.readouterr()
+    g = make_graph("young", 3)
+    shared = g.constraints((0, 1, 2), 6)
+    assert isinstance(shared, tuple)
+    assert g.constraints((0, 1, 2), 6) is shared
+    assert list(shared) == constraint_monomials(g, (0, 1, 2), 6)
+
+
+def test_shared_constraints_still_check_the_table():
+    # the list comes from the graph and the bound, never from the table, so
+    # a table tampered after the solve, or solved for a smaller bound,
+    # fails on the graph instance that solved it
+    g = make_graph("strict", 3)
+    v = g.base_vertex()
+    phi = construct_weight_series(g, v, 5)
+    assert verify_weight_conditions(g, v, phi, 5).ok
+    phi.coeffs[(0, 2, -2)] = 1
+    rep = verify_weight_conditions(g, v, phi, 5)
+    assert not rep.ok and rep.witness["condition"] == "boundary vanishing"
+    small = construct_weight_series(g, v, 2)
+    assert verify_weight_conditions(g, v, small, 2).ok
+    rep = verify_weight_conditions(g, v, small, 6)
+    assert not rep.ok
+    assert rep.witness["condition"] == "boundary vanishing"
+    assert degree(rep.witness["monomial"]) > 2
 
 
 def test_custom_box_series_on_staircase():
