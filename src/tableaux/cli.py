@@ -15,8 +15,9 @@ overridden with TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".
 ``max_compositions`` bounds the terms of the composition sum behind ``verify
 hook`` and ``verify skew``, and ``verify skew`` also needs max(anchor) + n <=
 max_degree.  ``max_pairs`` bounds the sampled pairs of ``verify pairs``, and
-``max_vertices`` the entries of a custom graph's ``--vertices`` list, whose
-hypothesis scan is quadratic in it.
+``max_vertices`` the entries of a custom graph's ``--vertices`` list: its
+minimum-closure scan is quadratic in the list's length, and its convexity
+scan linear (up to a sort), whatever the size of the coordinates.
 """
 
 from __future__ import annotations

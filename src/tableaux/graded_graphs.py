@@ -44,8 +44,12 @@ so this form holds by construction.  Inside the box [0, b]^k:
 So ``check_minimum_closed`` and ``check_coordinate_convex`` scan the points
 of R in [0, b]^2, at most (b+1)^2 of them, whatever k is; pascal scans
 nothing.  A custom graph has no such form and is scanned over its own
-vertex list.  The minimum of a comparable pair u <= w is u itself, a
-scanned point, so only incomparable pairs are looked up.
+vertex list.  Each scan takes time linear in the points it scans, up to a
+sort: minimum closure walks R row by row, keeping the union of the rows
+above, and convexity sorts the values on each coordinate line and looks
+for two neighbours more than 1 apart.  The one exception is a custom
+graph's minimum closure, which compares every incomparable pair of its
+k-dimensional list, quadratic in its length.
 
 The same form generates each level.  ``vertices_of_degree(d)`` extends a
 prefix only by values c that R admits after its last entry, and only when c
@@ -60,6 +64,7 @@ monomials per graph instance (``GradedGraph.constraints``).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import time
@@ -298,25 +303,61 @@ def path_count_table(graph: GradedGraph, v: Vertex,
 def check_minimum_closed(graph: GradedGraph, box_bound: int) -> VerifyReport:
     """Entrywise minimum of any two scanned points is a scanned point.
 
-    For a custom graph the scan is its whole vertex list, so this is minimum
-    closure itself.  For a built-in graph it is the relation R of
-    ``neighbour_ok`` in [0, box_bound]^2, and that suffices for every k: the
-    pair of min(u, w) at coordinates (i, i+1) is the minimum of the pairs of
-    u and w there, which lies in R when R in the box is minimum-closed; with
-    min(u, w) >= 0 this makes min(u, w) a vertex.  The minimum of two points
-    stays in the scanned region, where membership is the scanned set; for a
-    comparable pair it is one of the two points, so only incomparable pairs
-    are looked up."""
+    For a built-in graph the scan is the relation R of ``neighbour_ok`` in
+    [0, box_bound]^2, and that suffices for every k: the pair of min(u, w)
+    at coordinates (i, i+1) is the minimum of the pairs of u and w there,
+    which lies in R when R in the box is minimum-closed; with min(u, w) >= 0
+    this makes min(u, w) a vertex.  R is scanned row by row: with C_a the
+    row of first entry a and T the union of the rows above it, the scan
+    fails exactly when some c in T but not in C_a has c < max(C_a), since
+    (a, c) is then the minimum of an incomparable pair of R.  That costs
+    O((box_bound+1)^2) set operations.
+
+    A custom graph is k-dimensional, and its whole vertex list (at most
+    ``max_vertices`` long from the CLI) is scanned pair by pair, quadratic
+    in its length; the minimum of a comparable pair is one of the two
+    points, so only incomparable pairs are looked up.  Either scan reports
+    the first failing pair in the lexicographic order of the points."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
     scanned = graph.scanned_vertices(box_bound)
-    members = set(scanned)
-    for u, w in itertools.combinations(scanned, 2):
+    scan = _pair_scan if isinstance(graph, CustomBoxGraph) else _row_scan
+    witness = scan(scanned)
+    if witness:
+        return failed("minimum_closed", params, witness, started)
+    return passed("minimum_closed", params, started)
+
+
+def _pair_scan(points: list[Vertex]) -> dict | None:
+    members = set(points)
+    for u, w in itertools.combinations(points, 2):
         m = tuple(map(min, u, w))
         if m != u and m != w and m not in members:
-            return failed("minimum_closed", params,
-                          {"pair": [u, w], "minimum": m}, started)
-    return passed("minimum_closed", params, started)
+            return {"pair": [u, w], "minimum": m}
+    return None
+
+
+def _row_scan(points: list[Vertex]) -> dict | None:
+    rows: dict[int, set[int]] = {}
+    for a, b in points:
+        rows.setdefault(a, set()).add(b)
+    above: set[int] = set()
+    lowest = None
+    for a in sorted(rows, reverse=True):
+        missing = above - rows[a]
+        if missing and min(missing) < max(rows[a]):
+            lowest = a, min(missing)
+        above |= rows[a]
+    if lowest is None:
+        return None
+    # the first failing pair (u, w) in lexicographic order: u is the first
+    # point of the lowest failing row above its smallest missing c, and w
+    # the first later point that is incomparable to u with min(u, w) missing
+    a, c = lowest
+    row = rows[a]
+    b = min(x for x in row if x > c)
+    w = min(p for p in points if p[0] > a and p[1] < b and p[1] not in row)
+    return {"pair": [(a, b), w], "minimum": (a, w[1])}
 
 
 def check_coordinate_convex(graph: GradedGraph, box_bound: int) -> VerifyReport:
@@ -325,24 +366,37 @@ def check_coordinate_convex(graph: GradedGraph, box_bound: int) -> VerifyReport:
 
     For a built-in graph the scan is the relation R in [0, box_bound]^2: a
     line section of the k-D vertex set is an intersection of line sections
-    of R, and intervals intersect in an interval (module docstring)."""
+    of R, and intervals intersect in an interval (module docstring).  A
+    custom graph's scan is its own vertex list.  The points are grouped by
+    line, keyed by the direction i and the other entries, and each line's
+    values are sorted; a gap is two neighbouring values more than 1 apart.
+    The first point v (then direction i) with a gap at or above v_i fails,
+    with the first member past that gap as the far endpoint and the lower
+    value + 1 as the gap.  The cost is O(n k log n) for n points of k
+    entries, whatever the size of the coordinates."""
     started = time.perf_counter()
     params = {"graph": graph.name, "k": graph.k, "box_bound": box_bound}
     scanned = graph.scanned_vertices(box_bound)
-    members = set(scanned)
-    highest = max((max(v) for v in scanned), default=0)
+    lines: dict[tuple[int, Vertex], list[int]] = {}
     for v in scanned:
-        for i in range(len(v)):
-            for top in range(v[i] + 2, highest + 1):
-                far = v[:i] + (top,) + v[i + 1:]
-                if far not in members:
-                    continue
-                for mid in range(v[i] + 1, top):
-                    between = v[:i] + (mid,) + v[i + 1:]
-                    if between not in members:
-                        return failed("coordinate_convex", params,
-                                      {"endpoints": [v, far], "gap": between},
-                                      started)
+        for i, x in enumerate(v):
+            lines.setdefault((i, v[:i] + v[i + 1:]), []).append(x)
+    gaps = {}
+    for line, values in lines.items():
+        values.sort()
+        found = [(lo, hi) for lo, hi in zip(values, values[1:]) if hi > lo + 1]
+        if found:
+            gaps[line] = found
+    # with no gap on any line every point passes, so walk only when needed
+    for v in scanned if gaps else ():
+        for i, x in enumerate(v):
+            line = gaps.get((i, v[:i] + v[i + 1:]), ())
+            j = bisect.bisect_left(line, (x,))
+            if j < len(line):
+                lo, hi = line[j]
+                return failed("coordinate_convex", params,
+                              {"endpoints": [v, _bump(v, i, hi - x)],
+                               "gap": _bump(v, i, lo + 1 - x)}, started)
     return passed("coordinate_convex", params, started)
 
 

@@ -261,6 +261,15 @@ def test_phi_lattice_base(capsys):
     assert lines[-1] == "conditions pass"
 
 
+def test_phi_far_source_scans_in_bounded_time(capsys):
+    # the box grows to 302, so a pair scan of the relation would meet about
+    # 10^9 pairs; the row scan meets each of its points once
+    rc, out, _ = run(capsys, "phi", "--graph", "young", "--k", "2",
+                     "--from", "0,300", "--deg", "1")
+    assert rc == 0
+    assert out.strip().splitlines()[-1] == "conditions pass"
+
+
 def test_phi_custom_box_passes(capsys):
     rc, out, _ = run(capsys, "phi", "--graph", "custom",
                      "--vertices", "0,0;1,0;1,1;2,1", "--deg", "2")

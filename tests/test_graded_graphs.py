@@ -2,6 +2,8 @@
 
 import itertools
 import operator
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,136 @@ def test_builtin_checks_call_membership_at_most_box_squared(kind, monkeypatch):
         calls = 0
         assert check(g, box).ok
         assert calls <= (box + 1) ** 2, (check.__name__, calls)
+
+
+def _pair_scan_oracle(points):
+    """Minimum closure by the entrywise minimum of every two points, in
+    the order of ``itertools.combinations``."""
+    members = set(points)
+    for u, w in itertools.combinations(points, 2):
+        m = tuple(map(min, u, w))
+        if m != u and m != w and m not in members:
+            return False, {"pair": [u, w], "minimum": m}
+    return True, None
+
+
+def _convexity_oracle(points):
+    """Coordinate convexity by walking each point's line value by value up
+    to the largest coordinate of any point."""
+    members = set(points)
+    highest = max((max(v) for v in points), default=0)
+    for v in points:
+        for i in range(len(v)):
+            for top in range(v[i] + 2, highest + 1):
+                far = v[:i] + (top,) + v[i + 1:]
+                if far not in members:
+                    continue
+                for mid in range(v[i] + 1, top):
+                    between = v[:i] + (mid,) + v[i + 1:]
+                    if between not in members:
+                        return False, {"endpoints": [v, far], "gap": between}
+    return True, None
+
+
+class _PointsGraph(GradedGraph):
+    """A 2-D relation given by its points, negative entries allowed; the
+    checks scan it as they scan a built-in graph's relation."""
+
+    name = "points"
+
+    def __init__(self, points):
+        super().__init__(2)
+        self.points = sorted(points)
+
+    def scanned_vertices(self, box_bound):
+        return self.points
+
+
+def _closed_under_min(points):
+    points = set(points)
+    while True:
+        more = {tuple(map(min, u, w)) for u in points for w in points} - points
+        if not more:
+            return points
+        points |= more
+
+
+def _random_points(rng, k):
+    points = {tuple(rng.randint(-3, 3) for _ in range(k))
+              for _ in range(rng.randint(0, 12))}
+    return _closed_under_min(points) if rng.random() < 0.4 else points
+
+
+def _outcome(report):
+    return report.ok, report.witness
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scans_agree_with_oracles_on_random_point_sets(k):
+    rng = random.Random(1400 + k)
+    verdicts = set()
+    for _ in range(400):
+        points = _random_points(rng, k)
+        g = CustomBoxGraph(k, points)
+        scanned = g.scanned_vertices(3)
+        assert _outcome(check_minimum_closed(g, 3)) == \
+            _pair_scan_oracle(scanned)
+        convex = _outcome(check_coordinate_convex(g, 3))
+        assert convex == _convexity_oracle(scanned), scanned
+        verdicts.add(convex[0])
+        if k == 2:
+            # the row scan on the same points, negative entries included
+            rows = _outcome(check_minimum_closed(_PointsGraph(points), 3))
+            assert rows == _pair_scan_oracle(scanned), scanned
+            verdicts.add(rows[0])
+    assert verdicts == {True, False}
+
+
+_RELATIONS = [operator.lt, operator.le, operator.ne, operator.gt,
+              lambda a, b: a < b or a == b == 0,
+              lambda a, b: (b - a) % 2 == 0, lambda a, b: b == a + 3,
+              lambda a, b: False, lambda a, b: a == 1]
+
+
+def test_relation_scans_agree_with_oracles():
+    rng = random.Random(14)
+    relations = list(_RELATIONS)
+    for _ in range(300):
+        kept = {(a, b) for a in range(6) for b in range(6)
+                if rng.random() < 0.6}
+        relations.append(lambda a, b, kept=kept: (a, b) in kept)
+    failures = 0
+    for relation in relations:
+        for box in (0, 3, 5, 7):
+            g = _MutantGraph(rng.choice([1, 2, 3]), relation)
+            scanned = g.scanned_vertices(box)
+            for check, oracle in ((check_minimum_closed, _pair_scan_oracle),
+                                  (check_coordinate_convex,
+                                   _convexity_oracle)):
+                outcome = _outcome(check(g, box))
+                assert outcome == oracle(scanned), (check.__name__, scanned)
+                failures += not outcome[0]
+    assert failures > 0
+
+
+def test_custom_convexity_time_does_not_grow_with_coordinates():
+    g = CustomBoxGraph(2, [(0, 0), (10**12, 0)])
+    started = time.perf_counter()
+    rep = check_coordinate_convex(g, 3)
+    assert time.perf_counter() - started < 1
+    assert not rep.ok
+    assert rep.witness == {"endpoints": [(0, 0), (10**12, 0)],
+                           "gap": (1, 0)}
+
+
+@pytest.mark.parametrize("kind", ["young", "strict"])
+@pytest.mark.parametrize("check", [check_minimum_closed,
+                                   check_coordinate_convex])
+def test_builtin_scans_at_box_120_take_under_a_second(kind, check):
+    g = make_graph(kind, 3)
+    started = time.perf_counter()
+    assert check(g, 120).ok
+    assert time.perf_counter() - started < 1
 
 
 def _filtered_level(graph, d):
