@@ -42,6 +42,7 @@ from .graded_graphs import (CustomBoxGraph, GradedGraph,
                             path_count_table, verify_weight_conditions,
                             weighted_path_count)
 from .laurent import LimitInfiniteError, verify_pfaffian_product
+from .multipoly import grlex_key
 from .reports import CountReport, VerifyReport
 
 DEFAULT_BUDGETS = {"max_k": 6, "max_degree": 16, "max_n": 8,
@@ -328,7 +329,7 @@ def _cmd_table(args: argparse.Namespace, budgets: dict[str, int]) -> int:
                         default=graph.base_vertex(), role="source")
     _require(budgets, max_degree=args.deg)
     table = path_count_table(graph, v, degree(v) + args.deg)
-    ordered = sorted(table, key=lambda w: (degree(w), w))
+    ordered = sorted(table, key=grlex_key)
     if args.format == "json":
         print(json.dumps({
             "graph": graph.name,
@@ -430,6 +431,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag in ("n", "deg"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise ValueError(f"--{flag} must be >= 0, got {value}")
         budgets = _load_budgets()
         return args.handler(args, budgets)
     except BudgetError as exc:

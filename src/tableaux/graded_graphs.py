@@ -57,9 +57,15 @@ plus the smallest sum of the entries that can still follow c fits in what
 is left of d.  A table ``least[m][p]`` over [0, d] holds that smallest sum
 of m entries after p; entries above d cannot occur at degree d.  So every
 prefix kept has a completion within d, and the level comes out in
-lexicographic order without filtering all C(d+k-1, k-1) compositions.  The
-solve and the check of its conditions share one list of constraint
-monomials per graph instance (``GradedGraph.constraints``).
+lexicographic order without filtering all C(d+k-1, k-1) compositions.
+
+Lowering each vertex w above the base along each e_i finds the constraint
+monomials: u = w - e_i when it is not a vertex, with exit i.  Its pivot is
+u lowered deg(u) - deg(v) steps along i (a base-degree monomial is its own
+pivot), and under minimum closure the exit is unique, since two exits
+u + e_i and u + e_j would be vertices with minimum u.  So one pass builds
+the map from each constraint monomial to its pivot, once per graph and
+bound (``GradedGraph.constraints``).
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .multipoly import Coeff, exact_compositions, multinomial
+from .multipoly import Coeff, exact_compositions, grlex_key, multinomial
 from .reports import VerifyReport, failed, passed
 
 Vertex = tuple[int, ...]
@@ -101,7 +107,7 @@ class GradedGraph:
         if k < 1:
             raise ValueError("need k >= 1")
         self.k = k
-        self._constraints: dict[tuple[Vertex, int], tuple[Vertex, ...]] = {}
+        self._constraints: dict[tuple[Vertex, int], dict[Vertex, Vertex]] = {}
 
     def contains(self, v: Vertex) -> bool:
         if len(v) != self.k or min(v) < 0:
@@ -149,12 +155,13 @@ class GradedGraph:
                      for c in follows[v[-1]] if c + cost[c] <= rest]
         return [v + (rest,) for v, rest in level if ok(v[-1], rest)]
 
-    def constraints(self, v: Vertex, bound: int) -> tuple[Vertex, ...]:
-        """``constraint_monomials(self, v, bound)``, built once per graph
-        and shared by the solve and the check of its conditions."""
+    def constraints(self, v: Vertex, bound: int) -> dict[Vertex, Vertex]:
+        """The pivot map ``constraint_monomials(self, v, bound)``, built
+        once per graph and shared by the solve and the check of its
+        conditions, which must not modify it."""
         key = (v, bound)
         if key not in self._constraints:
-            self._constraints[key] = tuple(constraint_monomials(self, v, bound))
+            self._constraints[key] = constraint_monomials(self, v, bound)
         return self._constraints[key]
 
     def scanned_vertices(self, box_bound: int) -> list[Vertex]:
@@ -229,7 +236,7 @@ class CustomBoxGraph(GradedGraph):
     def base_vertex(self) -> Vertex:
         if not self.vertices:
             raise ValueError("empty graph")
-        return min(self.vertices, key=lambda v: (degree(v), v))
+        return min(self.vertices, key=grlex_key)
 
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         return sorted(v for v in self.vertices if degree(v) == d)
@@ -402,12 +409,14 @@ def check_coordinate_convex(graph: GradedGraph, box_bound: int) -> VerifyReport:
 
 # -- constraint monomials and the weight series -------------------------------
 
-def constraint_monomials(graph: GradedGraph, v: Vertex, bound: int) -> list[Vertex]:
-    """Monomials that carry a linear constraint on a weight series for v:
-    every vertex of degree deg(v), plus every non-vertex u with
-    deg(v) <= deg(u) <= bound such that some u + e_i is a vertex.
+def constraint_monomials(graph: GradedGraph, v: Vertex,
+                         bound: int) -> dict[Vertex, Vertex]:
+    """Monomials that carry a linear constraint on a weight series for v,
+    each mapped to the pivot that settles it: every vertex of degree deg(v)
+    to itself, and every non-vertex u with deg(v) <= deg(u) <= bound and an
+    exit i (u + e_i a vertex) to u lowered deg(u) - deg(v) steps along i.
 
-    Sorted by degree then lexicographically.
+    Ordered by degree then lexicographically.
     """
     v = tuple(v)
     if not graph.contains(v):
@@ -415,27 +424,14 @@ def constraint_monomials(graph: GradedGraph, v: Vertex, bound: int) -> list[Vert
     base = degree(v)
     if bound < base:
         raise ValueError("bound below the base degree")
-    found: set[Vertex] = set(graph.vertices_of_degree(base))
+    found = {w: w for w in graph.vertices_of_degree(base)}
     for d in range(base, bound + 1):
         for w in graph.vertices_of_degree(d + 1):
             for i in range(graph.k):
                 u = _bump(w, i, -1)
-                if degree(u) >= base and not graph.contains(u):
-                    found.add(u)
-    return sorted(found, key=lambda m: (degree(m), m))
-
-
-def _pivot_monomial(graph: GradedGraph, v: Vertex, u: Vertex) -> Vertex:
-    """The coefficient slot used to settle u's constraint: u itself at the
-    base degree, otherwise u lowered along the smallest direction that exits
-    into the vertex set."""
-    drop = degree(u) - degree(v)
-    if drop == 0:
-        return u
-    for i in range(graph.k):
-        if graph.contains(_bump(u, i)):
-            return _bump(u, i, -drop)
-    raise ValueError(f"{u} is not a constraint monomial")
+                if not graph.contains(u):
+                    found[u] = _bump(w, i, base - d - 1)
+    return {u: found[u] for u in sorted(found, key=grlex_key)}
 
 
 class SeriesConstructionError(ValueError):
@@ -488,18 +484,13 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
                                               else "endpoints"][0]))
 
     coeffs: dict[Vertex, Coeff] = {}
-    for u in graph.constraints(v, bound):
-        target = 1 if u == v else 0
-        pivot = _pivot_monomial(graph, v, u)
+    for u, pivot in graph.constraints(v, bound).items():
         if pivot in coeffs:
             raise SeriesConstructionError(
                 f"pivot collision at {pivot} while settling {u}", monomial=u)
-        acc: Coeff = 0
-        for e, c in coeffs.items():
-            if majorates(u, e):
-                acc += c * multinomial(tuple(map(operator.sub, u, e)))
         # the pivot's own weight in the constraint is exactly 1
-        value = target - acc
+        value = (1 if u == v else 0) - _extract_coefficient(
+            coeffs, u, degree(u) - degree(v))
         if value:
             coeffs[pivot] = value
     series = WeightSeries(base=v, coeffs=coeffs, degree_bound=bound)
@@ -508,11 +499,13 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
     return series
 
 
-def _extract_coefficient(phi: WeightSeries, w: Vertex, steps: int) -> Coeff:
-    """Coefficient of w in phi * (x_1+..+x_k)^steps, over the finite support."""
+def _extract_coefficient(coeffs: dict[Vertex, Coeff], w: Vertex,
+                         steps: int) -> Coeff:
+    """Coefficient of w in phi * (x_1+..+x_k)^steps, phi given by coeffs."""
+    low = degree(w) - steps
     total: Coeff = 0
-    for e, c in phi.coeffs.items():
-        if majorates(w, e) and degree(w) - degree(e) == steps:
+    for e, c in coeffs.items():
+        if majorates(w, e) and degree(e) == low:
             total += c * multinomial(tuple(map(operator.sub, w, e)))
     return total
 
@@ -535,19 +528,14 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: WeightSeries,
         return failed("weight_conditions", params,
                       {"condition": "base coefficient", "monomial": v,
                        "value": phi.coefficient(v)}, started)
-    for other in graph.vertices_of_degree(degree(v)):
-        if other != v and phi.coefficient(other) != 0:
-            return failed("weight_conditions", params,
-                          {"condition": "same-degree vertex", "monomial": other,
-                           "value": phi.coefficient(other)}, started)
     for w in graph.constraints(v, bound):
-        if graph.contains(w):
-            continue
-        steps = degree(w) - degree(v)
-        value = _extract_coefficient(phi, w, steps)
-        if value != 0:
+        value = _extract_coefficient(phi.coeffs, w, degree(w) - degree(v))
+        if value and w != v:
+            # the vertices among the constraints are those of degree deg(v)
+            condition = ("same-degree vertex" if graph.contains(w)
+                         else "boundary vanishing")
             return failed("weight_conditions", params,
-                          {"condition": "boundary vanishing", "monomial": w,
+                          {"condition": condition, "monomial": w,
                            "value": value}, started)
     return passed("weight_conditions", params, started)
 
@@ -567,7 +555,7 @@ def weighted_path_count(graph: GradedGraph, phi: WeightSeries, v: Vertex,
     if phi.degree_bound < degree(u):
         raise ValueError(
             f"series bound {phi.degree_bound} below target degree {degree(u)}")
-    value = _extract_coefficient(phi, u, steps)
+    value = _extract_coefficient(phi.coeffs, u, steps)
     if value != int(value):
         raise ArithmeticError(f"non-integer path count {value} at {u}")
     if value < 0:

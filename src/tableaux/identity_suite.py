@@ -267,7 +267,7 @@ def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:
     base = graph.base_vertex()
     table = path_count_table(graph, base, degree(base) + steps)
     params = {"graph": kind, "k": k, "steps": steps, "targets": len(table)}
-    for u in sorted(table, key=lambda w: (degree(w), w)):
+    for u in sorted(table, key=grlex_key):
         values = {"dp": table[u]}
         values.update(_formula_routes(graph, base, u))
         if len(set(values.values())) != 1:
@@ -320,7 +320,7 @@ def check_series_construction(kind: str, k: int, steps: int) -> VerifyReport:
         return failed("series_construction", params,
                       {"part": "conditions", **(conditions.witness or {})}, started)
     table = path_count_table(graph, v, bound)
-    for u in sorted(table, key=lambda w: (degree(w), w)):
+    for u in sorted(table, key=grlex_key):
         counted = weighted_path_count(graph, phi, v, u)
         if counted != table[u]:
             return failed("series_construction", params,

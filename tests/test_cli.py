@@ -190,6 +190,26 @@ def test_verify_rejects_requests_that_check_nothing(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "counts", "--deg", "-1"), "--deg"),
+    (("verify", "pairs", "--deg", "-1"), "--deg"),
+    (("verify", "construction", "--deg", "-2"), "--deg"),
+    (("table", "--k", "2", "--deg", "-1"), "--deg"),
+    (("phi", "--k", "2", "--deg", "-1"), "--deg"),
+    (("verify", "hook", "--n", "-1"), "--n"),
+    (("verify", "skew", "--n", "-1"), "--n"),
+    (("verify", "multinomial", "--n", "-1"), "--n"),
+])
+def test_negative_size_flags_exit_2_naming_the_flag(capsys, monkeypatch,
+                                                    argv, flag):
+    # rejected before any work: no budget is even read
+    monkeypatch.setattr(cli, "_load_budgets", None)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err.splitlines()[0]
+
+
 def test_verify_pairs_is_bounded_by_max_pairs(capsys, monkeypatch):
     monkeypatch.delenv(BUDGET_ENV, raising=False)
     pairs = str(cli.DEFAULT_BUDGETS["max_pairs"] + 1)

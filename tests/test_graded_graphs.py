@@ -386,16 +386,74 @@ def test_incomparable_pair_violation_is_found():
 
 def test_constraint_monomials_derived_young():
     # hand-derived: the only degree-1 vertex is (0,1); lowering the vertices
-    # (0,2), (0,3), (1,2) off the vertex set gives (-1,2), (-1,3), (1,1)
+    # (0,2), (0,3), (1,2) off the vertex set gives (-1,2), (-1,3), (1,1).
+    # (-1,3) exits along e_1 into (0,3) and (1,1) along e_2 into (1,2), so
+    # their pivots lie one step further down those directions
     g = make_graph("young", 2)
     found = constraint_monomials(g, (0, 1), 2)
-    assert found == [(-1, 2), (0, 1), (-1, 3), (1, 1)]
+    assert list(found.items()) == [((-1, 2), (-1, 2)), ((0, 1), (0, 1)),
+                                   ((-1, 3), (-2, 3)), ((1, 1), (1, 0))]
 
 
 def test_constraint_monomials_derived_strict():
     g = make_graph("strict", 2)
     found = constraint_monomials(g, (0, 0), 2)
-    assert found == [(-1, 1), (0, 0), (-1, 2), (-1, 3), (1, 1)]
+    assert list(found.items()) == [((-1, 1), (-1, 1)), ((0, 0), (0, 0)),
+                                   ((-1, 2), (-2, 2)), ((-1, 3), (-3, 3)),
+                                   ((1, 1), (1, -1))]
+
+
+def _exits(graph, u):
+    return [i for i in range(graph.k)
+            if graph.contains(u[:i] + (u[i] + 1,) + u[i + 1:])]
+
+
+def _pivot_by_search(graph, v, u):
+    # the search the pivot map replaced: u itself at the base degree,
+    # otherwise u lowered along the smallest direction that exits into the
+    # vertex set
+    drop = degree(u) - degree(v)
+    if drop == 0:
+        return u
+    for i in range(graph.k):
+        if graph.contains(u[:i] + (u[i] + 1,) + u[i + 1:]):
+            return u[:i] + (u[i] - drop,) + u[i + 1:]
+    raise ValueError(f"{u} is not a constraint monomial")
+
+
+def _assert_pivots_match_search(graph, v, bound):
+    found = constraint_monomials(graph, v, bound)
+    assert list(found) == sorted(found, key=lambda u: (degree(u), u))
+    for u, pivot in found.items():
+        assert pivot == _pivot_by_search(graph, v, u), (graph.name, v, u)
+        if graph.contains(u):
+            assert degree(u) == degree(v)
+        else:
+            assert len(_exits(graph, u)) == 1, (graph.name, v, u)
+    return len(found)
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pivot_map_matches_the_direction_search(kind, k):
+    g = make_graph(kind, k)
+    v = g.base_vertex()
+    assert _assert_pivots_match_search(g, v, degree(v) + 5) > 0
+
+
+def test_pivot_map_matches_the_direction_search_on_custom_graphs():
+    rng = random.Random(15)
+    checked = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        g = CustomBoxGraph(k, _closed_under_min(
+            {tuple(rng.randint(-2, 3) for _ in range(k))
+             for _ in range(rng.randint(1, 10))}))
+        assert check_minimum_closed(g, 0).ok
+        v = rng.choice(sorted(g.vertices))
+        top = max(map(degree, g.vertices))
+        checked += _assert_pivots_match_search(g, v, max(top, degree(v)))
+    assert checked > 1000
 
 
 def test_construct_weight_series_young_two_rows():
@@ -454,6 +512,27 @@ def test_verify_weight_conditions_flags_wrong_table():
     assert rep.witness["condition"] == "boundary vanishing"
 
 
+def test_weight_conditions_check_same_degree_vertices_after_the_base():
+    # pascal from (1,0): the level of degree 1 also holds the vertex (0,1)
+    g = make_graph("pascal", 2)
+    v = (1, 0)
+    phi = construct_weight_series(g, v, 3)
+    assert phi.coeffs == {(1, 0): 1}
+    assert verify_weight_conditions(g, v, phi, 3).ok
+    phi.coeffs[(0, 1)] = 3
+    rep = verify_weight_conditions(g, v, phi, 3)
+    assert not rep.ok
+    assert rep.witness == {"condition": "same-degree vertex",
+                           "monomial": (0, 1), "value": 3}
+    # a wrong base coefficient is reported first, whatever else is wrong
+    phi.coeffs[(1, 0)] = 2
+    phi.coeffs[(-1, 2)] = 1
+    rep = verify_weight_conditions(g, v, phi, 3)
+    assert not rep.ok
+    assert rep.witness == {"condition": "base coefficient",
+                           "monomial": (1, 0), "value": 2}
+
+
 def test_one_constraint_list_per_request(capsys, monkeypatch):
     built = []
 
@@ -471,9 +550,10 @@ def test_one_constraint_list_per_request(capsys, monkeypatch):
     capsys.readouterr()
     g = make_graph("young", 3)
     shared = g.constraints((0, 1, 2), 6)
-    assert isinstance(shared, tuple)
+    assert isinstance(shared, dict)
     assert g.constraints((0, 1, 2), 6) is shared
-    assert list(shared) == constraint_monomials(g, (0, 1, 2), 6)
+    assert list(shared.items()) == list(
+        constraint_monomials(g, (0, 1, 2), 6).items())
 
 
 def test_shared_constraints_still_check_the_table():
