@@ -305,6 +305,40 @@ def path_count_table(graph: GradedGraph, v: Vertex,
     return table
 
 
+def path_counts_to(graph: GradedGraph, v: Vertex,
+                   targets: Iterable[Vertex]) -> dict[Vertex, int]:
+    """Path counts from v to each target, in one level sweep.
+
+    Edges only raise entries, so a path to a target stays entrywise below
+    it, and the sweep keeps only the vertices below some target.  Each
+    kept vertex carries the targets above it; a target above a vertex is
+    above all its predecessors, so the first predecessor to reach it hands
+    it the ones still above.  A sweep shared by many targets thus visits
+    each vertex once, and one for a single target visits only its box."""
+    v = tuple(v)
+    if not graph.contains(v):
+        raise ValueError(f"source {v} is not a vertex")
+    wanted = {tuple(u) for u in targets}
+    counts: dict[Vertex, int] = {}
+    above = tuple(u for u in wanted if majorates(u, v))
+    frontier: dict[Vertex, list] = {v: [1, above]} if above else {}
+    while frontier:
+        nxt: dict[Vertex, list] = {}
+        for w, (c, above) in frontier.items():
+            if w in wanted:
+                counts[w] = c
+            for w2 in graph.out_neighbors(w):
+                entry = nxt.get(w2)
+                if entry is not None:
+                    entry[0] += c
+                    continue
+                reach = tuple(u for u in above if majorates(u, w2))
+                if reach:
+                    nxt[w2] = [c, reach]
+        frontier = nxt
+    return {u: counts.get(u, 0) for u in wanted}
+
+
 # -- hypothesis checks --------------------------------------------------------
 
 def check_minimum_closed(graph: GradedGraph, box_bound: int) -> VerifyReport:

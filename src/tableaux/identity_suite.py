@@ -24,9 +24,9 @@ from .formulas import (aitken_weight, closed_form_count, skew_weight_limit,
                        strict_count, strict_partition_to_vertex,
                        strict_skew_path_series, strict_vertex_to_partition,
                        syt_count, syt_count_hook, young_vertex_to_partition)
-from .graded_graphs import (GradedGraph, SeriesConstructionError,
-                            construct_weight_series, count_paths_dp, degree,
-                            make_graph, path_count_table,
+from .graded_graphs import (GradedGraph, SeriesConstructionError, Vertex,
+                            construct_weight_series, degree, make_graph,
+                            path_count_table, path_counts_to,
                             verify_weight_conditions, weighted_path_count)
 from .laurent import (check_trailing_negative_coeffs, polynomial_component,
                       verify_pfaffian_product)
@@ -278,7 +278,11 @@ def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:
 
 def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
                      seed: int) -> VerifyReport:
-    """Seeded random source/target pairs: skew closed form against the DP."""
+    """Seeded random source/target pairs: skew closed form against the DP.
+
+    All pairs are drawn first, so the DP counts from a source to all its
+    targets come from one ``path_counts_to`` sweep, made when the source
+    first comes up."""
     if pairs < 0:
         raise ValueError(f"pairs must be non-negative, got {pairs}")
     started = time.perf_counter()
@@ -287,12 +291,19 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     base_deg = degree(graph.base_vertex())
     params = {"graph": kind, "k": k, "steps": steps, "pairs": pairs}
     levels = {d: graph.vertices_of_degree(base_deg + d) for d in range(steps + 1)}
+    drawn = []
     for _ in range(pairs):
         d1 = rng.randint(0, steps)
         d2 = rng.randint(d1, steps)
-        v = rng.choice(levels[d1])
-        u = rng.choice(levels[d2])
-        dp = count_paths_dp(graph, v, u)
+        drawn.append((rng.choice(levels[d1]), rng.choice(levels[d2])))
+    targets: dict[Vertex, set[Vertex]] = {}
+    for v, u in drawn:
+        targets.setdefault(v, set()).add(u)
+    counts: dict[Vertex, dict[Vertex, int]] = {}
+    for v, u in drawn:
+        if v not in counts:
+            counts[v] = path_counts_to(graph, v, targets[v])
+        dp = counts[v][u]
         for route, value in _formula_routes(graph, v, u).items():
             if value != dp:
                 return failed("skew_pairs", params,

@@ -17,7 +17,7 @@ from tableaux.graded_graphs import (CustomBoxGraph, GradedGraph,
                                     check_minimum_closed, constraint_monomials,
                                     construct_weight_series, count_paths_dp,
                                     degree, make_graph, path_count_table,
-                                    verify_weight_conditions,
+                                    path_counts_to, verify_weight_conditions,
                                     weighted_path_count)
 from tableaux.multipoly import exact_compositions
 
@@ -87,6 +87,21 @@ def test_path_count_table_matches_pointwise_dp():
     assert table[base] == 1
     for u, value in table.items():
         assert value == count_paths_dp(g, base, u)
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+def test_path_counts_to_matches_pointwise_dp(kind):
+    # every vertex within four levels as a target, from every third of
+    # them: targets below, beside and equal to the source included
+    g = make_graph(kind, 3)
+    base = degree(g.base_vertex())
+    vertices = [w for d in range(5) for w in g.vertices_of_degree(base + d)]
+    for v in vertices[::3]:
+        assert path_counts_to(g, v, vertices) == {
+            u: count_paths_dp(g, v, u) for u in vertices}
+    assert path_counts_to(g, vertices[0], []) == {}
+    with pytest.raises(ValueError, match="not a vertex"):
+        path_counts_to(g, (-1,) * 3, vertices)
 
 
 @settings(max_examples=60, deadline=None)

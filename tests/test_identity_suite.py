@@ -1,8 +1,10 @@
 """End-to-end identity checks, seeded sweeps, negative controls."""
 
+import random
+
 import pytest
 
-from tableaux import formulas, identity_suite
+from tableaux import formulas, graded_graphs, identity_suite
 from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_counts_from_base,
                                      check_hook_identity, check_multinomial,
@@ -13,6 +15,7 @@ from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_vandermonde, default_sweep,
                                      negative_controls)
 from tableaux.formulas import strict_skew_path_series
+from tableaux.graded_graphs import degree
 from tableaux.laurent import polynomial_component
 from tableaux.multipoly import MultiPoly
 
@@ -159,6 +162,52 @@ def test_skew_pairs_seeded(kind):
     rep = check_skew_pairs(kind, 3, 8, pairs=25, seed=7)
     assert rep.ok, rep.witness
     assert rep.seed == 7
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+def test_skew_pairs_sweep_once_per_source(monkeypatch, kind):
+    # 200 pairs over the vertices within 6 levels: sources repeat, and each
+    # is swept once for all its targets, with no per-pair DP
+    def forbidden(*args):
+        raise AssertionError("count_paths_dp called")
+
+    for module in (graded_graphs, identity_suite):
+        monkeypatch.setattr(module, "count_paths_dp", forbidden, raising=False)
+    sources = []
+    real = graded_graphs.path_counts_to
+
+    def spy(graph, v, targets):
+        sources.append(v)
+        return real(graph, v, targets)
+
+    monkeypatch.setattr(identity_suite, "path_counts_to", spy)
+    rep = check_skew_pairs(kind, 3, 6, pairs=200, seed=5)
+    assert rep.ok, rep.witness
+    assert sources and len(sources) == len(set(sources)) < 200
+
+
+def test_skew_pairs_report_the_first_failing_pair(monkeypatch):
+    # a closed form off by one on every pair fails at the first pair drawn,
+    # and the witness carries the oracle's count
+    real = identity_suite.closed_form_count
+
+    def off_by_one(kind, v, u):
+        route, count = real(kind, v, u)
+        return route, count + 1
+
+    monkeypatch.setattr(identity_suite, "closed_form_count", off_by_one)
+    rng = random.Random(11)
+    d1 = rng.randint(0, 6)
+    d2 = rng.randint(d1, 6)
+    g = graded_graphs.make_graph("young", 3)
+    base = degree(g.base_vertex())
+    v = rng.choice(g.vertices_of_degree(base + d1))
+    u = rng.choice(g.vertices_of_degree(base + d2))
+    rep = check_skew_pairs("young", 3, 6, pairs=50, seed=11)
+    dp = graded_graphs.count_paths_dp(g, v, u)
+    route = real("young", v, u)[0]
+    assert not rep.ok
+    assert rep.witness == {"source": v, "target": u, "dp": dp, route: dp + 1}
 
 
 def test_skew_pairs_rejects_a_negative_count():

@@ -2,18 +2,21 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from tableaux import laurent
 from tableaux.formulas import (skew_weight_fn, strict_partition_to_vertex,
                                strict_skew_path_series)
 from tableaux.laurent import (LimitInfiniteError, RationalFn, _matching_sum,
+                              _packing, _unpack,
                               check_trailing_negative_coeffs, coefficients,
                               evaluate_with_limits, expand,
                               polynomial_component, verify_pfaffian_product)
-from tableaux.multipoly import MultiPoly, canonical_text
+from tableaux.multipoly import MultiPoly, canonical_text, grlex_key
 
 
 def _differences(xs, one):
@@ -180,13 +183,23 @@ def _brute_force_matching_sum(xs):
     return total
 
 
+def _packing_point(k):
+    """x_i = 2^(offset of entry i) for the k variables: evaluating a
+    polynomial there is packing it."""
+    _, _, shifts = _packing(k)
+    return [1 << s for s in shifts[:k]]
+
+
 @pytest.mark.parametrize("k,padded", [(2, False), (4, False), (6, False),
                                       (3, True), (5, True)])
 def test_matching_sum_is_the_signed_matching_sum(k, padded):
     xs = [MultiPoly.var(k, i) for i in range(k)]
     if padded:
         xs.append(MultiPoly.zero(k))
-    assert _matching_sum(xs) == _brute_force_matching_sum(xs)
+    _, _, shifts = _packing(k)
+    assert len(shifts) == len(xs)
+    assert (_matching_sum(shifts)
+            == _brute_force_matching_sum(xs).evaluate(_packing_point(k)))
 
 
 def test_matching_sum_of_four_variables_by_hand():
@@ -197,7 +210,58 @@ def test_matching_sum_of_four_variables_by_hand():
     expected = (d(0, 1) * d(2, 3) * s(0, 2) * s(0, 3) * s(1, 2) * s(1, 3)
                 - d(0, 2) * d(1, 3) * s(0, 1) * s(0, 3) * s(1, 2) * s(2, 3)
                 + d(0, 3) * d(1, 2) * s(0, 1) * s(0, 2) * s(1, 3) * s(2, 3))
-    assert _matching_sum(x) == expected
+    _, _, shifts = _packing(4)
+    assert _matching_sum(shifts) == expected.evaluate(_packing_point(4))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_unpack_inverts_the_packing_at_the_bounds(k):
+    # homogeneous of degree D, single exponents up to n - 1 and
+    # coefficients up to (M + 1) 2^D in absolute value: the widest
+    # difference the Pfaffian check can meet
+    degree, width, _ = _packing(k)
+    n = k + k % 2
+    bound = (math.prod(range(n - 1, 0, -2)) + 1) * 2 ** degree
+    assert bound < 2 ** (width - 1)
+    rng = random.Random(k)
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 30)):
+            head = [rng.choice((0, n - 1, rng.randint(0, n - 1)))
+                    for _ in range(k - 1)]
+            if sum(head) <= degree:
+                terms[(*head, degree - sum(head))] = rng.choice(
+                    (bound, -bound, rng.randint(-bound, bound))) or 1
+        poly = MultiPoly(k, terms)
+        assert _unpack(poly.evaluate(_packing_point(k)), k) == poly.terms
+
+
+@pytest.mark.parametrize("k,e,c", [
+    (2, (0, 1), 5),
+    (3, (1, 2, 3), -7),
+    (4, (3, 2, 1, 0), 2),   # cancels the doubled leading term
+    (4, (0, 0, 0, 6), 1),
+    (5, (5, 5, 0, 2, 3), 4),
+    (6, (5, 4, 3, 2, 1, 0), -3),
+])
+def test_pfaffian_failure_reports_the_largest_difference_term(monkeypatch,
+                                                             k, e, c):
+    # the tampered sum is -Pf + c x^e, x^e of degree D, so the difference
+    # from the product is -Pf - prod + c x^e, with many terms for the
+    # witness to choose from
+    original = laurent._matching_sum
+    extra = MultiPoly.monomial(k, e, c)
+    monkeypatch.setattr(laurent, "_matching_sum", lambda shifts: (
+        extra.evaluate(_packing_point(k)) - original(shifts)))
+    rep = verify_pfaffian_product(k)
+    xs = [MultiPoly.var(k, i) for i in range(k)]
+    xs += [MultiPoly.zero(k)] * (k % 2)
+    diff = (extra - _brute_force_matching_sum(xs)
+            - _differences(xs, MultiPoly.one(k)))
+    top = max(diff.terms, key=grlex_key)
+    assert rep.status == "fail"
+    assert rep.params == {"k": k, "padded": k % 2 == 1}
+    assert rep.witness == {"monomial": top, "difference": diff.terms[top]}
 
 
 @pytest.mark.parametrize("k", [7, 8])
@@ -207,7 +271,7 @@ def test_pfaffian_product_rejects_k_beyond_six(k):
         verify_pfaffian_product(k)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_pfaffian_product_identity(k):
     rep = verify_pfaffian_product(k)
     assert rep.ok
