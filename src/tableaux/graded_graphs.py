@@ -51,21 +51,54 @@ for two neighbours more than 1 apart.  The one exception is a custom
 graph's minimum closure, which compares every incomparable pair of its
 k-dimensional list, quadratic in its length.
 
-The same form generates each level.  ``vertices_of_degree(d)`` extends a
-prefix only by values c that R admits after its last entry, and only when c
-plus the smallest sum of the entries that can still follow c fits in what
-is left of d.  A table ``least[m][p]`` over [0, d] holds that smallest sum
-of m entries after p; entries above d cannot occur at degree d.  So every
-prefix kept has a completion within d, and the level comes out in
+The same form generates each level.  ``levels_above(floor, degrees)``
+lists the vertices w >= floor of each degree d up to the top degree D.
+Every such w has w_j in the window [lo_j, lo_j + D - sum(lo)], with
+lo = max(floor, 0), so two tables are built once, over the windows: the
+values c of coordinate j + 1 that R admits after a value p of coordinate
+j, and ``least[j][p]``, the smallest sum of the entries that can follow p
+at coordinate j.  A prefix is extended only by admitted values c, and only
+when c plus the least sum after it fits in what is left of d.  So every
+prefix kept has a completion within d, and each level comes out in
 lexicographic order without filtering all C(d+k-1, k-1) compositions.
+``vertices_of_degree(d)`` is the level with floor 0.
 
-Lowering each vertex w above the base along each e_i finds the constraint
-monomials: u = w - e_i when it is not a vertex, with exit i.  Its pivot is
-u lowered deg(u) - deg(v) steps along i (a base-degree monomial is its own
-pivot), and under minimum closure the exit is unique, since two exits
-u + e_i and u + e_j would be vertices with minimum u.  So one pass builds
-the map from each constraint monomial to its pivot, once per graph and
-bound (``GradedGraph.constraints``).
+The constraint monomials are the vertices of degree deg(v) and the
+non-vertices u = w - e_i below the vertices w of higher levels, with exit
+i.  For a built-in vertex w, w - e_i is a non-vertex exactly when w_i = 0
+or one of the two neighbouring pairs through coordinate i leaves R; on
+pascal that leaves the monomials with one entry -1, which are listed
+directly.  A custom graph tests membership.  The pivot of u is u lowered
+deg(u) - deg(v) steps along i (a base-degree monomial is its own pivot),
+and under minimum closure the exit is unique, since two exits u + e_i and
+u + e_j would be vertices with minimum u.  So one pass builds the map from
+each constraint monomial to its pivot, once per graph and bound
+(``GradedGraph.constraints``).
+
+Only work that a term of the series can reach is done.  A constraint u
+has a nonzero value only if some support monomial e (deg e = deg v)
+satisfies e <= u, so only if u is at or above the support's floor, its
+entrywise minimum.  The solve keeps that floor as it sets pivots, starting
+at v, and skips every u not above it, after the pivot-collision test: a
+colliding pivot p is in the support and p <= u, so u is above the floor.
+The check takes the floor of the table it is given, so a table changed
+after the solve is checked in full.  Neither skip needs more than "no term,
+so the value is 0".
+
+The map itself is built only at or above a static floor F.  Let s = bound -
+deg(v), T(s) = s(s+1)/2 and F = v - T(s) in every entry.  After the base
+level the support is {v}.  At level deg(v) + j, a constraint u with a
+nonzero value lies above some term e of the support; by the pivot property
+(a pivot is reached by no other constraint of its degree or lower), e was
+not set at this level, so e is above the floor at the start of the
+level.  Its pivot u - j e_i is then at most j below that floor in one
+coordinate.  So each level lowers the floor by at most j, and no series
+solved up to the bound reaches below F.  A table that does reach below F
+was not solved here, and the check builds a second map above that table's
+floor.  From the base vertex with s >= 1 the map is the full one: there
+every constraint u has u_j >= v_j - 1 >= F_j.  Away from the base, the
+windows of the levels have width at most D - sum(lo), which depends on s
+and k but not on how large v's entries are, and so does the map's size.
 """
 
 from __future__ import annotations
@@ -75,9 +108,10 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from math import factorial
+from typing import Callable, Iterable, Iterator
 
-from .multipoly import Coeff, exact_compositions, grlex_key, multinomial
+from .multipoly import Coeff, exact_compositions, grlex_key
 from .reports import VerifyReport, failed, passed
 
 Vertex = tuple[int, ...]
@@ -132,28 +166,73 @@ class GradedGraph:
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         """The vertices of entry sum d, in lexicographic order, generated
         prefix by prefix (module docstring)."""
-        ok = self.neighbour_ok
-        if d < 0:
-            return []
-        if ok is None:
-            return list(exact_compositions(self.k, d))
-        if self.k == 1:
-            return [(d,)]
-        side = range(d + 1)
-        follows = [[c for c in side if ok(p, c)] for p in side]
-        # least[m][p]: the smallest sum of m entries that can follow p, or
-        # d + 1 when none fits
-        least = [[0] * (d + 1)]
-        for _ in range(self.k - 1):
-            more = least[-1]
-            least.append([min([c + more[c] for c in after], default=d + 1)
-                          for after in follows])
-        level = [((c,), d - c) for c in side if c + least[-1][c] <= d]
-        for m in range(self.k - 2, 0, -1):
-            cost = least[m]
-            level = [(v + (c,), rest - c) for v, rest in level
-                     for c in follows[v[-1]] if c + cost[c] <= rest]
-        return [v + (rest,) for v, rest in level if ok(v[-1], rest)]
+        return next(self.levels_above((0,) * self.k, range(d, d + 1)))
+
+    def levels_above(self, floor: Vertex,
+                     degrees: range) -> Iterator[list[Vertex]]:
+        """The vertices w >= floor of each degree in ``degrees``, one level
+        at a time, each in lexicographic order.  Prefixes are extended by
+        tables built once, for the top degree, over the values each
+        coordinate can take (module docstring)."""
+        k, ok = self.k, self.neighbour_ok
+        lo = [max(0, f) for f in floor]
+        room = degrees[-1] - sum(lo) if degrees else -1
+        if room < 0 or k == 1 or ok is None:
+            for d in degrees:
+                if d < sum(lo):
+                    yield []
+                elif k == 1:
+                    yield [(d,)]
+                else:
+                    yield [tuple(map(operator.add, lo, c))
+                           for c in exact_compositions(k, d - sum(lo))]
+            return
+        windows = [range(a, a + room + 1) for a in lo]
+        follows = [{p: [c for c in after if ok(p, c)] for p in side}
+                   for side, after in zip(windows, windows[1:])]
+        # least[j][p]: the smallest sum of the entries after an entry p at
+        # coordinate j, or more than the top degree when none fits
+        least = [dict.fromkeys(windows[-1], 0)]
+        for table in reversed(follows):
+            more = least[0]
+            least.insert(0, {p: min([c + more[c] for c in after],
+                                    default=degrees[-1] + 1)
+                             for p, after in table.items()})
+        for d in degrees:
+            level = [((c,), d - c) for c in windows[0] if c + least[0][c] <= d]
+            for table, cost in zip(follows, least[1:-1]):
+                level = [(w + (c,), rest - c) for w, rest in level
+                         for c in table[w[-1]] if c + cost[c] <= rest]
+            yield [w + (rest,) for w, rest in level if ok(w[-1], rest)]
+
+    def constraint_layers(self, floor: Vertex, degrees: range
+                          ) -> Iterator[list[tuple[Vertex, int | None]]]:
+        """For each degree d in ``degrees``, the constraint monomials u >=
+        floor of degree d, each with its exit: the vertices of the first
+        degree with None, and the non-vertices u = w - e_i below the
+        vertices w of degree d + 1 with i.  One level generator serves
+        every degree."""
+        levels = self.levels_above(floor, range(degrees.start,
+                                                degrees.stop + 1))
+        layer: list[tuple[Vertex, int | None]] = [
+            (w, None) for w in next(levels)]
+        for level in levels:
+            yield layer + self.lowered(level, floor)
+            layer = []
+
+    def lowered(self, level: list[Vertex],
+                floor: Vertex) -> list[tuple[Vertex, int]]:
+        """The non-vertices u = w - e_i >= floor below the vertices w of a
+        level, each with its exit i.  For a vertex w, w - e_i leaves the
+        vertex set exactly when w_i = 0 or one of the two neighbouring
+        pairs through coordinate i leaves the relation."""
+        ok, last = self.neighbour_ok, self.k - 1
+        return [(w[:i] + (x - 1,) + w[i + 1:], i) for w in level
+                for i, x in enumerate(w)
+                if x > floor[i] and (
+                    x == 0 or ok is not None and (
+                        i > 0 and not ok(w[i - 1], x - 1)
+                        or i < last and not ok(x - 1, w[i + 1])))]
 
     def constraints(self, v: Vertex, bound: int) -> dict[Vertex, Vertex]:
         """The pivot map ``constraint_monomials(self, v, bound)``, built
@@ -186,6 +265,27 @@ class PascalGraph(GradedGraph):
 
     def base_vertex(self) -> Vertex:
         return (0,) * self.k
+
+    def constraint_layers(self, floor: Vertex, degrees: range
+                          ) -> Iterator[list[tuple[Vertex, int | None]]]:
+        """Every pair is in the relation, so the non-vertices with an exit
+        are listed directly: the monomials with one entry -1, at i, and the
+        others >= 0, each with exit i."""
+        k = self.k
+        lo = [max(0, f) for f in floor]
+        layer: list[tuple[Vertex, int | None]] = [
+            (w, None) for w in next(self.levels_above(floor, degrees[:1]))]
+        for d in degrees:
+            # the entries other than the -1 sum to d + 1
+            room = d + 1 - sum(lo)
+            for i in range(k if k > 1 and room >= 0 else 0):
+                if floor[i] < 0:
+                    others = lo[:i] + lo[i + 1:]
+                    for c in exact_compositions(k - 1, room):
+                        u = tuple(map(operator.add, others, c))
+                        layer.append((u[:i] + (-1,) + u[i:], i))
+            yield layer
+            layer = []
 
 
 class RestrictedYoungGraph(GradedGraph):
@@ -240,6 +340,18 @@ class CustomBoxGraph(GradedGraph):
 
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         return sorted(v for v in self.vertices if degree(v) == d)
+
+    def levels_above(self, floor: Vertex,
+                     degrees: range) -> Iterator[list[Vertex]]:
+        for d in degrees:
+            yield sorted(w for w in self.vertices
+                         if degree(w) == d and majorates(w, floor))
+
+    def lowered(self, level: list[Vertex],
+                floor: Vertex) -> list[tuple[Vertex, int]]:
+        """As for every graph, with the exit test by membership."""
+        return [(u, i) for w in level for i in range(self.k)
+                if w[i] > floor[i] and not self.contains(u := _bump(w, i, -1))]
 
     def scanned_vertices(self, box_bound: int) -> list[Vertex]:
         """The whole finite vertex list, negative coordinates included; the
@@ -443,14 +555,16 @@ def check_coordinate_convex(graph: GradedGraph, box_bound: int) -> VerifyReport:
 
 # -- constraint monomials and the weight series -------------------------------
 
-def constraint_monomials(graph: GradedGraph, v: Vertex,
-                         bound: int) -> dict[Vertex, Vertex]:
+def constraint_monomials(graph: GradedGraph, v: Vertex, bound: int,
+                         floor: Vertex | None = None) -> dict[Vertex, Vertex]:
     """Monomials that carry a linear constraint on a weight series for v,
     each mapped to the pivot that settles it: every vertex of degree deg(v)
     to itself, and every non-vertex u with deg(v) <= deg(u) <= bound and an
     exit i (u + e_i a vertex) to u lowered deg(u) - deg(v) steps along i.
 
-    Ordered by degree then lexicographically.
+    Only the monomials at or above ``floor`` are listed; by default that is
+    the static floor below which no solved series reaches (module
+    docstring).  Ordered by degree then lexicographically.
     """
     v = tuple(v)
     if not graph.contains(v):
@@ -458,14 +572,24 @@ def constraint_monomials(graph: GradedGraph, v: Vertex,
     base = degree(v)
     if bound < base:
         raise ValueError("bound below the base degree")
-    found = {w: w for w in graph.vertices_of_degree(base)}
-    for d in range(base, bound + 1):
-        for w in graph.vertices_of_degree(d + 1):
-            for i in range(graph.k):
-                u = _bump(w, i, -1)
-                if not graph.contains(u):
-                    found[u] = _bump(w, i, base - d - 1)
-    return {u: found[u] for u in sorted(found, key=grlex_key)}
+    if floor is None:
+        floor = static_floor(v, bound)
+    found: dict[Vertex, Vertex] = {}
+    layers = graph.constraint_layers(floor, range(base, bound + 1))
+    for d, layer in enumerate(layers, base):
+        exits = dict(layer)
+        for u in sorted(exits):
+            i = exits[u]
+            found[u] = u if i is None else _bump(u, i, base - d)
+    return found
+
+
+def static_floor(v: Vertex, bound: int) -> Vertex:
+    """v - T(s) in every entry, with s = bound - deg(v) and T(s) = s(s+1)/2:
+    no series solved for v up to the bound has a term below it (module
+    docstring)."""
+    steps = bound - degree(v)
+    return tuple(c - steps * (steps + 1) // 2 for c in v)
 
 
 class SeriesConstructionError(ValueError):
@@ -517,30 +641,43 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
                 monomial=tuple(report.witness["pair" if "pair" in report.witness
                                               else "endpoints"][0]))
 
+    base = degree(v)
+    factorials = _factorials(bound - base)
     coeffs: dict[Vertex, Coeff] = {}
+    floor = v  # the entrywise minimum of the support
     for u, pivot in graph.constraints(v, bound).items():
         if pivot in coeffs:
             raise SeriesConstructionError(
                 f"pivot collision at {pivot} while settling {u}", monomial=u)
+        if not majorates(u, floor):
+            continue  # no term lies below u, so its value is 0
         # the pivot's own weight in the constraint is exactly 1
         value = (1 if u == v else 0) - _extract_coefficient(
-            coeffs, u, degree(u) - degree(v))
+            coeffs.items(), u, degree(u) - base, factorials)
         if value:
             coeffs[pivot] = value
+            floor = tuple(map(min, floor, pivot))
     series = WeightSeries(base=v, coeffs=coeffs, degree_bound=bound)
     if series.coefficient(v) != 1:
         raise SeriesConstructionError("base coefficient is not 1", monomial=v)
     return series
 
 
-def _extract_coefficient(coeffs: dict[Vertex, Coeff], w: Vertex,
-                         steps: int) -> Coeff:
-    """Coefficient of w in phi * (x_1+..+x_k)^steps, phi given by coeffs."""
-    low = degree(w) - steps
+def _factorials(n: int) -> list[int]:
+    return [factorial(m) for m in range(n + 1)]
+
+
+def _extract_coefficient(terms: Iterable[tuple[Vertex, Coeff]], w: Vertex,
+                         steps: int, factorials: list[int]) -> Coeff:
+    """Coefficient of w in phi * (x_1+..+x_k)^steps, for the terms (e, c)
+    of phi, all of degree deg(w) - steps; ``factorials`` reaches steps!."""
     total: Coeff = 0
-    for e, c in coeffs.items():
-        if majorates(w, e) and degree(e) == low:
-            total += c * multinomial(tuple(map(operator.sub, w, e)))
+    for e, c in terms:
+        if all(map(operator.le, e, w)):
+            ways = factorials[steps]
+            for a, b in zip(w, e):
+                ways //= factorials[a - b]
+            total += c * ways
     return total
 
 
@@ -562,9 +699,19 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: WeightSeries,
         return failed("weight_conditions", params,
                       {"condition": "base coefficient", "monomial": v,
                        "value": phi.coefficient(v)}, started)
-    for w in graph.constraints(v, bound):
-        value = _extract_coefficient(phi.coeffs, w, degree(w) - degree(v))
-        if value and w != v:
+    base = degree(v)
+    terms = [(e, c) for e, c in phi.coeffs.items() if c and degree(e) == base]
+    floor = tuple(map(min, zip(*(e for e, _ in terms))))
+    constraints = graph.constraints(v, bound)
+    if not majorates(floor, static_floor(v, bound)):
+        # only a table that no solve produced reaches below the static floor
+        constraints = constraint_monomials(graph, v, bound, floor)
+    factorials = _factorials(bound - base)
+    for w in constraints:
+        if w == v or not majorates(w, floor):
+            continue  # no term lies below w, so its value is 0
+        value = _extract_coefficient(terms, w, degree(w) - base, factorials)
+        if value:
             # the vertices among the constraints are those of degree deg(v)
             condition = ("same-degree vertex" if graph.contains(w)
                          else "boundary vanishing")
@@ -589,7 +736,9 @@ def weighted_path_count(graph: GradedGraph, phi: WeightSeries, v: Vertex,
     if phi.degree_bound < degree(u):
         raise ValueError(
             f"series bound {phi.degree_bound} below target degree {degree(u)}")
-    value = _extract_coefficient(phi.coeffs, u, steps)
+    value = _extract_coefficient(
+        [(e, c) for e, c in phi.coeffs.items() if degree(e) == degree(v)],
+        u, steps, _factorials(steps))
     if value != int(value):
         raise ArithmeticError(f"non-integer path count {value} at {u}")
     if value < 0:

@@ -180,12 +180,19 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Coeff]) -> Coeff:
         if len(point) != self.k:
             raise ValueError("point has wrong dimension")
+        # each coordinate's powers, built once up to its highest exponent
+        powers = []
+        for base, top in zip(point, map(max, zip(*self.terms))):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * base)
+            powers.append(row)
         total: Coeff = 0
         for exps, coeff in self.terms.items():
             value = coeff
-            for base, power in zip(point, exps):
+            for row, power in zip(powers, exps):
                 if power:
-                    value *= base ** power
+                    value *= row[power]
             total += value
         return total
 
@@ -270,22 +277,32 @@ def ff_expansion(k: int, total: int,
     point with entry sum < n equals this sum for total n and weight
     P(c) / prod(c_i!): both sides agree on the simplex sum <= n, which
     determines a polynomial of degree <= n.
+
+    The weights go into one table keyed by composition.  Then, one
+    variable i at a time, each entry c_i is replaced by the power
+    coefficients of ff(x_i, c_i), the signed Stirling numbers of the first
+    kind, from rows built once; entries that cancel are dropped.
     """
-    falling = [[MultiPoly.one(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(total):
-            falling[i].append(falling[i][j] * (MultiPoly.var(k, i) - j))
-    result = MultiPoly.zero(k)
+    table: dict[Exponents, Coeff] = {}
     for comp in exact_compositions(k, total):
         value = weight(comp)
-        if not value:
-            continue
-        term = MultiPoly.const(k, value)
-        for i, c in enumerate(comp):
-            if c:
-                term = term * falling[i][c]
-        result = result + term
-    return result
+        if value:
+            table[comp] = value
+    stirling = [[1]]
+    for n in range(total):
+        row = stirling[-1] + [0]
+        stirling.append([(row[m - 1] if m else 0) - n * row[m]
+                         for m in range(n + 2)])
+    for i in range(k):
+        expanded: dict[Exponents, Coeff] = {}
+        for exps, value in table.items():
+            head, tail = exps[:i], exps[i + 1:]
+            for m, s in enumerate(stirling[exps[i]]):
+                if s:
+                    key = head + (m,) + tail
+                    expanded[key] = expanded.get(key, 0) + value * s
+        table = {exps: c for exps, c in expanded.items() if c}
+    return MultiPoly(k, table)
 
 
 # -- alternants --------------------------------------------------------------

@@ -8,6 +8,7 @@ is intended.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -66,6 +67,27 @@ def test_golden_replays_in_reverse_in_one_process(golden):
     # recording: nothing may carry over from one request to the next
     for command in reversed(list(golden)):
         assert capture(command) == golden[command]
+
+
+# sha256 of the stdout of three large ``phi --format json`` requests, too
+# long to keep in the golden file; recorded before the weight-series solve
+# skipped the constraints no term reaches
+LARGE_PHI = {
+    "phi --graph pascal --k 6 --deg 16 --format json":
+        "cc194fe1082c04eb746333b5dc180cfd6bb03df444321b777561a1fdce533919",
+    "phi --graph young --k 6 --deg 16 --format json":
+        "e6790ccbd8d63c4d27deb694a4529dae9f5bae1e81933e9081b997b6e72f9e09",
+    "phi --graph strict --k 5 --deg 12 --format json":
+        "79e2b14151098836b7f63207737d14dc26ed3b92aa42d1667b66aa7cc79545f5",
+}
+
+
+@pytest.mark.parametrize("command", LARGE_PHI)
+def test_large_phi_output_matches_its_digest(command):
+    result = capture(command)
+    assert result["exit"] == 0
+    digest = hashlib.sha256(result["stdout"].encode()).hexdigest()
+    assert digest == LARGE_PHI[command]
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ from tableaux.graded_graphs import (CustomBoxGraph, GradedGraph,
                                     check_minimum_closed, constraint_monomials,
                                     construct_weight_series, count_paths_dp,
                                     degree, make_graph, path_count_table,
-                                    path_counts_to, verify_weight_conditions,
+                                    path_counts_to, static_floor,
+                                    verify_weight_conditions,
                                     weighted_path_count)
-from tableaux.multipoly import exact_compositions
+from tableaux.multipoly import exact_compositions, multinomial
 
 
 def test_membership_pascal():
@@ -471,6 +472,25 @@ def test_pivot_map_matches_the_direction_search_on_custom_graphs():
     assert checked > 1000
 
 
+@pytest.mark.parametrize("relation", [
+    operator.lt, operator.ne, operator.gt, operator.le,
+    lambda a, b: (b - a) % 2 == 0, lambda a, b: b == a + 3,
+], ids=["lt", "ne", "gt", "le", "parity", "step3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_local_exit_test_agrees_with_membership(relation, k):
+    # some relations admit a lowered entry on the left of a pair but not
+    # on the right, so both pairs through the lowered coordinate count
+    g = _MutantGraph(k, relation)
+    sources = [w for d in range(10) for w in g.vertices_of_degree(d)]
+    assert sources
+    for v in sources[:12]:
+        for bound in (degree(v), degree(v) + 3):
+            floor = static_floor(v, bound)
+            assert constraint_monomials(g, v, bound) == {
+                u: p for u, p in _unfloored_constraints(g, v, bound).items()
+                if all(map(operator.le, floor, u))}, v
+
+
 def test_construct_weight_series_young_two_rows():
     g = make_graph("young", 2)
     phi = construct_weight_series(g, (0, 1), 4)
@@ -597,3 +617,190 @@ def test_custom_box_series_on_staircase():
     assert verify_weight_conditions(g, (0, 0), phi, 3).ok
     assert weighted_path_count(g, phi, (0, 0), (2, 1)) == \
         count_paths_dp(g, (0, 0), (2, 1))
+
+
+# -- the floored solve and check against the unfloored ones --------------------
+
+def _unfloored_constraints(graph, v, bound):
+    """The full constraint map: every vertex of every level lowered in
+    every direction and tested for membership."""
+    base = degree(v)
+    found = {w: w for w in graph.vertices_of_degree(base)}
+    for d in range(base, bound + 1):
+        for w in graph.vertices_of_degree(d + 1):
+            for i in range(graph.k):
+                u = w[:i] + (w[i] - 1,) + w[i + 1:]
+                if not graph.contains(u):
+                    found[u] = w[:i] + (w[i] + base - d - 1,) + w[i + 1:]
+    return {u: found[u] for u in sorted(found, key=lambda u: (degree(u), u))}
+
+
+def _unfloored_extract(coeffs, w, steps):
+    low = degree(w) - steps
+    total = 0
+    for e, c in coeffs.items():
+        if all(map(operator.le, e, w)) and degree(e) == low:
+            total += c * multinomial(tuple(map(operator.sub, w, e)))
+    return total
+
+
+def _unfloored_solve(graph, v, bound):
+    """Every constraint settled in order, over the whole support."""
+    coeffs = {}
+    for u, pivot in _unfloored_constraints(graph, v, bound).items():
+        if pivot in coeffs:
+            raise SeriesConstructionError(f"pivot collision at {pivot}", u)
+        value = (1 if u == v else 0) - _unfloored_extract(
+            coeffs, u, degree(u) - degree(v))
+        if value:
+            coeffs[pivot] = value
+    return coeffs
+
+
+def _unfloored_check(graph, v, coeffs, bound):
+    if coeffs.get(v, 0) != 1:
+        return False, {"condition": "base coefficient", "monomial": v,
+                       "value": coeffs.get(v, 0)}
+    for w in _unfloored_constraints(graph, v, bound):
+        value = _unfloored_extract(coeffs, w, degree(w) - degree(v))
+        if value and w != v:
+            condition = ("same-degree vertex" if graph.contains(w)
+                         else "boundary vanishing")
+            return False, {"condition": condition, "monomial": w,
+                           "value": value}
+    return True, None
+
+
+def _tampered_tables(rng, v, coeffs, bound):
+    """Tables changed after the solve: a term changed, dropped or moved a
+    few steps, and one added below the static floor."""
+    drop = static_floor(v, bound)
+    k = len(v)
+    tables = []
+    for _ in range(4):
+        table = dict(coeffs)
+        e = rng.choice(sorted(table))
+        table[e] += rng.choice([-1, 1])
+        tables.append(table)
+        table = dict(coeffs)
+        if len(table) > 1:
+            del table[rng.choice([e for e in sorted(table) if e != v])]
+            tables.append(table)
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        e = rng.choice(sorted(coeffs))
+        t = rng.randint(1, 3)
+        above = e[:i] + (e[i] - t,) + e[i + 1:]
+        above = above[:j] + (above[j] + t,) + above[j + 1:]
+        tables.append({**coeffs, above: coeffs.get(above, 0) + 1})
+        t = v[i] - drop[i] + rng.randint(1, 3)
+        below = v[:i] + (v[i] - t,) + v[i + 1:]
+        below = below[:j] + (below[j] + t,) + below[j + 1:]
+        if i != j:
+            assert not all(map(operator.le, drop, below))
+            tables.append({**coeffs, below: rng.choice([-2, 1])})
+    return tables
+
+
+def _assert_floor_agrees(graph, v, bound, rng):
+    floored = construct_weight_series(graph, v, bound).coeffs
+    assert floored == _unfloored_solve(graph, v, bound), (graph.name, v)
+    series = WeightSeries(base=v, coeffs=floored, degree_bound=bound)
+    tables = [floored, *_tampered_tables(rng, v, floored, bound)]
+    for table in tables:
+        series.coeffs = table
+        assert _outcome(verify_weight_conditions(graph, v, series, bound)) == \
+            _unfloored_check(graph, v, table, bound), (graph.name, v, table)
+    return len(tables)
+
+
+_NEAR_AND_FAR = {
+    "pascal": [(0, 0), (2, 5), (0, 0, 0), (1, 0, 2), (0, 9, 1), (0, 0, 0, 0),
+               (0, 3, 0, 7)],
+    "young": [(0, 1), (3, 9), (0, 1, 2), (0, 2, 3), (0, 1, 12), (0, 1, 2, 3),
+              (1, 2, 4, 9)],
+    "strict": [(0, 0), (4, 11), (0, 0, 0), (0, 1, 3), (0, 2, 11),
+               (0, 0, 0, 0), (0, 1, 2, 8)],
+}
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+def test_floored_series_and_check_agree_with_the_unfloored(kind):
+    rng = random.Random(18)
+    for v in _NEAR_AND_FAR[kind] + [(5,), (0,)]:
+        g = make_graph(kind, len(v))
+        for steps in range(5 if len(v) < 4 else 4):
+            assert _assert_floor_agrees(g, v, degree(v) + steps, rng) > 0
+
+
+def test_floored_series_and_check_agree_on_custom_graphs():
+    rng = random.Random(1800)
+    solved = tables = 0
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        g = CustomBoxGraph(k, _closed_under_min(
+            {tuple(rng.randint(-2, 3) for _ in range(k))
+             for _ in range(rng.randint(1, 10))}))
+        v = rng.choice(sorted(g.vertices))
+        bound = max(max(map(degree, g.vertices)), degree(v))
+        if not check_coordinate_convex(g, 0).ok:
+            continue
+        solved += 1
+        tables += _assert_floor_agrees(g, v, bound, rng)
+    assert solved > 80 and tables > 400, (solved, tables)
+
+
+def test_a_table_below_the_static_floor_gets_its_own_map(monkeypatch):
+    built = []
+
+    def spy(graph, v, bound, floor=None):
+        built.append(floor)
+        return constraint_monomials(graph, v, bound, floor)
+
+    monkeypatch.setattr(graded_graphs, "constraint_monomials", spy)
+    g = make_graph("young", 3)
+    v = (0, 1, 20)
+    phi = construct_weight_series(g, v, 22)
+    assert verify_weight_conditions(g, v, phi, 22).ok
+    assert built == [None]
+    phi.coeffs[(0, 9, 12)] = 1  # 20 - 8 is below the static floor 20 - 3
+    rep = verify_weight_conditions(g, v, phi, 22)
+    assert built == [None, tuple(map(min, zip(*phi.coeffs)))]
+    assert built[1][2] == 12
+    assert _outcome(rep) == _unfloored_check(g, v, phi.coeffs, 22)
+    assert not rep.ok and rep.witness["monomial"] == (0, 9, 12)
+
+
+def test_constraint_maps_do_not_grow_with_the_source(monkeypatch):
+    g = make_graph("young", 6)
+    sizes = {len(constraint_monomials(g, (0, 1, 2, 3, 4, top), 10 + top + 1))
+             for top in (80, 160)}
+    assert len(sizes) == 1 and sizes.pop() > 0
+    g = make_graph("young", 3)
+    calls = 0
+    relation = g.neighbour_ok
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return relation(a, b)
+
+    monkeypatch.setattr(g, "neighbour_ok", counted)
+    work = []
+    for top in (100, 10**6):
+        calls = 0
+        found = constraint_monomials(g, (0, 1, top), top + 3)
+        work.append((len(found), calls))
+    assert work[0] == work[1]
+    assert 0 < work[1][0] and work[1][1] < 1000
+
+
+def test_far_source_count_matches_the_dp(capsys):
+    assert cli.main(["count", "--graph", "young", "--k", "6", "--from",
+                     "0,1,2,3,4,160", "--to", "0,1,2,3,5,160",
+                     "--method", "phi"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    g = make_graph("young", 4)
+    v = (0, 1, 2, 40)
+    phi = construct_weight_series(g, v, degree(v) + 3)
+    for u, expected in path_count_table(g, v, degree(v) + 3).items():
+        assert weighted_path_count(g, phi, v, u) == expected

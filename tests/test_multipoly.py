@@ -114,6 +114,66 @@ def test_top_layer_expansion_round_trip():
         ff_poly(k, 0, 2) + ff_poly(k, 0, 1) * ff_poly(k, 1, 1) + ff_poly(k, 1, 2)
 
 
+def _ff_sum_by_composition(k, total, weight):
+    """Each composition's product weight(c) * ff(x_1, c_1) ... ff(x_k, c_k)
+    multiplied out and added on its own."""
+    result = MultiPoly.zero(k)
+    for comp in exact_compositions(k, total):
+        term = MultiPoly.const(k, weight(comp))
+        for i, c in enumerate(comp):
+            term = term * ff_poly(k, i, c)
+        result = result + term
+    return result
+
+
+@pytest.mark.parametrize("k, total", [(1, 5), (2, 4), (3, 5), (4, 3)])
+def test_ff_expansion_matches_the_sum_by_composition(k, total):
+    rng = random.Random(k * 100 + total)
+    weights = {c: rng.choice([0, 0, 1, -2, 5, rng.randint(-9, 9)])
+               for c in exact_compositions(k, total)}
+    fractions = {c: Fraction(w, rng.randint(1, 6)) for c, w in weights.items()}
+    for table in (weights, fractions):
+        expanded = ff_expansion(k, total, table.__getitem__)
+        assert expanded == _ff_sum_by_composition(k, total, table.__getitem__)
+    # weights that cancel leave no zero terms behind
+    assert ff_expansion(2, 3, lambda c: 0).terms == {}
+    assert ff_expansion(3, 0, lambda c: Fraction(7, 2)) == \
+        MultiPoly.const(3, Fraction(7, 2))
+
+
+class _CountedInt(int):
+    """An int that counts the multiplications and powers it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+    def __pow__(self, power):
+        _CountedInt.products += 1
+        return int(self) ** power
+
+
+def test_evaluate_builds_each_power_once():
+    k = 3
+    poly = ff_expansion(k, 6, lambda c: 1 + c[0] - 2 * c[2])
+    point = (2, -3, 5)
+    expected = sum(coeff * 2 ** e[0] * (-3) ** e[1] * 5 ** e[2]
+                   for e, coeff in poly.terms.items())
+    _CountedInt.products = 0
+    assert poly.evaluate(tuple(map(_CountedInt, point))) == expected
+    # one product per power of each coordinate, up to its highest exponent
+    assert _CountedInt.products <= 3 * 6 < len(poly.terms)
+    half = (Fraction(1, 2), 1, Fraction(-2, 3))
+    assert poly.evaluate(half) == sum(
+        coeff * half[0] ** e[0] * half[2] ** e[2]
+        for e, coeff in poly.terms.items())
+    assert MultiPoly.zero(2).evaluate((4, 5)) == 0
+
+
 def test_power_alternant_is_vandermonde_at_staircase():
     k = 3
     expected = MultiPoly.one(k)
