@@ -66,14 +66,13 @@ lexicographic order without filtering all C(d+k-1, k-1) compositions.
 The constraint monomials are the vertices of degree deg(v) and the
 non-vertices u = w - e_i below the vertices w of higher levels, with exit
 i.  For a built-in vertex w, w - e_i is a non-vertex exactly when w_i = 0
-or one of the two neighbouring pairs through coordinate i leaves R; on
-pascal that leaves the monomials with one entry -1, which are listed
-directly.  A custom graph tests membership.  The pivot of u is u lowered
-deg(u) - deg(v) steps along i (a base-degree monomial is its own pivot),
-and under minimum closure the exit is unique, since two exits u + e_i and
-u + e_j would be vertices with minimum u.  So one pass builds the map from
-each constraint monomial to its pivot, once per graph and bound
-(``GradedGraph.constraints``).
+or one of the two neighbouring pairs through coordinate i leaves R (on
+pascal, where R admits every pair, exactly when w_i = 0).  A custom graph
+tests membership.  The pivot of u is u lowered deg(u) - deg(v) steps
+along i (a base-degree monomial is its own pivot), and under minimum
+closure the exit is unique, since two exits u + e_i and u + e_j would be
+vertices with minimum u.  So one pass builds the map from each constraint
+monomial to its pivot, once per graph and bound (``GradedGraph.constraints``).
 
 Only work that a term of the series can reach is done.  A constraint u
 has a nonzero value only if some support monomial e (deg e = deg v)
@@ -205,21 +204,6 @@ class GradedGraph:
                          for c in table[w[-1]] if c + cost[c] <= rest]
             yield [w + (rest,) for w, rest in level if ok(w[-1], rest)]
 
-    def constraint_layers(self, floor: Vertex, degrees: range
-                          ) -> Iterator[list[tuple[Vertex, int | None]]]:
-        """For each degree d in ``degrees``, the constraint monomials u >=
-        floor of degree d, each with its exit: the vertices of the first
-        degree with None, and the non-vertices u = w - e_i below the
-        vertices w of degree d + 1 with i.  One level generator serves
-        every degree."""
-        levels = self.levels_above(floor, range(degrees.start,
-                                                degrees.stop + 1))
-        layer: list[tuple[Vertex, int | None]] = [
-            (w, None) for w in next(levels)]
-        for level in levels:
-            yield layer + self.lowered(level, floor)
-            layer = []
-
     def lowered(self, level: list[Vertex],
                 floor: Vertex) -> list[tuple[Vertex, int]]:
         """The non-vertices u = w - e_i >= floor below the vertices w of a
@@ -265,27 +249,6 @@ class PascalGraph(GradedGraph):
 
     def base_vertex(self) -> Vertex:
         return (0,) * self.k
-
-    def constraint_layers(self, floor: Vertex, degrees: range
-                          ) -> Iterator[list[tuple[Vertex, int | None]]]:
-        """Every pair is in the relation, so the non-vertices with an exit
-        are listed directly: the monomials with one entry -1, at i, and the
-        others >= 0, each with exit i."""
-        k = self.k
-        lo = [max(0, f) for f in floor]
-        layer: list[tuple[Vertex, int | None]] = [
-            (w, None) for w in next(self.levels_above(floor, degrees[:1]))]
-        for d in degrees:
-            # the entries other than the -1 sum to d + 1
-            room = d + 1 - sum(lo)
-            for i in range(k if k > 1 and room >= 0 else 0):
-                if floor[i] < 0:
-                    others = lo[:i] + lo[i + 1:]
-                    for c in exact_compositions(k - 1, room):
-                        u = tuple(map(operator.add, others, c))
-                        layer.append((u[:i] + (-1,) + u[i:], i))
-            yield layer
-            layer = []
 
 
 class RestrictedYoungGraph(GradedGraph):
@@ -575,12 +538,16 @@ def constraint_monomials(graph: GradedGraph, v: Vertex, bound: int,
     if floor is None:
         floor = static_floor(v, bound)
     found: dict[Vertex, Vertex] = {}
-    layers = graph.constraint_layers(floor, range(base, bound + 1))
-    for d, layer in enumerate(layers, base):
-        exits = dict(layer)
+    levels = graph.levels_above(floor, range(base, bound + 2))
+    # the vertices of the first degree have no exit
+    exits: dict[Vertex, int | None] = dict.fromkeys(next(levels))
+    for d, level in enumerate(levels, base):
+        # with the non-vertices u = w - e_i of degree d, each with exit i
+        exits.update(graph.lowered(level, floor))
         for u in sorted(exits):
             i = exits[u]
             found[u] = u if i is None else _bump(u, i, base - d)
+        exits = {}
     return found
 
 

@@ -644,10 +644,12 @@ def _unfloored_extract(coeffs, w, steps):
     return total
 
 
-def _unfloored_solve(graph, v, bound):
+def _unfloored_solve(graph, v, bound, constraints=None):
     """Every constraint settled in order, over the whole support."""
+    if constraints is None:
+        constraints = _unfloored_constraints(graph, v, bound)
     coeffs = {}
-    for u, pivot in _unfloored_constraints(graph, v, bound).items():
+    for u, pivot in constraints.items():
         if pivot in coeffs:
             raise SeriesConstructionError(f"pivot collision at {pivot}", u)
         value = (1 if u == v else 0) - _unfloored_extract(
@@ -747,6 +749,20 @@ def test_floored_series_and_check_agree_on_custom_graphs():
         solved += 1
         tables += _assert_floor_agrees(g, v, bound, rng)
     assert solved > 80 and tables > 400, (solved, tables)
+
+
+def test_the_solve_lowers_its_floor_to_each_pivot(monkeypatch):
+    # no built-in map sets a pivot below v, so hand-build one: (1, 2) sets
+    # its pivot (0, 2) below v = (1, 1), and (0, 4) lies above that pivot
+    # but not above v, so a floor left at v would skip it
+    g = make_graph("pascal", 2)
+    v = (1, 1)
+    pivots = {(1, 1): (1, 1), (1, 2): (0, 2), (2, 1): (2, 0),
+              (0, 4): (-2, 4)}
+    monkeypatch.setattr(g, "constraints", lambda v, bound: pivots)
+    coeffs = construct_weight_series(g, v, 4).coeffs
+    assert coeffs == _unfloored_solve(g, v, 4, pivots)
+    assert coeffs == {(1, 1): 1, (0, 2): -1, (2, 0): -1, (-2, 4): 1}
 
 
 def test_a_table_below_the_static_floor_gets_its_own_map(monkeypatch):
