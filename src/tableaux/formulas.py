@@ -14,8 +14,12 @@ full lattice, the ratio product / hook lengths / falling-factorial
 determinant family for the Young case, and a symmetrized weight function
 for the distinct-parts case.  That last one is a sum over permutations; a
 count hands it to ``laurent.evaluate_with_limits``, which evaluates it
-directly at the target, as truncated power series in the t that replaces
-each zero coordinate, and never expands it into a polynomial.  For the
+directly at the target in Z[t]/(t^(d+1)), where t replaces each zero
+coordinate and d is the t-order of prod (x_i + x_j), packed into plain
+Python integers with t = 2^B; ``skew_weight_limit`` proves the bound on
+the coefficients that fixes B.  The sum is never expanded into a
+polynomial.  Inputs are checked once, at the public functions, and the
+checked values are passed down.  For the
 Laurent expansions of the identity suite, ``skew_weight_fn`` writes the
 same weight function as a Pfaffian, one small fraction per matching over
 that matching's own pair sums, and ``strict_skew_path_series`` multiplies
@@ -25,13 +29,14 @@ each fraction by a falling factorial.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, perm, prod
 from typing import Sequence
 
 from .graded_graphs import RestrictedYoungGraph, StrictPartitionGraph
 from .laurent import RationalFn, evaluate_with_limits
-from .multipoly import (Coeff, MultiPoly, divide_exact_linear,
+from .multipoly import (MultiPoly, divide_exact_linear,
                         falling_alternant_at, falling_factorial, ff_of_poly,
                         ff_poly, multinomial)
 
@@ -43,23 +48,33 @@ SYMMETRIZATION_CAP = 7
 
 # -- validation ---------------------------------------------------------------
 
+def _satisfies(v: Vertex, neighbour_ok) -> bool:
+    """Whether v is a vertex of the built-in graph on len(v) coordinates
+    with this relation, as its ``contains`` decides, without building the
+    graph."""
+    if not v:
+        raise ValueError("need k >= 1")
+    return min(v) >= 0 and all(map(neighbour_ok, v, v[1:]))
+
+
 def _checked_young_vertex(v: Sequence[int]) -> Vertex:
-    v = tuple(int(c) for c in v)
-    if not RestrictedYoungGraph(len(v)).contains(v):
+    v = tuple(map(int, v))
+    if not _satisfies(v, RestrictedYoungGraph.neighbour_ok):
         raise ValueError(f"{v} is not a strictly increasing non-negative tuple")
     return v
 
 
 def _checked_strict_vertex(v: Sequence[int]) -> Vertex:
-    v = tuple(int(c) for c in v)
-    if not StrictPartitionGraph(len(v)).contains(v):
+    v = tuple(map(int, v))
+    if not _satisfies(v, StrictPartitionGraph.neighbour_ok):
         raise ValueError(f"{v} must increase weakly, with repeats only at zero")
     return v
 
 
 def _checked_partition(rows: Sequence[int]) -> Rows:
-    rows = tuple(int(r) for r in rows)
-    if any(a < b for a, b in zip(rows, rows[1:])) or any(r < 0 for r in rows):
+    rows = tuple(map(int, rows))
+    # weakly decreasing, so the last row is the smallest
+    if not all(map(operator.ge, rows, rows[1:])) or rows and rows[-1] < 0:
         raise ValueError(f"{rows} is not a partition (weakly decreasing, non-negative)")
     while rows and rows[-1] == 0:
         rows = rows[:-1]
@@ -68,7 +83,7 @@ def _checked_partition(rows: Sequence[int]) -> Rows:
 
 def _checked_strict_partition(rows: Sequence[int]) -> Rows:
     rows = _checked_partition(rows)
-    if any(a == b for a, b in zip(rows, rows[1:])):
+    if not all(map(operator.gt, rows, rows[1:])):
         raise ValueError(f"{rows} has repeated parts")
     return rows
 
@@ -92,6 +107,10 @@ def partition_to_young_vertex(rows: Sequence[int], k: int) -> Vertex:
     return tuple(padded[k - 1 - i] + i for i in range(k))
 
 
+def _strict_vertex(rows: Rows, k: int) -> Vertex:
+    return (0,) * (k - len(rows)) + tuple(reversed(rows))
+
+
 def strict_vertex_to_partition(v: Sequence[int]) -> Rows:
     v = _checked_strict_vertex(v)
     return tuple(c for c in reversed(v) if c > 0)
@@ -101,7 +120,7 @@ def strict_partition_to_vertex(rows: Sequence[int], k: int) -> Vertex:
     rows = _checked_strict_partition(rows)
     if k < len(rows):
         raise ValueError(f"need k >= {len(rows)} coordinates for {rows}")
-    return (0,) * (k - len(rows)) + tuple(reversed(rows))
+    return _strict_vertex(rows, k)
 
 
 def parse_partition(text: str) -> Rows:
@@ -243,12 +262,16 @@ def strict_count(rows: Sequence[int]) -> int:
     return int(value)
 
 
-def _checked_symmetrization(rows: Sequence[int], k: int) -> Rows:
-    rows = _checked_strict_partition(rows)
+def _check_symmetrization_size(rows: Rows, k: int) -> None:
     if k < len(rows):
         raise ValueError(f"need k >= {len(rows)} variables for {rows}")
     if k > SYMMETRIZATION_CAP:
         raise ValueError(f"symmetrization is capped at k = {SYMMETRIZATION_CAP}")
+
+
+def _checked_symmetrization(rows: Sequence[int], k: int) -> Rows:
+    rows = _checked_strict_partition(rows)
+    _check_symmetrization_size(rows, k)
     return rows
 
 
@@ -366,13 +389,40 @@ def strict_skew_path_series(v: Sequence[int], n: int) -> RationalFn:
                                in skew_weight_fn(rows, k).terms))
 
 
-def skew_weight_limit(rows: Sequence[int], point: Sequence[Coeff]) -> Fraction:
-    """The exact limit of ``skew_weight_fn(rows, len(point))`` at the point,
-    from ``evaluate_with_limits`` on the symmetrized sum, without building
-    a polynomial."""
-    rows = _checked_symmetrization(rows, len(point))
+def skew_weight_limit(rows: Sequence[int], point: Sequence[int]) -> Fraction:
+    """The exact limit of ``skew_weight_fn(rows, len(point))`` at the
+    non-negative integer point, from ``evaluate_with_limits`` on the
+    symmetrized sum, without building a polynomial.
+
+    The evaluator needs a bound on the coefficients c_j of the sum as a
+    polynomial in t, where each zero coordinate is a power of t.  The l1
+    norm (the sum of the absolute values of the coefficients) of a
+    polynomial in t is submultiplicative and bounds each c_j.  With
+    X = max(point) + 1, every x_i has norm at most X, each pair factor
+    (x_a +- x_b) at most 2X and each ff(x, m) = prod_{j<m} (x - j) at most
+    prod_{j<m} (X + j).  Each of the k!/(k-l)! prefix terms of the sum is a
+    product of C(k, 2) pair factors and one falling factorial per row, so
+
+        M = k!/(k-l)! * (2X)^C(k, 2) * prod_i prod_{j<m_i} (X + j)
+
+    bounds every c_j."""
+    point = tuple(point)
+    return _skew_weight_limit(_checked_symmetrization(rows, len(point)), point)
+
+
+def _weight_bound(rows: Rows, point: Vertex) -> int:
+    """The bound M of ``skew_weight_limit``."""
+    k, x = len(point), max(point, default=0) + 1
+    return (perm(k, len(rows)) * (2 * x) ** comb(k, 2)
+            * prod(x + j for m in rows for j in range(m)))
+
+
+def _skew_weight_limit(rows: Rows, point: Vertex) -> Fraction:
+    """``skew_weight_limit`` on rows already checked for len(point)
+    variables."""
     return evaluate_with_limits(
-        lambda xs, one: _symmetrized_sum(rows, xs, one), point)
+        lambda xs, one: _symmetrized_sum(rows, xs, one), point,
+        _weight_bound(rows, point))
 
 
 def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
@@ -384,11 +434,12 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
     to = _checked_strict_partition(rows_to)
     if k < len(frm) or k < len(to):
         raise ValueError(f"need k >= {max(len(frm), len(to))} coordinates")
-    v = strict_partition_to_vertex(frm, k)
-    u = strict_partition_to_vertex(to, k)
+    v = _strict_vertex(frm, k)
+    u = _strict_vertex(to, k)
     if not all(a <= b for a, b in zip(v, u)):
         return 0
-    value = skew_weight_limit(frm, tuple(reversed(u)))
+    _check_symmetrization_size(frm, k)
+    value = _skew_weight_limit(frm, tuple(reversed(u)))
     scale = Fraction(factorial(sum(to) - sum(frm)))
     for r in to:
         scale /= factorial(r)

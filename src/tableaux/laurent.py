@@ -17,10 +17,16 @@ exactly those terms, once, so the coefficients inside the window are the
 true ones.
 
 ``evaluate_with_limits`` is the one exact limit evaluator: it takes a
-numerator over prod (x_i + x_j) to a non-negative point where some
+numerator over prod (x_i + x_j) to a non-negative integer point where some
 coordinates vanish, by substituting t, t^2, ... for the zeros (in ascending
-coordinate order) and taking the exact one-sided limit t -> 0 in truncated
-power series.  It never expands the numerator, so every limit the package
+coordinate order) and taking the exact one-sided limit t -> 0.  With d the
+t-order of the denominator, only the numerator's coefficients of t^0..t^d
+matter, so it runs in Z[t]/(t^(d+1)), and that ring is packed into plain
+Python integers: t = 2^B, reduced mod 2^(B(d+1)) at the end.  That map is
+a ring homomorphism sending t^(d+1) to 0, and when the caller proves that
+no coefficient c_0..c_d exceeds a bound below 2^(B-1) in absolute value,
+the balanced base-2^B digits of the residue are exactly those
+coefficients.  It never expands the numerator, so every limit the package
 needs, the closed-form counts' and the identity suite's, goes through it.
 The rational functions themselves are built in ``formulas``.
 
@@ -161,56 +167,41 @@ def polynomial_component(fn: RationalFn, degree_bound: int) -> MultiPoly:
 
 # -- exact limits -------------------------------------------------------------
 
-class _TruncatedSeries:
-    """A polynomial in t with exact coefficients and every power above a
-    fixed order dropped: an element of Q[t] / (t^(order+1))."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list[Coeff]):
-        self.coeffs = coeffs
-
-    def __add__(self, other: "_TruncatedSeries") -> "_TruncatedSeries":
-        return _TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "_TruncatedSeries | int") -> "_TruncatedSeries":
-        if isinstance(other, int):
-            return _TruncatedSeries([self.coeffs[0] - other, *self.coeffs[1:]])
-        return _TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "_TruncatedSeries | int") -> "_TruncatedSeries":
-        if isinstance(other, int):
-            return _TruncatedSeries([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        out = [0] * len(a)
-        for i, c in enumerate(a):
-            if c:
-                for j in range(len(a) - i):
-                    out[i + j] += c * b[j]
-        return _TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
+Numerator = Callable[[list[int], int], int]
 
 
-Numerator = Callable[[list[_TruncatedSeries], _TruncatedSeries], _TruncatedSeries]
+def evaluate_with_limits(numerator: Numerator, point: Sequence[int],
+                         bound: int) -> Fraction:
+    """numerator(x) / prod over i<j of (x_i + x_j) at a non-negative integer
+    point, with zero coordinates replaced by t, t^2, ... in ascending
+    coordinate order and the exact limit t -> 0+ taken.
 
-
-def evaluate_with_limits(numerator: Numerator,
-                         point: Sequence[Coeff]) -> Fraction:
-    """numerator(x) / prod over i<j of (x_i + x_j) at a non-negative point,
-    with zero coordinates replaced by t, t^2, ... in ascending coordinate
-    order and the exact limit t -> 0+ taken.
+    With d the t-order of the denominator, the limit is c_d / lowest, where
+    c_0, c_1, ... are the coefficients of the numerator as a polynomial in
+    t and lowest is the denominator's coefficient of t^d; it diverges when
+    some c_j with j < d is nonzero.  The caller proves ``bound`` >= |c_j|
+    for every j <= d (an l1 norm of the numerator at the point will do).
 
     ``numerator(xs, one)`` evaluates the numerator at the values ``xs`` of
-    x_1..x_k in any commutative ring with unit ``one``; here the ring is
-    that of polynomials in t modulo t^(d+1), where d is the t-order of the
-    denominator.  Substitution and truncation are ring homomorphisms, so
-    the coefficients up to t^d are exact.  Raises LimitInfiniteError when
-    one below t^d is nonzero."""
+    x_1..x_k in any commutative ring with unit ``one``; here the ring is Z,
+    with one = 1 and t = 2^B, B = bitlength(bound) + 1.  The zero
+    coordinate that becomes t^e is x = 2^(B e), or 0 when e > d; the others
+    stay as they are.  This is exact:
+    - t -> 2^B followed by reduction mod 2^(B(d+1)) is a ring homomorphism
+      from Z[t] that sends t^(d+1) to 0, so the residue of the value
+      depends only on c_0..c_d, and is sum_{j<=d} c_j 2^(Bj) reduced;
+    - |c_j| <= bound < 2^(B-1), so these are the balanced base-2^B digits
+      of the residue, and the representation is unique;
+    - so c_0..c_(d-1) all vanish exactly when the residue is 0 mod 2^(Bd),
+      and then the digit at position d, read balanced, is c_d.
+    A numerator that skips a term whose value is 0 stays exact: every
+    extension of a zero image is zero as well.
+
+    Raises ValueError for a negative or non-integer coordinate and
+    LimitInfiniteError when the limit diverges."""
     point = tuple(point)
+    if not all(isinstance(c, int) for c in point):
+        raise ValueError("limit evaluation needs an integer point")
     if any(c < 0 for c in point):
         raise ValueError("limit evaluation needs a non-negative point")
     t_power: dict[int, int] = {}
@@ -224,17 +215,18 @@ def evaluate_with_limits(numerator: Numerator,
             order += min(t_power[a], t_power[b])
         else:
             lowest *= point[a] + point[b]
-    xs = []
-    for i, c in enumerate(point):
-        coeffs = [c] + [0] * order
-        d = t_power.get(i)
-        if d is not None and d <= order:
-            coeffs[d] = 1
-        xs.append(_TruncatedSeries(coeffs))
-    value = numerator(xs, _TruncatedSeries([1] + [0] * order))
-    if any(value.coeffs[:order]):
+    width = bound.bit_length() + 1
+    xs = list(point)
+    for i, e in t_power.items():
+        xs[i] = 1 << (width * e) if e <= order else 0
+    low = width * order
+    value = numerator(xs, 1) & ((1 << (low + width)) - 1)
+    if value & ((1 << low) - 1):
         raise LimitInfiniteError(f"limit at {point} diverges")
-    return Fraction(value.coeffs[order], lowest)
+    digit = value >> low
+    if digit >> (width - 1):
+        digit -= 1 << width
+    return Fraction(digit, lowest)
 
 
 # -- Pfaffian ------------------------------------------------------------------

@@ -22,8 +22,8 @@ from tableaux.formulas import (SYMMETRIZATION_CAP, _symmetrized_sum,
                                strict_vertex_to_partition,
                                syt_count, syt_count_hook,
                                young_path_count, young_vertex_to_partition)
-from tableaux.graded_graphs import count_paths_dp, make_graph
-from tableaux.laurent import LimitInfiniteError
+from tableaux.graded_graphs import GradedGraph, count_paths_dp, make_graph
+from tableaux.laurent import LimitInfiniteError, evaluate_with_limits
 from tableaux.multipoly import (MultiPoly, bounded_exponents,
                                 canonical_text, falling_factorial, ff_poly)
 
@@ -321,6 +321,138 @@ def test_skew_weight_limit_matches_evaluate_with_limits():
                 _limit_by_terms(skew_weight_fn(rows, k), point), (rows, point)
 
 
+class _TruncatedSeries:
+    """A polynomial in t with exact coefficients and every power above a
+    fixed order dropped: an element of Q[t] / (t^(order+1)).  The reference
+    the packed-integer limits are compared against."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        return _TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            return _TruncatedSeries([self.coeffs[0] - other, *self.coeffs[1:]])
+        return _TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _TruncatedSeries([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        out = [0] * len(a)
+        for i, c in enumerate(a):
+            if c:
+                for j in range(len(a) - i):
+                    out[i + j] += c * b[j]
+        return _TruncatedSeries(out)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+
+def _truncated_numerator(numerator, point):
+    """The coefficients c_0..c_d of the numerator in t, where the zero
+    coordinates become t, t^2, ... in ascending order and d is the t-order
+    of prod (x_i + x_j), with d and that product's coefficient of t^d."""
+    t_power = {}
+    for i, c in enumerate(point):
+        if c == 0:
+            t_power[i] = len(t_power) + 1
+    order, lowest = 0, 1
+    for a, b in itertools.combinations(range(len(point)), 2):
+        if a in t_power and b in t_power:
+            order += min(t_power[a], t_power[b])
+        else:
+            lowest *= point[a] + point[b]
+    xs = []
+    for i, c in enumerate(point):
+        coeffs = [c] + [0] * order
+        d = t_power.get(i)
+        if d is not None and d <= order:
+            coeffs[d] = 1
+        xs.append(_TruncatedSeries(coeffs))
+    value = numerator(xs, _TruncatedSeries([1] + [0] * order))
+    return value.coeffs, order, lowest
+
+
+def _same_limit(evaluate, numerator, point):
+    """Assert that ``evaluate()`` agrees with the truncated-series limit of
+    the numerator at the point, divergence included; return the reference
+    coefficients and order."""
+    coeffs, order, lowest = _truncated_numerator(numerator, point)
+    if any(coeffs[:order]):
+        with pytest.raises(LimitInfiniteError):
+            evaluate()
+    else:
+        assert evaluate() == Fraction(coeffs[order], lowest), point
+    return coeffs, order
+
+
+def _zero_heavy_point(rng, k):
+    return tuple(rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(k))
+
+
+@pytest.mark.parametrize("k", range(1, SYMMETRIZATION_CAP + 1))
+def test_packed_weight_limits_match_truncated_series(k):
+    rng = random.Random(100 + k)
+    cases = [((), (0,) * k), (tuple(range(min(k, 3), 0, -1)), (0,) * k)]
+    for _ in range(30):
+        rows = tuple(sorted(rng.sample(range(1, 6), rng.randint(0, min(k, 3))),
+                            reverse=True))
+        cases.append((rows, _zero_heavy_point(rng, k)))
+    orders = set()
+    for rows, point in cases:
+        coeffs, order = _same_limit(
+            lambda: skew_weight_limit(rows, point),
+            lambda xs, one: _symmetrized_sum(rows, xs, one), point)
+        assert max(map(abs, coeffs)) <= formulas._weight_bound(rows, point)
+        orders.add(order)
+    # every order from the point without zeros to the all-zero one, whose
+    # order is sum over i < j of min(i, j) with zeros numbered from 1
+    assert orders == {sum(min(i, j) for i, j in itertools.combinations(
+        range(1, z + 1), 2)) for z in range(k + 1)}
+
+
+@pytest.mark.parametrize("k", range(1, SYMMETRIZATION_CAP + 1))
+def test_packed_limits_of_products_match_truncated_series(k):
+    # a product of a few pair factors and falling factorials has a low
+    # t-order, so many of these limits diverge; its bound multiplies the
+    # factors' l1 norms, as skew_weight_limit's does
+    rng = random.Random(200 + k)
+    outcomes = set()
+    for _ in range(40):
+        point = _zero_heavy_point(rng, k)
+        x = max(point) + 1
+        pairs = [(a, b, rng.choice((1, -1))) for a, b in
+                 itertools.combinations(range(k), 2) if rng.random() < 0.3]
+        falling = [(rng.randrange(k), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 1))]
+        bound = (2 * x) ** len(pairs) * prod(x + j for _, m in falling
+                                             for j in range(m))
+
+        def numerator(xs, one, pairs=pairs, falling=falling):
+            value = one
+            for a, b, sign in pairs:
+                value = value * (xs[a] + xs[b] if sign > 0 else xs[a] - xs[b])
+            for a, m in falling:
+                value = value * falling_factorial(xs[a], m)
+            return value
+
+        coeffs, order = _same_limit(
+            lambda: evaluate_with_limits(numerator, point, bound),
+            numerator, point)
+        assert max(map(abs, coeffs)) <= bound
+        outcomes.add(any(coeffs[:order]))
+    if k > 1:
+        assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("rows,k,n", [((), 3, 2), ((), 5, 2), ((1,), 2, 3),
                                       ((1,), 5, 2), ((2, 1), 3, 4),
                                       ((3, 1), 4, 5)])
@@ -350,13 +482,46 @@ def test_strict_skew_count_seeded_against_dp(k):
         assert got == count_paths_dp(g, v, u), (v, u)
 
 
+@pytest.mark.parametrize("kind,check", [
+    ("young", formulas._checked_young_vertex),
+    ("strict", formulas._checked_strict_vertex)])
+def test_vertex_checks_agree_with_graph_membership(kind, check):
+    for k in (1, 2, 3):
+        graph = make_graph(kind, k)
+        for v in itertools.product(range(-1, 4), repeat=k):
+            if graph.contains(v):
+                assert check(v) == v
+            else:
+                with pytest.raises(ValueError, match=r"^\(.*\) "):
+                    check(v)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        check(())
+
+
+def test_a_strict_formula_count_checks_only_at_entry_points(monkeypatch):
+    checked, built = [], []
+    real = formulas._checked_strict_partition
+    monkeypatch.setattr(formulas, "_checked_strict_partition",
+                        lambda rows: checked.append(tuple(rows)) or real(rows))
+    init = GradedGraph.__init__
+    monkeypatch.setattr(GradedGraph, "__init__",
+                        lambda self, k: built.append(k) or init(self, k))
+    assert main("count --graph strict --k 5 --from-partition 3,1 "
+                "--to-partition 5,3,2,1 --method formula".split()) == 0
+    # once each when the CLI turns the partitions into vertices, and once
+    # each in strict_skew_count, which hands them down unchecked; the one
+    # graph is the CLI's
+    assert checked == [(3, 1), (5, 3, 2, 1)] * 2
+    assert built == [5]
+
+
 def test_strict_skew_count_keeps_the_cap():
     with pytest.raises(ValueError):
         strict_skew_count((1,), (2,), SYMMETRIZATION_CAP + 1)
 
 
 def test_strict_skew_count_rejects_negative_count(monkeypatch):
-    monkeypatch.setattr(formulas, "skew_weight_limit",
+    monkeypatch.setattr(formulas, "_skew_weight_limit",
                         lambda rows, point: Fraction(-1))
     with pytest.raises(ArithmeticError, match="negative"):
         strict_skew_count((1,), (2, 1), 2)

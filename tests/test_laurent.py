@@ -116,30 +116,76 @@ def test_polynomial_component_of_polynomial_is_itself():
     assert polynomial_component(_fraction(p), 3) == p
 
 
+def _differences_bound(point):
+    """A bound on every coefficient of ``_differences`` at the point as a
+    polynomial in t: x_i is c_i or a power of t, of l1 norm max(c_i, 1), a
+    factor (x_i - x_j) has norm at most the sum of the two, and the norm
+    is submultiplicative."""
+    norms = [max(c, 1) for c in point]
+    return math.prod(a + b for a, b in itertools.combinations(norms, 2))
+
+
 def test_evaluate_with_limits_plain_point():
     # the alternating ratio (x1 - x2)/(x1 + x2)
-    assert evaluate_with_limits(_differences, (3, 1)) == Fraction(1, 2)
-    assert evaluate_with_limits(_differences, (1, 1)) == 0
+    assert evaluate_with_limits(_differences, (3, 1),
+                                _differences_bound((3, 1))) == Fraction(1, 2)
+    assert evaluate_with_limits(_differences, (1, 1),
+                                _differences_bound((1, 1))) == 0
 
 
 def test_evaluate_with_limits_zero_substitution():
     # x2 -> t: (3 - t)/(3 + t) -> 1
-    assert evaluate_with_limits(_differences, (3, 0)) == 1
+    assert evaluate_with_limits(_differences, (3, 0),
+                                _differences_bound((3, 0))) == 1
     # both zero: (t - t^2)/(t + t^2) -> 1
-    assert evaluate_with_limits(_differences, (0, 0)) == 1
+    assert evaluate_with_limits(_differences, (0, 0),
+                                _differences_bound((0, 0))) == 1
     # ascending substitution order matters: x1 -> t, x2 = 1 gives -1
-    assert evaluate_with_limits(_differences, (0, 1)) == -1
+    assert evaluate_with_limits(_differences, (0, 1),
+                                _differences_bound((0, 1))) == -1
 
 
 def test_evaluate_with_limits_divergence():
-    # 1/(x1 + x2)
+    # 1/(x1 + x2); the numerator 1 has the single coefficient 1
     def unit(xs, one):
         return one
     with pytest.raises(LimitInfiniteError):
-        evaluate_with_limits(unit, (0, 0))
-    assert evaluate_with_limits(unit, (1, 0)) == 1
+        evaluate_with_limits(unit, (0, 0), 1)
+    assert evaluate_with_limits(unit, (1, 0), 1) == 1
     with pytest.raises(ValueError):
-        evaluate_with_limits(unit, (-1, 2))
+        evaluate_with_limits(unit, (-1, 2), 1)
+
+
+def test_evaluate_with_limits_at_order_four():
+    # at (0, 0, 0) the denominator (t + t^2)(t + t^3)(t^2 + t^3) is
+    # t^4 + higher powers; each numerator below is a sum of monomials in
+    # t, and its bound is its l1 norm, the number of them
+    point = (0, 0, 0)
+    assert evaluate_with_limits(_differences, point,
+                                _differences_bound(point)) == 1
+    # t^3
+    with pytest.raises(LimitInfiniteError):
+        evaluate_with_limits(lambda xs, one: xs[0] * xs[1], point, 1)
+    # t^3 - t^4: a nonzero digit below the order, then a negative one at it
+    with pytest.raises(LimitInfiniteError):
+        evaluate_with_limits(lambda xs, one: xs[0] * xs[1] * (one - xs[0]),
+                             point, 2)
+    # -t^4
+    assert evaluate_with_limits(lambda xs, one: -xs[0] * xs[2], point, 1) == -1
+    # t^3 + t^4 - t^3: the terms below the order cancel
+    assert evaluate_with_limits(
+        lambda xs, one: xs[0] * xs[1] * (xs[0] + one) - xs[0] * xs[1],
+        point, 3) == 1
+    # -t^4 + t^6: powers above the order drop out
+    assert evaluate_with_limits(
+        lambda xs, one: xs[0] * xs[1] * xs[2] - xs[1] * xs[1], point, 2) == -1
+
+
+def test_evaluate_with_limits_needs_an_integer_point():
+    # packing t = 2^B needs integer coordinates
+    for point in [(Fraction(1, 2), 1), (1.0, 0)]:
+        with pytest.raises(ValueError, match="integer point"):
+            evaluate_with_limits(lambda xs, one: one, point, 1)
 
 
 def test_strict_path_series_shape():
