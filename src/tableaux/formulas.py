@@ -12,14 +12,19 @@ between the two pictures:
 Counts come from product and determinant formulas: multinomials for the
 full lattice, the ratio product / hook lengths / falling-factorial
 determinant family for the Young case, and a symmetrized weight function
-for the distinct-parts case.  That last one is a sum over permutations; a
+for the distinct-parts case.  Each count is formed on plain ints as a
+numerator and a denominator and divided once; a remainder raises
+``ArithmeticError``, and so does a negative count where one can arise.
+The hook product is cross-checked by cross-multiplication, with no
+division.  The symmetrized weight function is a sum over permutations; a
 count hands it to ``laurent.evaluate_with_limits``, which evaluates it
 directly at the target in Z[t]/(t^(d+1)), where t replaces each zero
 coordinate and d is the t-order of prod (x_i + x_j), packed into plain
 Python integers with t = 2^B; ``skew_weight_limit`` proves the bound on
 the coefficients that fixes B.  The sum is never expanded into a
 polynomial.  Inputs are checked once, at the public functions, and the
-checked values are passed down.  For the
+checked values are passed down to private bodies (``_hook_product``,
+``_skew_weight_limit``, ...).  For the
 Laurent expansions of the identity suite, ``skew_weight_fn`` writes the
 same weight function as a Pfaffian, one small fraction per matching over
 that matching's own pair sums, and ``strict_skew_path_series`` multiplies
@@ -103,6 +108,10 @@ def partition_to_young_vertex(rows: Sequence[int], k: int) -> Vertex:
     rows = _checked_partition(rows)
     if k < len(rows):
         raise ValueError(f"need k >= {len(rows)} coordinates for {rows}")
+    return _young_vertex(rows, k)
+
+
+def _young_vertex(rows: Rows, k: int) -> Vertex:
     padded = list(rows) + [0] * (k - len(rows))
     return tuple(padded[k - 1 - i] + i for i in range(k))
 
@@ -162,16 +171,14 @@ def syt_count(v: Sequence[int]) -> int:
     steps! / prod(v_i!) * prod_{i<j} (v_j - v_i)."""
     v = _checked_young_vertex(v)
     k = len(v)
-    steps = sum(v) - k * (k - 1) // 2
-    value = Fraction(factorial(steps))
-    for c in v:
-        value /= factorial(c)
-    for i in range(k):
-        for j in range(i + 1, k):
-            value *= v[j] - v[i]
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer count {value} at {v}")
-    return int(value)
+    numerator = factorial(sum(v) - k * (k - 1) // 2) * prod(
+        b - a for a, b in itertools.combinations(v, 2))
+    denominator = prod(map(factorial, v))
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"non-integer count {numerator}/{denominator} at {v}")
+    return count
 
 
 def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
@@ -204,32 +211,36 @@ def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
 
 def hook_lengths(rows: Sequence[int]) -> list[list[int]]:
     """Hook length of each cell: arm + leg + 1."""
-    rows = _checked_partition(rows)
-    grid: list[list[int]] = []
-    for r, width in enumerate(rows):
-        line = []
-        for c in range(width):
-            arm = width - c - 1
-            leg = sum(1 for r2 in range(r + 1, len(rows)) if rows[r2] > c)
-            line.append(arm + leg + 1)
-        grid.append(line)
-    return grid
+    return _hook_lengths(_checked_partition(rows))
+
+
+def _hook_lengths(rows: Rows) -> list[list[int]]:
+    """``hook_lengths`` on checked rows; the leg of a cell in row r and
+    column c is the length of column c less r + 1."""
+    columns = [sum(1 for width in rows if width > c)
+               for c in range(rows[0] if rows else 0)]
+    return [[width - c + columns[c] - r - 1 for c in range(width)]
+            for r, width in enumerate(rows)]
 
 
 def hook_product(rows: Sequence[int]) -> int:
     """Product of all hook lengths, cross-checked against the value the
     coordinate encoding predicts for it: prod(m_i!) / prod_{i<j} (m_j - m_i),
     where m is the vertex for the partition on exactly its number of rows."""
-    rows = _checked_partition(rows)
-    product = prod(h for line in hook_lengths(rows) for h in line)
-    ratio = Fraction(1)
-    if rows:
-        m = partition_to_young_vertex(rows, len(rows))
-        ratio = Fraction(prod(factorial(c) for c in m),
-                         prod(b - a for a, b in itertools.combinations(m, 2)))
-    if ratio != product:
+    return _hook_product(_checked_partition(rows))
+
+
+def _hook_product(rows: Rows) -> int:
+    """``hook_product`` on checked rows.  The cross-check multiplies out:
+    product * prod_{i<j} (m_j - m_i) == prod(m_i!)."""
+    product = prod(h for line in _hook_lengths(rows) for h in line)
+    m = _young_vertex(rows, len(rows))
+    factorials = prod(map(factorial, m))
+    if product * prod(b - a for a, b in itertools.combinations(m, 2)) \
+            != factorials:
         raise ArithmeticError(
-            f"hook product {product} disagrees with {ratio} for {rows}")
+            f"hook product {product} disagrees with {factorials} / "
+            f"prod(m_j - m_i) for {rows}")
     return product
 
 
@@ -237,10 +248,11 @@ def syt_count_hook(rows: Sequence[int]) -> int:
     """Cell count factorial over the hook product."""
     rows = _checked_partition(rows)
     cells = sum(rows)
-    product = hook_product(rows)
-    if factorial(cells) % product:
+    product = _hook_product(rows)
+    count, remainder = divmod(factorial(cells), product)
+    if remainder:
         raise ArithmeticError(f"hook product {product} does not divide {cells}!")
-    return factorial(cells) // product
+    return count
 
 
 # -- distinct parts -----------------------------------------------------------
@@ -249,17 +261,14 @@ def strict_count(rows: Sequence[int]) -> int:
     """Paths from the origin to a distinct-parts partition:
     n! / prod(m_i!) * prod_{i<j} (m_i - m_j)/(m_i + m_j)."""
     rows = _checked_strict_partition(rows)
-    if not rows:
-        return 1
-    value = Fraction(factorial(sum(rows)))
-    for r in rows:
-        value /= factorial(r)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            value *= Fraction(rows[i] - rows[j], rows[i] + rows[j])
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer count {value} at {rows}")
-    return int(value)
+    pairs = list(itertools.combinations(rows, 2))
+    numerator = factorial(sum(rows)) * prod(a - b for a, b in pairs)
+    denominator = prod(map(factorial, rows)) * prod(a + b for a, b in pairs)
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"non-integer count {numerator}/{denominator} at {rows}")
+    return count
 
 
 def _check_symmetrization_size(rows: Rows, k: int) -> None:
@@ -439,16 +448,16 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
     if not all(a <= b for a, b in zip(v, u)):
         return 0
     _check_symmetrization_size(frm, k)
-    value = _skew_weight_limit(frm, tuple(reversed(u)))
-    scale = Fraction(factorial(sum(to) - sum(frm)))
-    for r in to:
-        scale /= factorial(r)
-    total = scale * value
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integer count {total} for {frm} -> {to}")
-    if total < 0:
-        raise ArithmeticError(f"negative count {total} for {frm} -> {to}")
-    return int(total)
+    limit = _skew_weight_limit(frm, tuple(reversed(u)))
+    numerator = factorial(sum(to) - sum(frm)) * limit.numerator
+    denominator = prod(map(factorial, to)) * limit.denominator
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"non-integer count {numerator}/{denominator} for {frm} -> {to}")
+    if count < 0:
+        raise ArithmeticError(f"negative count {count} for {frm} -> {to}")
+    return count
 
 
 # -- dispatch -----------------------------------------------------------------

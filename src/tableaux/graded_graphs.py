@@ -141,6 +141,7 @@ class GradedGraph:
             raise ValueError("need k >= 1")
         self.k = k
         self._constraints: dict[tuple[Vertex, int], dict[Vertex, Vertex]] = {}
+        self._successors: dict[Vertex, tuple[Vertex, ...]] = {}
 
     def contains(self, v: Vertex) -> bool:
         if len(v) != self.k or min(v) < 0:
@@ -153,14 +154,15 @@ class GradedGraph:
         raise NotImplementedError
 
     def out_neighbors(self, v: Vertex) -> list[Vertex]:
-        if not self.contains(v):
-            raise ValueError(f"{v} is not a vertex")
-        result = []
-        for i in range(self.k):
-            w = _bump(v, i)
-            if self.contains(w):
-                result.append(w)
-        return result
+        """The vertices v + e_i, in the order of i.  They are found once per
+        vertex and graph; each call returns a fresh list."""
+        successors = self._successors.get(v)
+        if successors is None:
+            if not self.contains(v):
+                raise ValueError(f"{v} is not a vertex")
+            successors = self._successors[v] = tuple(
+                w for i in range(self.k) if self.contains(w := _bump(v, i)))
+        return list(successors)
 
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         """The vertices of entry sum d, in lexicographic order, generated

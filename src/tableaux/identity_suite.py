@@ -191,7 +191,9 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     second check skips the top layer sum(p) = n, where the first forces it:
     ff(p_i, c_i) = 0 unless c_i <= p_i, and c <= p with |c| = |p| gives
     c = p, so there the closed form is (n - m)! * w(p) = w(p) * ff(n - m,
-    n - m).  So each point's limit is computed once.
+    n - m).  So each point's limit is computed once.  The values of the
+    polynomial component come from one pass over the simplex
+    (``MultiPoly.simplex_values``).
     """
     m = sum(sigma)
     fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
@@ -205,10 +207,11 @@ def _check_polycomponent(identity: str, params: dict, started: float,
                       {"part": "closed_form", "monomial": top,
                        "difference": diff.terms[top]}, started)
 
+    values = part.simplex_values(n - 1)
     for point in bounded_exponents(k, n - 1):
         value = (skew_weight_limit(sigma, point)
                  * falling_factorial(sum(point) - m, n - m))
-        expected = Fraction(part.evaluate(point))
+        expected = Fraction(values[point])
         if value != expected:
             return failed(identity, params,
                           {"part": "antipolynomial", "point": point,

@@ -8,12 +8,16 @@ point ever enters a computation.  The zero polynomial is the empty dict.
 Besides ring arithmetic this module provides the expansion primitives the
 rest of the package is built on:
 
-* falling factorials of a variable or of an arbitrary polynomial,
+* values at one point, or at every lattice point of a simplex in one pass
+  that substitutes one coordinate at a time,
+* falling factorials of a number (``math.perm`` for a non-negative int), of
+  a variable or of an arbitrary polynomial,
 * the falling-factorial expansion sum_c w(c) * prod ff(x_i, c_i) over the
   compositions c of a fixed total, the form the identity checks compare
   against,
 * one determinant over any commutative ring (ints, Fractions, MultiPolys),
-  by top-row expansion with each minor of the lower rows built once, and the
+  by top-row expansion with each minor of the lower rows built once, named
+  by the bitmask of its columns, from a plan built once per size; and the
   alternants det(x_i^{m_j}) and det(ff(x_i, m_j)) built on it,
 * exact division by a difference of variables.  Only
   ``skew_weight_polynomial`` uses it, to divide prod (x_i - x_j) out of the
@@ -25,9 +29,10 @@ Term order everywhere is graded lexicographic, leading term first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 Exponents = tuple[int, ...]
@@ -180,21 +185,50 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Coeff]) -> Coeff:
         if len(point) != self.k:
             raise ValueError("point has wrong dimension")
-        # each coordinate's powers, built once up to its highest exponent
-        powers = []
-        for base, top in zip(point, map(max, zip(*self.terms))):
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * base)
-            powers.append(row)
-        total: Coeff = 0
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for row, power in zip(powers, exps):
-                if power:
-                    value *= row[power]
-            total += value
-        return total
+        point = tuple(point)
+        return self._values_at(lambda prefix: (point[len(prefix)],))[point]
+
+    def simplex_values(self, top: int) -> dict[Exponents, Coeff]:
+        """The value at every non-negative integer point with entry sum
+        <= top; none when top < 0."""
+        return self._values_at(lambda prefix: range(top + 1 - sum(prefix)))
+
+    def _values_at(self, choices: Callable[[tuple], Sequence[Coeff]]
+                   ) -> dict[tuple, Coeff]:
+        """The value at every point whose coordinates are chosen in order:
+        ``choices(prefix)`` gives the values the next coordinate takes after
+        the coordinates in ``prefix``.
+
+        One coordinate is substituted at a time, so the points that share a
+        prefix share its partial polynomial in the remaining variables.
+        Each substituted value's powers are built once, up to the highest
+        exponent its variable has in that partial polynomial."""
+        values: dict[tuple, Coeff] = {}
+
+        def substitute(prefix: tuple, terms: dict) -> None:
+            if len(prefix) == self.k:
+                values[prefix] = terms.get((), 0)
+                return
+            rows: dict[Exponents, list[tuple[int, Coeff]]] = {}
+            top = 0
+            for exps, coeff in terms.items():
+                rows.setdefault(exps[1:], []).append((exps[0], coeff))
+                top = max(top, exps[0])
+            for base in choices(prefix):
+                powers = [1]
+                for _ in range(top):
+                    powers.append(powers[-1] * base)
+                partial = {}
+                for rest, row in rows.items():
+                    value = 0
+                    for power, coeff in row:
+                        value += coeff * powers[power]
+                    if value:
+                        partial[rest] = value
+                substitute(prefix + (base,), partial)
+
+        substitute((), self.terms)
+        return values
 
 
 def _as_poly(value: "MultiPoly | Coeff", k: int) -> MultiPoly:
@@ -218,9 +252,12 @@ def canonical_text(poly: MultiPoly) -> str:
 # -- falling factorials ----------------------------------------------------
 
 def falling_factorial(x: Coeff, n: int) -> Coeff:
-    """x(x-1)...(x-n+1); empty product is 1."""
+    """x(x-1)...(x-n+1); empty product is 1.  ``math.perm`` for a plain
+    non-negative int, the product otherwise."""
     if n < 0:
         raise ValueError("negative length")
+    if type(x) is int and x >= 0:
+        return perm(x, n)
     value: Coeff = 1
     for j in range(n):
         value *= x - j
@@ -313,25 +350,43 @@ def det(rows: Sequence[Sequence[Ring]]) -> Ring:
 
     Expansion along the top row, where each minor is itself expanded along
     its own top row.  A minor of the rows below row r is fixed by its column
-    set, so each one is built once, from the bottom row up, keyed by the
-    sorted tuple of its columns: n * 2^(n-1) products in all, against n * n!
-    for the Leibniz sum.  The 1x1 minors are the entries of the bottom row,
-    so no unit of the ring is needed."""
+    set, so each one is built once, from the bottom row up: n * 2^(n-1)
+    products in all, against n * n! for the Leibniz sum.  The order of the
+    work depends only on n and comes from ``_det_plan``.  The 1x1 minors are
+    the entries of the bottom row, so no unit of the ring is needed."""
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("need a non-empty square matrix")
-    minors = {(j,): rows[-1][j] for j in range(n)}
-    for r in range(n - 2, -1, -1):
+    minors: list = [None] * (1 << n)
+    for j, entry in enumerate(rows[-1]):
+        minors[1 << j] = entry
+    for r, mask, (first, first_minor), rest in _det_plan(n):
         row = rows[r]
-        larger = {}
+        total = row[first] * minors[first_minor]
+        for col, minor, odd in rest:
+            term = row[col] * minors[minor]
+            total = total - term if odd else total + term
+        minors[mask] = total
+    return minors[-1]
+
+
+@functools.cache
+def _det_plan(n: int) -> tuple:
+    """The minors ``det`` builds for an n x n matrix, bottom row first.
+
+    A minor on the rows r..n-1 is named by the bitmask of its columns
+    c_0 < c_1 < ...; it is sum_p (-1)^p row_r[c_p] times the minor on the
+    rows below with column c_p dropped.  Each entry is (r, mask,
+    (c_0, its sub-minor's mask), ((c_p, sub-minor's mask, p odd) for
+    p >= 1)), and the full minor, mask 2^n - 1, comes last."""
+    plan = []
+    for r in range(n - 2, -1, -1):
         for cols in itertools.combinations(range(n), n - r):
-            total = row[cols[0]] * minors[cols[1:]]
-            for pos in range(1, len(cols)):
-                term = row[cols[pos]] * minors[cols[:pos] + cols[pos + 1:]]
-                total = total - term if pos % 2 else total + term
-            larger[cols] = total
-        minors = larger
-    return minors[tuple(range(n))]
+            mask = sum(1 << c for c in cols)
+            terms = [(c, mask & ~(1 << c), p % 2 == 1)
+                     for p, c in enumerate(cols)]
+            plan.append((r, mask, terms[0][:2], tuple(terms[1:])))
+    return tuple(plan)
 
 
 def power_alternant(exponents: Sequence[int]) -> MultiPoly:

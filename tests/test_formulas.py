@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -513,6 +514,138 @@ def test_a_strict_formula_count_checks_only_at_entry_points(monkeypatch):
     # graph is the CLI's
     assert checked == [(3, 1), (5, 3, 2, 1)] * 2
     assert built == [5]
+
+
+# -- the closed forms over Fraction, as they were before they moved to ints ------
+
+def _syt_count_by_fractions(v):
+    k = len(v)
+    value = Fraction(factorial(sum(v) - k * (k - 1) // 2))
+    for c in v:
+        value /= factorial(c)
+    for i in range(k):
+        for j in range(i + 1, k):
+            value *= v[j] - v[i]
+    return value
+
+
+def _hooks_by_cells(rows):
+    """The hook lengths cell by cell, their product, and the ratio
+    prod(m_i!) / prod(m_j - m_i) it must equal."""
+    grid = [[width - c + sum(1 for r2 in range(r + 1, len(rows))
+                             if rows[r2] > c) for c in range(width)]
+            for r, width in enumerate(rows)]
+    ratio = Fraction(1)
+    if rows:
+        m = partition_to_young_vertex(rows, len(rows))
+        ratio = Fraction(prod(factorial(c) for c in m),
+                         prod(b - a for a, b in itertools.combinations(m, 2)))
+    return grid, prod(h for line in grid for h in line), ratio
+
+
+def _strict_count_by_fractions(rows):
+    value = Fraction(factorial(sum(rows)))
+    for r in rows:
+        value /= factorial(r)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            value *= Fraction(rows[i] - rows[j], rows[i] + rows[j])
+    return value
+
+
+def _strict_skew_scale_by_fractions(frm, to, limit):
+    scale = Fraction(factorial(sum(to) - sum(frm)))
+    for r in to:
+        scale /= factorial(r)
+    return scale * limit
+
+
+def _partitions(size, max_parts, cap=None):
+    if size == 0:
+        yield ()
+    elif max_parts:
+        for first in range(min(size, cap or size), 0, -1):
+            for rest in _partitions(size - first, max_parts - 1, first):
+                yield (first,) + rest
+
+
+SMALL_PARTITIONS = [rows for size in range(15) for rows in _partitions(size, 6)]
+SMALL_STRICT = [rows for rows in SMALL_PARTITIONS
+                if len(set(rows)) == len(rows)]
+
+
+def test_integer_young_closed_forms_match_the_fraction_forms():
+    for rows in SMALL_PARTITIONS:
+        for k in range(max(len(rows), 1), 7):
+            v = partition_to_young_vertex(rows, k)
+            assert syt_count(v) == _syt_count_by_fractions(v), v
+        grid, product, ratio = _hooks_by_cells(rows)
+        assert hook_lengths(rows) == grid
+        assert hook_product(rows) == product == ratio, rows
+        assert syt_count_hook(rows) * product == factorial(sum(rows))
+
+
+def test_integer_strict_closed_forms_match_the_fraction_forms():
+    sources = [rows for rows in SMALL_STRICT if sum(rows) <= 3]
+    for to in SMALL_STRICT:
+        assert strict_count(to) == _strict_count_by_fractions(to), to
+        for k in range(max(len(to), 1), 7):
+            u = strict_partition_to_vertex(to, k)
+            for frm in sources:
+                if len(frm) > k or not all(
+                        map(operator.le, strict_partition_to_vertex(frm, k), u)):
+                    continue
+                limit = skew_weight_limit(frm, tuple(reversed(u)))
+                assert strict_skew_count(frm, to, k) == \
+                    _strict_skew_scale_by_fractions(frm, to, limit), (frm, to, k)
+
+
+@pytest.mark.parametrize("limit", [
+    Fraction(4), Fraction(2, 5), Fraction(0), Fraction(3), Fraction(1, 7),
+    Fraction(-2), Fraction(-9, 8)])
+def test_strict_skew_scale_matches_the_fraction_form_on_any_limit(monkeypatch,
+                                                                  limit):
+    # (1) -> (4, 2) has the scale 5!/(4! 2!) = 5/2, so some limits give
+    # integer counts, some fractions and some negative integers
+    monkeypatch.setattr(formulas, "_skew_weight_limit", lambda rows, point: limit)
+    frm, to = (1,), (4, 2)
+    want = _strict_skew_scale_by_fractions(frm, to, limit)
+    if want.denominator != 1:
+        with pytest.raises(ArithmeticError, match="non-integer count"):
+            strict_skew_count(frm, to, 2)
+    elif want < 0:
+        with pytest.raises(ArithmeticError, match="negative count"):
+            strict_skew_count(frm, to, 2)
+    else:
+        assert strict_skew_count(frm, to, 2) == want
+
+
+def test_integer_closed_forms_raise_on_a_remainder(monkeypatch):
+    # with 2! taken as 3, syt_count((0, 2)) is 1! * 2 / (0! * 3) and
+    # strict_count((2, 1)) is 3! * 1 / (3 * 1! * 3)
+    monkeypatch.setattr(formulas, "factorial", lambda n: factorial(n) + (n == 2))
+    with pytest.raises(ArithmeticError, match="non-integer count 2/3"):
+        syt_count((0, 2))
+    with pytest.raises(ArithmeticError, match="non-integer count 6/9"):
+        strict_count((2, 1))
+
+
+@pytest.mark.parametrize("frm,to,count", [
+    ((3, 2, 1), (9, 7, 5, 4, 3, 2, 1), 773358900),
+    ((), (6, 5, 4, 3, 2, 1), 33592),
+    ((4, 2), (8, 6, 4, 3, 1), 1160120),
+    ((5, 3, 1), (7, 6, 5, 4, 3, 2, 1), 271320)])
+def test_strict_counts_at_seven_coordinates(frm, to, count):
+    assert strict_skew_count(frm, to, 7) == count
+
+
+def test_the_hook_route_checks_its_partition_once(monkeypatch):
+    checked = []
+    real = formulas._checked_partition
+    monkeypatch.setattr(formulas, "_checked_partition",
+                        lambda rows: checked.append(tuple(rows)) or real(rows))
+    assert syt_count_hook((4, 2, 1)) == 35
+    assert checked == [(4, 2, 1)]
 
 
 def test_strict_skew_count_keeps_the_cap():

@@ -59,6 +59,23 @@ def test_neighbors_filter_membership():
         g.out_neighbors((1, 1))
 
 
+def test_neighbor_lists_are_found_once_and_handed_out_as_copies():
+    g = make_graph("young", 2)
+    found = []
+    contains = g.contains
+    g.contains = lambda v: found.append(v) or contains(v)
+    first = g.out_neighbors((0, 3))
+    first.append((9, 9))
+    first[0] = (5, 5)
+    assert g.out_neighbors((0, 3)) == [(1, 3), (0, 4)]
+    # the vertex and its two bumps, tested on the first call only
+    assert found == [(0, 3), (1, 3), (0, 4)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a vertex"):
+            g.out_neighbors((1, 1))
+    assert make_graph("young", 2).out_neighbors((0, 3)) == [(1, 3), (0, 4)]
+
+
 def test_pascal_counts_are_multinomials():
     g = make_graph("pascal", 3)
     assert count_paths_dp(g, (0, 0, 0), (2, 1, 1)) == 12

@@ -4,7 +4,7 @@ alternants, division."""
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +73,25 @@ def test_falling_factorial_values():
     assert falling_factorial(2, 4) == 0
     assert falling_factorial(-1, 2) == 2
     assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
+
+
+def _falling_factorial_by_product(x, n):
+    value = 1
+    for j in range(n):
+        value *= x - j
+    return value
+
+
+def test_falling_factorial_of_an_int_matches_the_product():
+    # math.perm serves the non-negative ints, the product the rest
+    for x_ in range(-3, 13):
+        for n in range(9):
+            value = falling_factorial(x_, n)
+            assert type(value) is int
+            assert value == _falling_factorial_by_product(x_, n), (x_, n)
+    assert falling_factorial(x(2, 0), 2) == x(2, 0) * (x(2, 0) - 1)
+    with pytest.raises(ValueError):
+        falling_factorial(4, -1)
 
 
 def test_ff_poly_expansion():
@@ -174,6 +193,34 @@ def test_evaluate_builds_each_power_once():
     assert MultiPoly.zero(2).evaluate((4, 5)) == 0
 
 
+def _random_poly(rng, k, degree, coefficient):
+    return MultiPoly(k, {exps: coefficient(rng)
+                         for exps in bounded_exponents(k, degree)
+                         if rng.random() < 0.5})
+
+
+def _value_by_terms(poly, point):
+    return sum((coeff * prod(c ** e for c, e in zip(point, exps))
+                for exps, coeff in poly.terms.items()), 0)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_simplex_values_match_evaluation_point_by_point(k):
+    rng = random.Random(k)
+    polys = [MultiPoly.zero(k), MultiPoly.const(k, 3),
+             _random_poly(rng, k, 4, lambda r: r.randint(-9, 9)),
+             _random_poly(rng, k, 5, lambda r: Fraction(r.randint(-9, 9),
+                                                        r.randint(1, 7)))]
+    for poly in polys:
+        for top in (-1, 0, 1, 4):
+            values = poly.simplex_values(top)
+            assert set(values) == set(bounded_exponents(k, top))
+            for point, value in values.items():
+                assert value == _value_by_terms(poly, point), (poly, point)
+    assert MultiPoly.zero(k).simplex_values(-1) == {}
+    assert MultiPoly.zero(k).simplex_values(0) == {(0,) * k: 0}
+
+
 def test_power_alternant_is_vandermonde_at_staircase():
     k = 3
     expected = MultiPoly.one(k)
@@ -225,6 +272,18 @@ def _seeded_matrices():
     yield pytest.param([[1, 2, 3], [4, 5, 6], [1, 2, 3]], id="equal-rows")
     yield pytest.param([[1, 0, 3, 2], [4, 0, 6, 1], [7, 0, 9, 5], [2, 0, 1, 1]],
                        id="zero-column")
+    # every size the plan of minors is built for, in each ring
+    yield pytest.param([[rng.randint(-5, 5) for _ in range(7)] for _ in range(7)],
+                       id="int-7x7-0")
+    for n in range(1, 8):
+        yield pytest.param(
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+             for _ in range(n)], id=f"fraction-{n}x{n}-1")
+        # one monomial or zero per entry, so the reference stays cheap
+        yield pytest.param(
+            [[MultiPoly.monomial(2, (rng.randint(0, 2), rng.randint(0, 2)),
+                                 rng.choice([0, 1, -1, 3])) for _ in range(n)]
+             for _ in range(n)], id=f"poly-{n}x{n}")
 
 
 @pytest.mark.parametrize("rows", _seeded_matrices())
@@ -243,6 +302,8 @@ def test_det_of_polynomials_is_the_leibniz_sum():
 def test_det_rejects_a_non_square_matrix():
     with pytest.raises(ValueError):
         det([[1, 2]])
+    with pytest.raises(ValueError):
+        det([[1, 2], [3]])
     with pytest.raises(ValueError):
         det([])
 
