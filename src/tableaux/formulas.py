@@ -96,12 +96,13 @@ def _checked_strict_partition(rows: Sequence[int]) -> Rows:
 # -- codecs -------------------------------------------------------------------
 
 def young_vertex_to_partition(v: Sequence[int]) -> Rows:
-    v = _checked_young_vertex(v)
-    k = len(v)
-    rows = tuple(v[k - 1 - j] - (k - 1 - j) for j in range(k))
-    while rows and rows[-1] == 0:
-        rows = rows[:-1]
-    return rows
+    return _young_rows(_checked_young_vertex(v))
+
+
+def _young_rows(v: Vertex) -> Rows:
+    # v_i - i, read from the last coordinate, lists the rows in decreasing
+    # order, so the zero rows are the trailing ones
+    return tuple(c - i for i, c in reversed(tuple(enumerate(v))) if c > i)
 
 
 def partition_to_young_vertex(rows: Sequence[int], k: int) -> Vertex:
@@ -121,7 +122,10 @@ def _strict_vertex(rows: Rows, k: int) -> Vertex:
 
 
 def strict_vertex_to_partition(v: Sequence[int]) -> Rows:
-    v = _checked_strict_vertex(v)
+    return _strict_rows(_checked_strict_vertex(v))
+
+
+def _strict_rows(v: Vertex) -> Rows:
     return tuple(c for c in reversed(v) if c > 0)
 
 
@@ -169,7 +173,10 @@ def multinomial_paths(v_from: Sequence[int], v_to: Sequence[int]) -> int:
 def syt_count(v: Sequence[int]) -> int:
     """Paths from (0, 1, .., k-1) to v: the ratio-product formula
     steps! / prod(v_i!) * prod_{i<j} (v_j - v_i)."""
-    v = _checked_young_vertex(v)
+    return _syt_count(_checked_young_vertex(v))
+
+
+def _syt_count(v: Vertex) -> int:
     k = len(v)
     numerator = factorial(sum(v) - k * (k - 1) // 2) * prod(
         b - a for a, b in itertools.combinations(v, 2))

@@ -1,12 +1,18 @@
 """Mechanical verification of the polynomial identities behind the counts.
 
-Every check returns a VerifyReport and compares exact polynomials (or exact
-rational limits), never floats.  The right-hand sides are falling-factorial
-expansions over the top simplex layer (``multipoly.ff_expansion``), with
-weights given by multinomials, alternants at the composition, or limit
-values of a rational function.  The ``perturb`` flag on each check injects a
-stray monomial into one side first; the perturbed run must come back failed,
-which is how the negative controls prove the comparisons have teeth.
+Every check returns a VerifyReport and compares exact polynomials, exact
+values or exact rational limits, never floats.  The Vandermonde, multinomial
+and power forms compare coefficients with a composition sum.  The anchored
+falling-factorial form and the polynomial-component checks compare values
+on the lattice simplex instead, by the lemma the polynomial method rests
+on: a polynomial of total degree <= D is fixed by its values at the points
+c >= 0 with |c| <= D, and a sum over the compositions c' of D of
+w(c') * prod ff(x_i, c'_i) vanishes below the top layer |c| = D, where it
+equals w(c) * prod(c_i!).  Only a failure turns the difference back into
+monomials (``_interpolate``), so the witness is the grlex-largest differing
+monomial either way.  The ``perturb`` flag on each check adds x_0 to one
+side first; the perturbed run must come back failed, which is how the
+negative controls prove the comparisons have teeth.
 
 Cross-validation helpers pit every closed-form count against the DP oracle,
 and the weight-series construction against both, over seeded samples.
@@ -17,13 +23,13 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Sequence
 
-from .formulas import (aitken_weight, closed_form_count, skew_weight_limit,
-                       strict_count, strict_partition_to_vertex,
-                       strict_skew_path_series, strict_vertex_to_partition,
-                       syt_count, syt_count_hook, young_vertex_to_partition)
+from .formulas import (_strict_rows, _syt_count, _young_rows, aitken_weight,
+                       closed_form_count, skew_weight_limit, strict_count,
+                       strict_partition_to_vertex, strict_skew_path_series,
+                       syt_count_hook)
 from .graded_graphs import (GradedGraph, SeriesConstructionError, Vertex,
                             construct_weight_series, degree, make_graph,
                             path_count_table, path_counts_to,
@@ -51,23 +57,41 @@ def _variable_sum(k: int) -> MultiPoly:
     return total
 
 
-def _over_factorials(value: Coeff, comp: Exponents) -> Fraction:
-    """value / prod(c_i!)."""
-    return Fraction(value, prod(factorial(c) for c in comp))
+def _leading(poly: MultiPoly) -> dict:
+    """The grlex-largest monomial of a nonzero polynomial and its
+    coefficient: the witness of a failed comparison."""
+    top = max(poly.terms, key=grlex_key)
+    return {"monomial": top, "difference": poly.terms[top]}
 
 
 def _compare(identity: str, params: dict, started: float,
              sides: list[tuple[str, MultiPoly, MultiPoly]]) -> VerifyReport:
     """Pass iff every (form, lhs, rhs) is an exact polynomial equality."""
     for form, lhs, rhs in sides:
-        if lhs == rhs:
-            continue
-        diff = lhs - rhs
-        top = max(diff.terms, key=grlex_key)
-        return failed(identity, params,
-                      {"form": form, "monomial": top, "difference": diff.terms[top]},
-                      started)
+        if lhs != rhs:
+            return failed(identity, params,
+                          {"form": form, **_leading(lhs - rhs)}, started)
     return passed(identity, params, started)
+
+
+def _interpolate(k: int, top: int, values: dict[Exponents, Coeff]) -> MultiPoly:
+    """The polynomial of total degree <= top with the given values on the
+    simplex |c| <= top, a missing point counting as 0.  The value checks
+    decode a failure's difference with it, and only a failure's.
+
+    Newton's forward differences, one coordinate at a time, turn the values
+    into Delta^c P(0), and P = sum_c Delta^c P(0) / prod(c_i!) *
+    prod ff(x_i, c_i); ``ff_expansion`` turns each layer of that sum into
+    monomials with its Stirling rows."""
+    table = {c: values.get(c, 0) for c in bounded_exponents(k, top)}
+    for i in range(k):
+        table = {c: sum((-1) ** (c[i] - t) * comb(c[i], t)
+                        * table[c[:i] + (t,) + c[i + 1:]]
+                        for t in range(c[i] + 1))
+                 for c in table}
+    return sum((ff_expansion(k, total, lambda c: Fraction(
+        table[c], prod(map(factorial, c)))) for total in range(top + 1)),
+        MultiPoly.zero(k))
 
 
 def _perturbed(poly: MultiPoly, flag: bool) -> MultiPoly:
@@ -102,28 +126,60 @@ def check_multinomial(k: int, n: int, perturb: bool = False) -> VerifyReport:
 
 # -- strictly increasing coordinates -------------------------------------------
 
-def _anchored_sides(anchor: tuple[int, ...], falling: MultiPoly,
-                    power: MultiPoly, steps: int,
-                    perturb: bool) -> list[tuple[str, MultiPoly, MultiPoly]]:
-    """Both forms of the anchored expansion.  With w(c) = steps!/prod(c_i!)
-    * det(ff(c_i, a_j)) over the compositions c of steps + |a|:
+def _check_anchored(identity: str, params: dict, started: float,
+                    anchor: tuple[int, ...], falling: MultiPoly,
+                    power: MultiPoly, steps: int, perturb: bool,
+                    *more: tuple[str, MultiPoly, MultiPoly]) -> VerifyReport:
+    """Both forms of the anchored expansion, then the ``more`` sides.  With
+    w(c) = steps!/prod(c_i!) * det(ff(c_i, a_j)) (``aitken_weight``, an
+    integer) over the compositions c of total = |a| + steps:
 
     * falling * ff(sum(x) - |a|, steps) = sum w(c) prod ff(x_i, c_i),
     * power * sum(x)^steps = sum w(c) x^c,
 
     where ``falling`` is det(ff(x_i, a_j)) and ``power`` is det(x_i^{a_j}).
-    w is ``aitken_weight``, an integer."""
+
+    The falling form is checked by its values on the simplex |c| <= total,
+    which fix both sides once ``falling`` has degree <= |a|; a left side of
+    higher degree fails at its leading term, which the right side, of
+    degree total, cannot cancel.  The right side vanishes below the top
+    layer and is w(c) * prod(c_i!) on it.  On the left, ff(|c| - |a|,
+    steps) is 0 for |a| <= |c| < total, so those layers hold on their own,
+    and it is nonzero below |a|.  So the identity says exactly two things:
+
+    * the falling alternant vanishes at every c with |c| < |a|.  Each term
+      sign(pi) prod_j ff(c_pi(j), a_j) of det(ff(c_i, a_j)) needs
+      c_pi(j) >= a_j for every j, so |c| >= |a|.  This vanishing is the
+      paper's key step;
+    * on the top layer, falling(c) * steps! = w(c) * prod(c_i!), which
+      checks the polynomial alternant against the integer determinant of
+      ``aitken_weight`` at every c, and the integrality of w with it.
+
+    Only those layers are evaluated, and the middle ones too when
+    ``perturb`` adds the value of x_0 to the left side.  The alternant is
+    never multiplied by ff(sum(x) - |a|, steps) as a polynomial, except to
+    report a left side of too high a degree.  The power form stays a
+    coefficient comparison."""
     k = len(anchor)
-    total = steps + sum(anchor)
-    weights = MultiPoly(k, {
-        comp: aitken_weight(anchor, comp)
-        for comp in exact_compositions(k, total)})
-    lhs_ff = _perturbed(falling * ff_of_poly(_variable_sum(k) - sum(anchor), steps),
-                        perturb)
+    base = sum(anchor)
+    total = base + steps
+    weights = {comp: aitken_weight(anchor, comp)
+               for comp in exact_compositions(k, total)}
+    drop = [falling_factorial(layer - base, steps) for layer in range(total + 1)]
+    rhs = {c: w * prod(map(factorial, c)) for c, w in weights.items()}
+    layers = range(total + 1) if perturb else [*range(base), total]
+    diff = {c: value * drop[sum(c)] + (c[0] if perturb else 0) - rhs.get(c, 0)
+            for c, value in falling.layer_values(layers).items()}
+    above = falling.degree() > base or perturb and total == 0
+    if above or any(diff.values()):
+        # the right side has degree total, so terms above it are the left's
+        decoded = _perturbed(falling * ff_of_poly(_variable_sum(k) - base, steps),
+                             perturb) if above else _interpolate(k, total, diff)
+        return failed(identity, params,
+                      {"form": "falling_factorial", **_leading(decoded)}, started)
     lhs_pw = _perturbed(power * _variable_sum(k) ** steps, perturb)
-    return [("falling_factorial", lhs_ff,
-             ff_expansion(k, total, weights.coefficient)),
-            ("power", lhs_pw, weights)]
+    return _compare(identity, params, started,
+                    [("power", lhs_pw, MultiPoly(k, weights)), *more])
 
 
 def check_hook_identity(k: int, steps: int, perturb: bool = False) -> VerifyReport:
@@ -137,9 +193,8 @@ def check_hook_identity(k: int, steps: int, perturb: bool = False) -> VerifyRepo
     params = {"k": k, "steps": steps, "perturbed": perturb}
     staircase = tuple(range(k))
     vandermonde = power_alternant(staircase)
-    return _compare("hook_expansion", params, started,
-                    _anchored_sides(staircase, vandermonde, vandermonde, steps,
-                                    perturb))
+    return _check_anchored("hook_expansion", params, started, staircase,
+                           vandermonde, vandermonde, steps, perturb)
 
 
 def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
@@ -158,10 +213,10 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
     params = {"k": k, "anchor": anchor, "steps": steps, "perturbed": perturb}
     falling = falling_alternant(anchor)
     power = power_alternant(anchor)
-    sides = _anchored_sides(anchor, falling, power, steps, perturb)
-    if anchor == tuple(range(k)):
-        sides.append(("staircase_collapse", falling, power))
-    return _compare("anchored_hook_expansion", params, started, sides)
+    collapse = [("staircase_collapse", falling, power)] \
+        if anchor == tuple(range(k)) else []
+    return _check_anchored("anchored_hook_expansion", params, started, anchor,
+                           falling, power, steps, perturb, *collapse)
 
 
 # -- distinct parts ------------------------------------------------------------
@@ -177,45 +232,50 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     whose weight function w = prod(ratios) * psi_sigma is
     ``skew_weight_fn``.  The limit of w at a non-negative point is finite:
     its numerator carries prod(x_i - x_j), whose order in t is that of the
-    denominator prod(x_i + x_j).  The polynomial component of ``fn`` up to
-    total degree n
+    denominator prod(x_i + x_j).  So ``fn`` tends to
+    w(p) * ff(|p| - m, n - m) at every lattice point p.  The polynomial
+    component ``part`` of ``fn`` up to total degree n
 
     * equals the falling-factorial expansion with weights
-      (n - m)!/prod(c_i!) * w(c),
-    * differs from ``fn`` by a part vanishing at every lattice point p of
-      the simplex sum <= n, where ``fn`` tends to w(p) * ff(sum(p) - m, n - m),
+      (n - m)!/prod(c_i!) * w(c) over the compositions c of n,
+    * differs from ``fn`` by a part vanishing at every point p of the
+      simplex |p| <= n,
     * has zero coefficients at every trailing-negative exponent pattern.
 
+    Both sides of the first check have degree <= n, so it is checked by
+    its values on the simplex: the expansion is (n - m)! * w(p) on the top
+    layer |p| = n and 0 below it.  Then the second check holds on its own
+    for m <= |p| < n, where ff(|p| - m, n - m) = 0, and on the top layer,
+    where the first check forced it.  Below the anchor, |p| < m, the first
+    check made part(p) = 0, and ff(|p| - m, n - m) is nonzero, so the
+    second says that the limit of the weight function itself vanishes
+    there: the paper's key step.  So limits are computed on the top layer and below
+    the anchor, each point's once, and nowhere else; ``part`` is evaluated
+    over the whole simplex in one pass (``MultiPoly.simplex_values``).
     The polynomial side always comes from ``expand`` and the limits never
-    do, so each step pits the expansion against the closed form.  The
-    second check skips the top layer sum(p) = n, where the first forces it:
-    ff(p_i, c_i) = 0 unless c_i <= p_i, and c <= p with |c| = |p| gives
-    c = p, so there the closed form is (n - m)! * w(p) = w(p) * ff(n - m,
-    n - m).  So each point's limit is computed once.  The values of the
-    polynomial component come from one pass over the simplex
-    (``MultiPoly.simplex_values``).
+    do, so each step pits the expansion against the closed form.
     """
     m = sum(sigma)
     fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
-    closed = ff_expansion(k, n, lambda comp: _over_factorials(
-        factorial(n - m) * skew_weight_limit(sigma, comp), comp))
-    if part != closed:
-        diff = part - closed
-        top = max(diff.terms, key=grlex_key)
+    scale = factorial(n - m)
+    values = part.simplex_values(n)
+    diff = {p: value - scale * skew_weight_limit(sigma, p) if sum(p) == n
+            else value for p, value in values.items()}
+    if part.degree() > n or any(diff.values()):
+        # the expansion has degree n, so terms above it are part's own; only
+        # x_0 added at n = 0 gets there
+        decoded = part if part.degree() > n else _interpolate(k, n, diff)
         return failed(identity, params,
-                      {"part": "closed_form", "monomial": top,
-                       "difference": diff.terms[top]}, started)
-
-    values = part.simplex_values(n - 1)
-    for point in bounded_exponents(k, n - 1):
+                      {"part": "closed_form", **_leading(decoded)}, started)
+    for point in bounded_exponents(k, m - 1):
         value = (skew_weight_limit(sigma, point)
                  * falling_factorial(sum(point) - m, n - m))
-        expected = Fraction(values[point])
-        if value != expected:
+        if value:
             return failed(identity, params,
                           {"part": "antipolynomial", "point": point,
-                           "function": value, "polynomial": expected}, started)
+                           "function": value, "polynomial": values[point]},
+                          started)
     probes = check_trailing_negative_coeffs(fn, n, n + 2)
     if not probes.ok:
         return failed(identity, params,
@@ -251,14 +311,16 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
 
 def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
                     u: tuple[int, ...]) -> dict[str, int]:
+    """Every closed form from v to u.  ``closed_form_count`` checks v and u
+    once, so the base vertex's other routes take u as a checked vertex."""
     route, count = closed_form_count(graph.name, v, u)
     routes = {route: count}
     if v == graph.base_vertex():
         if graph.name == "young":
-            routes["ratio_product"] = syt_count(u)
-            routes["hooks"] = syt_count_hook(young_vertex_to_partition(u))
+            routes["ratio_product"] = _syt_count(u)
+            routes["hooks"] = syt_count_hook(_young_rows(u))
         elif graph.name == "strict":
-            routes["ratio_product"] = strict_count(strict_vertex_to_partition(u))
+            routes["ratio_product"] = strict_count(_strict_rows(u))
     return routes
 
 

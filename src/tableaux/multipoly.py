@@ -8,13 +8,13 @@ point ever enters a computation.  The zero polynomial is the empty dict.
 Besides ring arithmetic this module provides the expansion primitives the
 rest of the package is built on:
 
-* values at one point, or at every lattice point of a simplex in one pass
-  that substitutes one coordinate at a time,
+* values at one point, or at every lattice point of a simplex (or of some
+  of its layers) in one pass that substitutes one coordinate at a time,
 * falling factorials of a number (``math.perm`` for a non-negative int), of
   a variable or of an arbitrary polynomial,
 * the falling-factorial expansion sum_c w(c) * prod ff(x_i, c_i) over the
-  compositions c of a fixed total, the form the identity checks compare
-  against,
+  compositions c of a fixed total, which the Vandermonde check compares
+  against and a failed value check decodes its difference with,
 * one determinant over any commutative ring (ints, Fractions, MultiPolys),
   by top-row expansion with each minor of the lower rows built once, named
   by the bitmask of its columns, from a plan built once per size; and the
@@ -33,6 +33,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import factorial, perm
+from operator import add
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 Exponents = tuple[int, ...]
@@ -133,7 +134,7 @@ class MultiPoly:
         out: dict[Exponents, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 new = out.get(exps, 0) + c1 * c2
                 if new:
                     out[exps] = new
@@ -191,7 +192,21 @@ class MultiPoly:
     def simplex_values(self, top: int) -> dict[Exponents, Coeff]:
         """The value at every non-negative integer point with entry sum
         <= top; none when top < 0."""
-        return self._values_at(lambda prefix: range(top + 1 - sum(prefix)))
+        return self.layer_values(range(top + 1))
+
+    def layer_values(self, layers: Sequence[int]) -> dict[Exponents, Coeff]:
+        """The value at every non-negative integer point whose entry sum
+        is one of ``layers``: the last coordinate takes only the values
+        that land on one of them."""
+        top = max(layers, default=-1)
+
+        def choices(prefix: tuple) -> Sequence[int]:
+            used = sum(prefix)
+            if len(prefix) < self.k - 1:
+                return range(top + 1 - used)
+            return [layer - used for layer in layers if layer >= used]
+
+        return self._values_at(choices)
 
     def _values_at(self, choices: Callable[[tuple], Sequence[Coeff]]
                    ) -> dict[tuple, Coeff]:
@@ -206,14 +221,10 @@ class MultiPoly:
         values: dict[tuple, Coeff] = {}
 
         def substitute(prefix: tuple, terms: dict) -> None:
-            if len(prefix) == self.k:
-                values[prefix] = terms.get((), 0)
-                return
             rows: dict[Exponents, list[tuple[int, Coeff]]] = {}
-            top = 0
             for exps, coeff in terms.items():
                 rows.setdefault(exps[1:], []).append((exps[0], coeff))
-                top = max(top, exps[0])
+            top = max((exps[0] for exps in terms), default=0)
             for base in choices(prefix):
                 powers = [1]
                 for _ in range(top):
@@ -225,7 +236,11 @@ class MultiPoly:
                         value += coeff * powers[power]
                     if value:
                         partial[rest] = value
-                substitute(prefix + (base,), partial)
+                point = prefix + (base,)
+                if len(point) == self.k:
+                    values[point] = partial.get((), 0)
+                else:
+                    substitute(point, partial)
 
         substitute((), self.terms)
         return values

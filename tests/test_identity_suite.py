@@ -14,10 +14,7 @@ from tableaux.identity_suite import (DEFAULT_SKEW_ANCHORS, SWEEP_ANCHORS,
                                      check_skew_polycomponent,
                                      check_vandermonde, default_sweep,
                                      negative_controls)
-from tableaux.formulas import strict_skew_path_series
 from tableaux.graded_graphs import degree
-from tableaux.laurent import polynomial_component
-from tableaux.multipoly import MultiPoly
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -82,25 +79,20 @@ def test_perturbed_identities_fail():
 
 def test_antipolynomial_check_is_sharp(monkeypatch):
     # the perturbed controls fail the closed-form comparison first, so here
-    # both the expansion and the closed form return the same wrong part
-    part = polynomial_component(strict_skew_path_series((0, 0, 0), 1), 1)
-    wrong = part + MultiPoly.one(3)
-    monkeypatch.setattr(identity_suite, "polynomial_component",
-                        lambda fn, n: wrong)
-    monkeypatch.setattr(identity_suite, "ff_expansion",
-                        lambda k, n, weight: wrong)
-    rep = check_polycomponent(3, 1)
+    # only the weight's limit below the anchor is wrong: a nonzero limit at
+    # the origin, where ff(0 - 1, 2 - 1) = -1 and the part is 0
+    real = identity_suite.skew_weight_limit
+    assert real((1,), (0, 0, 0)) == 0
+    monkeypatch.setattr(identity_suite, "skew_weight_limit",
+                        lambda sigma, point: real(sigma, point)
+                        + (tuple(point) == (0, 0, 0)))
+    rep = check_skew_polycomponent((1,), 3, 2)
     assert not rep.ok
     assert rep.witness["part"] == "antipolynomial"
-    # the true part x1 - x2 + x3 and the series vanish at the origin, the
-    # first point of the simplex, where the planted constant does not
     assert rep.witness["point"] == (0, 0, 0)
-    assert (rep.witness["function"], rep.witness["polynomial"]) == (0, 1)
-    monkeypatch.setattr(identity_suite, "ff_expansion",
-                        lambda k, n, weight: part)
-    monkeypatch.setattr(identity_suite, "polynomial_component",
-                        lambda fn, n: part)
-    assert check_polycomponent(3, 1).ok
+    assert (rep.witness["function"], rep.witness["polynomial"]) == (-1, 0)
+    monkeypatch.setattr(identity_suite, "skew_weight_limit", real)
+    assert check_skew_polycomponent((1,), 3, 2).ok
 
 
 def test_anchored_weight_with_a_remainder_raises(monkeypatch):
@@ -116,13 +108,14 @@ def test_anchored_weight_with_a_remainder_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("check,args,points", [
-    (check_polycomponent, (3, 6), 84),
-    (check_skew_polycomponent, ((3, 1), 3, 7), 120),
+    (check_polycomponent, (3, 6), 28),
+    (check_skew_polycomponent, ((3, 1), 3, 7), 56),
 ])
 def test_each_polycomponent_limit_is_computed_once(monkeypatch, check, args,
                                                    points):
-    # the closed form needs the top layer's limits and the antipolynomial
-    # step every simplex point's, top layer included
+    # limits only where the falling factor ff(|p| - m, n - m) is nonzero:
+    # the top layer |p| = n for the closed form and, for the antipolynomial
+    # step, the points below the anchor, |p| < m; each point's once
     seen = []
     real = identity_suite.skew_weight_limit
 
@@ -133,6 +126,8 @@ def test_each_polycomponent_limit_is_computed_once(monkeypatch, check, args,
     monkeypatch.setattr(identity_suite, "skew_weight_limit", spy)
     assert check(*args).ok
     assert len(seen) == len(set(seen)) == points
+    n, m = args[-1], sum(args[0]) if len(args) == 3 else 0
+    assert all(sum(p) == n or sum(p) < m for p in seen)
 
 
 def test_failure_reports_carry_a_witness():
@@ -155,6 +150,27 @@ def test_counts_from_base_checks_the_strict_product(monkeypatch):
     rep = check_counts_from_base("strict", 3, 4)
     assert not rep.ok
     assert rep.witness["ratio_product"] == rep.witness["dp"] + 1
+
+
+@pytest.mark.parametrize("kind,check", [("young", "_checked_young_vertex"),
+                                        ("strict", "_checked_strict_vertex")])
+def test_formula_routes_check_each_vertex_once(monkeypatch, kind, check):
+    # closed_form_count checks the source and the target, and the base
+    # vertex's other routes take the checked target
+    calls = []
+    real = getattr(formulas, check)
+
+    def spy(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(formulas, check, spy)
+    rep = check_counts_from_base(kind, 3, 5)
+    assert rep.ok, rep.witness
+    assert len(calls) == 2 * rep.params["targets"]
+    calls.clear()
+    assert check_skew_pairs(kind, 3, 6, pairs=40, seed=2).ok
+    assert len(calls) == 2 * 40
 
 
 @pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
