@@ -12,7 +12,10 @@ between the two pictures:
 Counts come from product and determinant formulas: multinomials for the
 full lattice, the ratio product / hook lengths / falling-factorial
 determinant family for the Young case, and a symmetrized weight function
-for the distinct-parts case.  Each count is formed on plain ints as a
+for the distinct-parts case.  Aitken's determinant, the Young count between
+any two vertices, is formed on entries s!/(u_i - v_j)! bounded by the step
+count s (``aitken_weight``), so its cost does not grow with the
+coordinates.  Each count is formed on plain ints as a
 numerator and a denominator and divided once; a remainder raises
 ``ArithmeticError``, and so does a negative count where one can arise.
 The hook product is cross-checked by cross-multiplication, with no
@@ -41,9 +44,8 @@ from typing import Sequence
 
 from .graded_graphs import RestrictedYoungGraph, StrictPartitionGraph
 from .laurent import RationalFn, evaluate_with_limits
-from .multipoly import (MultiPoly, divide_exact_linear,
-                        falling_alternant_at, falling_factorial, ff_of_poly,
-                        ff_poly, multinomial)
+from .multipoly import (MultiPoly, det, divide_exact_linear,
+                        falling_factorial, ff_of_poly, ff_poly, multinomial)
 
 Vertex = tuple[int, ...]
 Rows = tuple[int, ...]
@@ -189,12 +191,25 @@ def _syt_count(v: Vertex) -> int:
 
 
 def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
-    """Aitken's determinant steps! / prod(u_i!) * det(ff(u_i, v_j)), with
-    steps = |u| - |v|.  At strictly increasing v <= u it counts the skew
-    standard tableaux of shape u / v; reordering u only changes its sign.
-    An integer either way, so a remainder raises ArithmeticError."""
-    numerator = factorial(sum(u) - sum(v)) * falling_alternant_at(v, u)
-    denominator = prod(factorial(c) for c in u)
+    """Aitken's determinant steps!/prod(u_i!) * det(ff(u_i, v_j)) at
+    non-negative integer tuples, with steps = s = |u| - |v|.  At strictly
+    increasing v <= u it counts the skew standard tableaux of shape u / v;
+    reordering u only changes its sign.
+
+    It is formed on entries bounded by s.  Row i divided by u_i! has the
+    entries ff(u_i, v_j)/u_i! = 1/(u_i - v_j)!, read as 0 when u_i < v_j.
+    Every nonzero term of the Leibniz sum has differences u_i - v_pi(i)
+    that are >= 0 and sum to s, so each lies in [0, s]; an entry with a
+    difference above s appears only in terms that are already 0, and is
+    set to 0.  So the weight is det(M) / s!^(k-1), with M_ij =
+    s!/(u_i - v_j)! for 0 <= u_i - v_j <= s and 0 otherwise: no factorial
+    above s! is formed, whatever the size of the entries.  The weight is an
+    integer, so a remainder raises ArithmeticError."""
+    steps = sum(u) - sum(v)
+    denominator = factorial(steps) ** (len(v) - 1)
+    # s!/d! at each difference d in [0, s]; any other difference reads 0
+    scaled = {d: perm(steps, steps - d) for d in range(steps + 1)}
+    numerator = det([[scaled.get(c - a, 0) for a in v] for c in u])
     count, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(
@@ -204,11 +219,15 @@ def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
 
 def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
     """Paths between two strictly increasing tuples: ``aitken_weight``."""
-    v = _checked_young_vertex(v_from)
-    u = _checked_young_vertex(v_to)
+    return _young_path_count(_checked_young_vertex(v_from),
+                             _checked_young_vertex(v_to))
+
+
+def _young_path_count(v: Vertex, u: Vertex) -> int:
+    """``young_path_count`` on checked vertices."""
     if len(v) != len(u):
         raise ValueError("dimension mismatch")
-    if not all(a <= b for a, b in zip(v, u)):
+    if not all(map(operator.le, v, u)):
         return 0
     count = aitken_weight(v, u)
     if count < 0:
@@ -469,16 +488,31 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
 
 # -- dispatch -----------------------------------------------------------------
 
+def _checked_vertex(kind: str, v: Sequence[int]) -> Vertex:
+    """v as a vertex of the built-in graph of the given kind, checked as
+    its closed form needs; the full lattice's count checks its own."""
+    if kind == "young":
+        return _checked_young_vertex(v)
+    if kind == "strict":
+        return _checked_strict_vertex(v)
+    if kind == "pascal":
+        return tuple(v)
+    raise ValueError(f"no closed form for {kind} graphs")
+
+
 def closed_form_count(kind: str, v_from: Sequence[int],
                       v_to: Sequence[int]) -> tuple[str, int]:
     """The closed-form path count between two vertices of the lattice graph
     of the given kind, with the name of the formula that produced it."""
+    return _closed_form_count(kind, _checked_vertex(kind, v_from),
+                              _checked_vertex(kind, v_to))
+
+
+def _closed_form_count(kind: str, v: Vertex, u: Vertex) -> tuple[str, int]:
+    """``closed_form_count`` on vertices from ``_checked_vertex``."""
     if kind == "pascal":
-        return "multinomial", multinomial_paths(v_from, v_to)
+        return "multinomial", multinomial_paths(v, u)
     if kind == "young":
-        return "determinant", young_path_count(v_from, v_to)
-    if kind == "strict":
-        return "anchored_limit", strict_skew_count(
-            strict_vertex_to_partition(v_from), strict_vertex_to_partition(v_to),
-            len(v_from))
-    raise ValueError(f"no closed form for {kind} graphs")
+        return "determinant", _young_path_count(v, u)
+    return "anchored_limit", strict_skew_count(_strict_rows(v), _strict_rows(u),
+                                               len(v))

@@ -26,8 +26,9 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .formulas import (_strict_rows, _syt_count, _young_rows, aitken_weight,
-                       closed_form_count, skew_weight_limit, strict_count,
+from .formulas import (_checked_vertex, _closed_form_count, _strict_rows,
+                       _syt_count, _young_rows, aitken_weight,
+                       skew_weight_limit, strict_count,
                        strict_partition_to_vertex, strict_skew_path_series,
                        syt_count_hook)
 from .graded_graphs import (GradedGraph, SeriesConstructionError, Vertex,
@@ -151,9 +152,11 @@ def _check_anchored(identity: str, params: dict, started: float,
       sign(pi) prod_j ff(c_pi(j), a_j) of det(ff(c_i, a_j)) needs
       c_pi(j) >= a_j for every j, so |c| >= |a|.  This vanishing is the
       paper's key step;
-    * on the top layer, falling(c) * steps! = w(c) * prod(c_i!), which
-      checks the polynomial alternant against the integer determinant of
-      ``aitken_weight`` at every c, and the integrality of w with it.
+    * on the top layer, falling(c) * steps! = w(c) * prod(c_i!).
+      ``aitken_weight`` forms w(c) from the entries steps!/(c_i - a_j)!,
+      not from det(ff(c_i, a_j)), so this layer checks Aitken's row
+      identity ff(c, a)/c! = 1/(c - a)! at every c, and the integrality of
+      w with it.
 
     Only those layers are evaluated, and the middle ones too when
     ``perturb`` adds the value of x_0 to the left side.  The alternant is
@@ -311,9 +314,10 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
 
 def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
                     u: tuple[int, ...]) -> dict[str, int]:
-    """Every closed form from v to u.  ``closed_form_count`` checks v and u
-    once, so the base vertex's other routes take u as a checked vertex."""
-    route, count = closed_form_count(graph.name, v, u)
+    """Every closed form from v, checked by ``_checked_vertex``, to u,
+    checked here; the base vertex's other routes take the checked u."""
+    u = _checked_vertex(graph.name, u)
+    route, count = _closed_form_count(graph.name, v, u)
     routes = {route: count}
     if v == graph.base_vertex():
         if graph.name == "young":
@@ -329,7 +333,7 @@ def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:
     every vertex within ``steps`` levels."""
     started = time.perf_counter()
     graph = make_graph(kind, k)
-    base = graph.base_vertex()
+    base = _checked_vertex(kind, graph.base_vertex())
     table = path_count_table(graph, base, degree(base) + steps)
     params = {"graph": kind, "k": k, "steps": steps, "targets": len(table)}
     for u in sorted(table, key=grlex_key):
@@ -347,7 +351,9 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
 
     All pairs are drawn first, so the DP counts from a source to all its
     targets come from one ``path_counts_to`` sweep, made when the source
-    first comes up."""
+    first comes up, and the source is checked then.  Each distinct pair is
+    compared once, in the order of its first draw, so the first failing
+    pair is the one that comparing every draw would find."""
     if pairs < 0:
         raise ValueError(f"pairs must be non-negative, got {pairs}")
     started = time.perf_counter()
@@ -355,7 +361,8 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     graph = make_graph(kind, k)
     base_deg = degree(graph.base_vertex())
     params = {"graph": kind, "k": k, "steps": steps, "pairs": pairs}
-    levels = {d: graph.vertices_of_degree(base_deg + d) for d in range(steps + 1)}
+    levels = list(graph.levels_above((0,) * k,
+                                     range(base_deg, base_deg + steps + 1)))
     drawn = []
     for _ in range(pairs):
         d1 = rng.randint(0, steps)
@@ -365,9 +372,10 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     for v, u in drawn:
         targets.setdefault(v, set()).add(u)
     counts: dict[Vertex, dict[Vertex, int]] = {}
-    for v, u in drawn:
+    for v, u in dict.fromkeys(drawn):
         if v not in counts:
-            counts[v] = path_counts_to(graph, v, targets[v])
+            counts[v] = path_counts_to(graph, _checked_vertex(kind, v),
+                                       targets[v])
         dp = counts[v][u]
         for route, value in _formula_routes(graph, v, u).items():
             if value != dp:

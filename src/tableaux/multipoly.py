@@ -417,17 +417,6 @@ def falling_alternant(exponents: Sequence[int]) -> MultiPoly:
     return det([[ff_poly(k, i, m) for m in exponents] for i in range(k)])
 
 
-def falling_alternant_at(exponents: Sequence[int], point: Sequence[Coeff]) -> Coeff:
-    """det(ff(point_i, m_j)) evaluated numerically; an int at an integer
-    point."""
-    k = len(exponents)
-    if len(point) != k:
-        raise ValueError("point has wrong dimension")
-    if len(set(point)) < k:
-        return 0  # two equal rows
-    return det([[falling_factorial(c, m) for m in exponents] for c in point])
-
-
 # -- exact division ----------------------------------------------------------
 
 def divide_exact_linear(poly: MultiPoly, a: int, b: int) -> MultiPoly:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tableaux import formulas
 from tableaux.cli import main
 from tableaux.formulas import (SYMMETRIZATION_CAP, _symmetrized_sum,
+                               aitken_weight,
                                format_partition, hook_lengths, hook_product,
                                parse_partition, partition_to_young_vertex,
                                skew_weight_fn, skew_weight_limit,
@@ -23,10 +24,12 @@ from tableaux.formulas import (SYMMETRIZATION_CAP, _symmetrized_sum,
                                strict_vertex_to_partition,
                                syt_count, syt_count_hook,
                                young_path_count, young_vertex_to_partition)
-from tableaux.graded_graphs import GradedGraph, count_paths_dp, make_graph
+from tableaux.graded_graphs import (GradedGraph, count_paths_dp, degree,
+                                    make_graph, path_counts_to)
 from tableaux.laurent import LimitInfiniteError, evaluate_with_limits
 from tableaux.multipoly import (MultiPoly, bounded_exponents,
-                                canonical_text, falling_factorial, ff_poly)
+                                canonical_text, det, exact_compositions,
+                                falling_factorial, ff_poly)
 
 partitions = st.lists(st.integers(min_value=1, max_value=6),
                       min_size=0, max_size=4).map(
@@ -116,6 +119,76 @@ def test_young_path_count_against_dp():
         for v in g.vertices_of_degree(d):
             assert young_path_count(base, v) == syt_count(v)
             assert young_path_count(base, v) == count_paths_dp(g, base, v)
+
+
+def falling_alternant_at(exponents, point):
+    """det(ff(point_i, m_j)) evaluated numerically; an int at an integer
+    point.  The reference for ``aitken_weight``, which no longer forms it."""
+    k = len(exponents)
+    if len(point) != k:
+        raise ValueError("point has wrong dimension")
+    if len(set(point)) < k:
+        return 0  # two equal rows
+    return det([[falling_factorial(c, m) for m in exponents] for c in point])
+
+
+def _aitken_by_falling_factorials(v, u):
+    """Aitken's determinant as first written:
+    steps!/prod(u_i!) * det(ff(u_i, v_j))."""
+    numerator = factorial(sum(u) - sum(v)) * falling_alternant_at(v, u)
+    count, remainder = divmod(numerator, prod(map(factorial, u)))
+    assert not remainder, (v, u)
+    return count
+
+
+def test_step_bounded_aitken_weight_matches_the_falling_factorial_form():
+    # sorted, unsorted, spread-out and one-coordinate anchors, against
+    # every composition of their totals up to five steps: repeated entries,
+    # zeros and entries below the anchor's included
+    anchors = [(0, 1, 2), (0, 2, 4), (1, 3, 4), (0, 1, 3), (0, 1, 2, 7, 8),
+               (3, 1), (2, 0, 5), (5, 0, 1, 3), (0,), (4,)]
+    compared = 0
+    for anchor in anchors:
+        for steps in range(6):
+            for comp in exact_compositions(len(anchor), sum(anchor) + steps):
+                assert aitken_weight(anchor, comp) == \
+                    _aitken_by_falling_factorials(anchor, comp), (anchor, comp)
+                compared += 1
+    assert compared == 76042
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_aitken_weight_counts_every_comparable_pair(k):
+    # every pair v <= u of young vertices within 8 levels of the base
+    g = make_graph("young", k)
+    base = degree(g.base_vertex())
+    vertices = [v for d in range(base, base + 9) for v in g.vertices_of_degree(d)]
+    compared = 0
+    for v in vertices:
+        above = [u for u in vertices if all(map(operator.le, v, u))]
+        counts = path_counts_to(g, v, above)
+        for u in above:
+            assert aitken_weight(v, u) == counts[u], (v, u)
+            compared += 1
+    assert compared >= len(vertices)
+
+
+def test_the_young_count_forms_no_factorial_above_the_steps(monkeypatch,
+                                                             capsys):
+    # five steps from a source with an entry of a million: the factorials
+    # of the entries are never formed
+    real = formulas.factorial
+
+    def bounded(n):
+        if n > 5:
+            raise AssertionError(f"factorial({n}) above the 5 steps")
+        return real(n)
+
+    monkeypatch.setattr(formulas, "factorial", bounded)
+    assert young_path_count((0, 1, 10**6), (1, 3, 10**6 + 2)) == 20
+    assert main("count --graph young --k 3 --from 0,1,1000000 "
+                "--to 1,3,1000002 --method formula".split()) == 0
+    assert capsys.readouterr().out.strip() == "20"
 
 
 def test_young_path_count_outside_order_is_zero():
@@ -661,9 +734,10 @@ def test_strict_skew_count_rejects_negative_count(monkeypatch):
 
 
 def test_young_path_count_rejects_negative_count(monkeypatch):
-    alternant = formulas.falling_alternant_at
-    monkeypatch.setattr(formulas, "falling_alternant_at",
-                        lambda v, u: -alternant(v, u))
+    # a negated first row of Aitken's determinant negates the count
+    real = formulas.det
+    monkeypatch.setattr(formulas, "det", lambda rows: real(
+        [[-entry for entry in rows[0]], *rows[1:]]))
     with pytest.raises(ArithmeticError, match="negative"):
         young_path_count((0, 1, 2), (1, 3, 5))
     assert main("count --graph young --k 3 --to-partition 3,2,1 "

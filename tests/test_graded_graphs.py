@@ -366,6 +366,18 @@ def test_generated_levels_equal_filtered_compositions(kind, k):
     assert g.vertices_of_degree(-1) == []
 
 
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_levels_in_one_pass_equal_the_levels_one_at_a_time(kind, k):
+    # check_skew_pairs lists all its levels in one levels_above call and
+    # draws from them, so the draws rest on these lists being the same
+    g = make_graph(kind, k)
+    base = degree(g.base_vertex())
+    degrees = range(base, base + 9)
+    assert list(g.levels_above((0,) * k, degrees)) == [
+        g.vertices_of_degree(d) for d in degrees]
+
+
 @pytest.mark.parametrize("d", [16, 31])
 def test_generated_young_levels_at_k6(d):
     # degree 31 is the top level of a young k = 6 series with --deg 16

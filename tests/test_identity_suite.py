@@ -96,15 +96,19 @@ def test_antipolynomial_check_is_sharp(monkeypatch):
 
 
 def test_anchored_weight_with_a_remainder_raises(monkeypatch):
-    # at anchor (0, 1) and composition (0, 2) the alternant is 2; one more
-    # gives 1!/(0! 2!) * 3, which is no integer
-    real = formulas.falling_alternant_at
-    monkeypatch.setattr(formulas, "falling_alternant_at",
-                        lambda anchor, comp: real(anchor, comp) + 1)
+    # at anchor (0, 1), two steps and composition (0, 3), Aitken's
+    # determinant is det([[2!/0!, 0], [0, 2!/2!]]) = 2 over 2!^1; one more
+    # on its first entry gives 3/2, which is no integer
+    real = formulas.det
+
+    def tampered(rows):
+        return real([[rows[0][0] + 1, *rows[0][1:]], *rows[1:]])
+
+    monkeypatch.setattr(formulas, "det", tampered)
     with pytest.raises(ArithmeticError, match="non-integer count 3/2"):
-        check_skew_identity(2, (0, 1), 1)
+        check_skew_identity(2, (0, 1), 2)
     with pytest.raises(ArithmeticError, match="non-integer count 3/2"):
-        check_hook_identity(2, 1)
+        check_hook_identity(2, 2)
 
 
 @pytest.mark.parametrize("check,args,points", [
@@ -155,8 +159,8 @@ def test_counts_from_base_checks_the_strict_product(monkeypatch):
 @pytest.mark.parametrize("kind,check", [("young", "_checked_young_vertex"),
                                         ("strict", "_checked_strict_vertex")])
 def test_formula_routes_check_each_vertex_once(monkeypatch, kind, check):
-    # closed_form_count checks the source and the target, and the base
-    # vertex's other routes take the checked target
+    # each source is checked once, and each target once per distinct pair;
+    # the base vertex's other routes take the checked target
     calls = []
     real = getattr(formulas, check)
 
@@ -167,10 +171,11 @@ def test_formula_routes_check_each_vertex_once(monkeypatch, kind, check):
     monkeypatch.setattr(formulas, check, spy)
     rep = check_counts_from_base(kind, 3, 5)
     assert rep.ok, rep.witness
-    assert len(calls) == 2 * rep.params["targets"]
+    assert len(calls) == 1 + rep.params["targets"]
     calls.clear()
     assert check_skew_pairs(kind, 3, 6, pairs=40, seed=2).ok
-    assert len(calls) == 2 * 40
+    drawn = _drawn_pairs(kind, 3, 6, 40, 2)
+    assert len(calls) == len({v for v, _ in drawn}) + len(set(drawn))
 
 
 @pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
@@ -202,16 +207,49 @@ def test_skew_pairs_sweep_once_per_source(monkeypatch, kind):
     assert sources and len(sources) == len(set(sources)) < 200
 
 
+def _drawn_pairs(kind, k, steps, pairs, seed):
+    """The pairs check_skew_pairs draws, in order, from levels listed one
+    degree at a time."""
+    rng = random.Random(seed)
+    g = graded_graphs.make_graph(kind, k)
+    base = degree(g.base_vertex())
+    levels = [g.vertices_of_degree(base + d) for d in range(steps + 1)]
+    drawn = []
+    for _ in range(pairs):
+        d1 = rng.randint(0, steps)
+        d2 = rng.randint(d1, steps)
+        drawn.append((rng.choice(levels[d1]), rng.choice(levels[d2])))
+    return drawn
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+def test_skew_pairs_evaluate_each_distinct_pair_once(monkeypatch, kind):
+    # 200 draws within 6 levels repeat some pairs; each distinct pair's
+    # closed form is evaluated once, in the order it was first drawn
+    seen = []
+    real = identity_suite._closed_form_count
+
+    def spy(kind, v, u):
+        seen.append((v, u))
+        return real(kind, v, u)
+
+    monkeypatch.setattr(identity_suite, "_closed_form_count", spy)
+    assert check_skew_pairs(kind, 3, 6, pairs=200, seed=5).ok
+    drawn = _drawn_pairs(kind, 3, 6, 200, 5)
+    assert len(set(drawn)) < len(drawn)
+    assert seen == list(dict.fromkeys(drawn))
+
+
 def test_skew_pairs_report_the_first_failing_pair(monkeypatch):
     # a closed form off by one on every pair fails at the first pair drawn,
     # and the witness carries the oracle's count
-    real = identity_suite.closed_form_count
+    real = identity_suite._closed_form_count
 
     def off_by_one(kind, v, u):
         route, count = real(kind, v, u)
         return route, count + 1
 
-    monkeypatch.setattr(identity_suite, "closed_form_count", off_by_one)
+    monkeypatch.setattr(identity_suite, "_closed_form_count", off_by_one)
     rng = random.Random(11)
     d1 = rng.randint(0, 6)
     d2 = rng.randint(d1, 6)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tableaux.multipoly import (MultiPoly, bounded_exponents, canonical_text,
                                 det, divide_exact_linear,
                                 exact_compositions, falling_alternant,
-                                falling_alternant_at, falling_factorial,
+                                falling_factorial,
                                 ff_expansion, ff_of_poly, ff_poly, grlex_key,
                                 multinomial, power_alternant)
 
@@ -232,13 +232,17 @@ def test_power_alternant_is_vandermonde_at_staircase():
 
 def test_falling_alternant_triangular_at_own_point():
     m = (1, 3, 4)
+
+    def at(point):
+        return det([[falling_factorial(c, e) for e in m] for c in point])
+
     # det(ff(m_i, m_j)) has zeros above the diagonal, so it is the product
     # of the diagonal falling factorials m_i!
-    assert falling_alternant_at(m, m) == 1 * 6 * 24
+    assert at(m) == 1 * 6 * 24
     poly = falling_alternant(m)
-    assert poly.evaluate(m) == falling_alternant_at(m, m)
+    assert poly.evaluate(m) == at(m)
     # a repeated coordinate repeats a row
-    assert falling_alternant_at(m, (5, 2, 5)) == poly.evaluate((5, 2, 5)) == 0
+    assert at((5, 2, 5)) == poly.evaluate((5, 2, 5)) == 0
 
 
 def test_det_values():
