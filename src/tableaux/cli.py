@@ -32,10 +32,9 @@ from math import comb
 from typing import Sequence
 
 from . import identity_suite
-from .formulas import (closed_form_count, format_partition, hook_lengths,
-                       hook_product, parse_partition,
-                       partition_to_young_vertex, strict_partition_to_vertex,
-                       syt_count_hook)
+from .formulas import (_closed_form_count, _hook_count, _hook_lengths,
+                       _hook_product, _partition_vertex, format_partition,
+                       parse_partition)
 from .graded_graphs import (CustomBoxGraph, GradedGraph,
                             SeriesConstructionError, construct_weight_series,
                             count_paths_dp, degree, make_graph,
@@ -129,14 +128,8 @@ def _resolve_vertex(graph: GradedGraph, vertex_text: str | None,
     if vertex_text is not None:
         v = _parse_vertex(vertex_text)
     elif partition_text is not None:
-        rows = parse_partition(partition_text)
-        if graph.name == "young":
-            v = partition_to_young_vertex(rows, graph.k)
-        elif graph.name == "strict":
-            v = strict_partition_to_vertex(rows, graph.k)
-        else:
-            raise ValueError(
-                f"partition input is not defined for {graph.name} graphs")
+        v = _partition_vertex(graph.name, parse_partition(partition_text),
+                              graph.k)
     elif default is not None:
         v = default
     else:
@@ -183,7 +176,9 @@ def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     counts: dict[str, int] = {}
     for method in methods:
         if method == "formula":
-            counts[method] = closed_form_count(graph.name, src, dst)[1]
+            # src and dst passed graph.contains, the relation the closed
+            # forms check
+            counts[method] = _closed_form_count(graph.name, src, dst)[1]
         elif method == "oracle":
             counts[method] = count_paths_dp(graph, src, dst)
         else:
@@ -268,9 +263,9 @@ def _cmd_verify(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 def _cmd_hooks(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     rows = parse_partition(args.partition)
     _require(budgets, max_k=max(len(rows), 1), max_degree=sum(rows))
-    grid = hook_lengths(rows)
-    product = hook_product(rows)
-    count = syt_count_hook(rows)
+    grid = _hook_lengths(rows)
+    product = _hook_product(rows, grid)
+    count = _hook_count(rows, product)
     if args.format == "json":
         print(json.dumps({"partition": format_partition(rows),
                           "hooks": grid,
@@ -363,10 +358,12 @@ def _add_graph_options(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: it holds no per-request state
-    (budgets are read per call, and handlers look up their helpers when
-    they run), so ``main`` can reuse it."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommands' parsers by name, built once per
+    process: they hold no per-request state (budgets are read per call, and
+    handlers look up their helpers when they run), so ``main`` can reuse
+    them."""
     parser = argparse.ArgumentParser(
         prog="tableaux",
         description="Exact path counts in graded lattice graphs, verified "
@@ -425,11 +422,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="plain")
     table.set_defaults(handler=_cmd_table)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one request.  argv goes straight to its subcommand's parser,
+    which is what the top-level parser would hand it; only a request that
+    names no subcommand, or leaves strings unparsed, is parsed again from
+    the top, so that every usage error is worded as the top level words it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         for flag in ("n", "deg"):
             value = getattr(args, flag, 0)

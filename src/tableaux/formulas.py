@@ -27,7 +27,11 @@ Python integers with t = 2^B; ``skew_weight_limit`` proves the bound on
 the coefficients that fixes B.  The sum is never expanded into a
 polynomial.  Inputs are checked once, at the public functions, and the
 checked values are passed down to private bodies (``_hook_product``,
-``_skew_weight_limit``, ...).  For the
+``_skew_weight_limit``, ...).  The CLI checks its inputs where it reads
+them, and calls the private bodies: a partition argument is checked by
+``parse_partition`` and, on the strict graph, the distinct-parts test of
+``_partition_vertex``; a vertex by the graph's ``contains``, which tests
+the relation ``_checked_vertex`` tests, before ``_closed_form_count``.  For the
 Laurent expansions of the identity suite, ``skew_weight_fn`` writes the
 same weight function as a Pfaffian, one small fraction per matching over
 that matching's own pair sums, and ``strict_skew_path_series`` multiplies
@@ -89,7 +93,11 @@ def _checked_partition(rows: Sequence[int]) -> Rows:
 
 
 def _checked_strict_partition(rows: Sequence[int]) -> Rows:
-    rows = _checked_partition(rows)
+    return _distinct_parts(_checked_partition(rows))
+
+
+def _distinct_parts(rows: Rows) -> Rows:
+    """Rows from ``_checked_partition``, checked for distinct parts."""
     if not all(map(operator.gt, rows, rows[1:])):
         raise ValueError(f"{rows} has repeated parts")
     return rows
@@ -108,10 +116,22 @@ def _young_rows(v: Vertex) -> Rows:
 
 
 def partition_to_young_vertex(rows: Sequence[int], k: int) -> Vertex:
-    rows = _checked_partition(rows)
+    return _partition_vertex("young", _checked_partition(rows), k)
+
+
+def _partition_vertex(kind: str, rows: Rows, k: int) -> Vertex:
+    """Rows from ``_checked_partition`` as a vertex of the young or strict
+    graph on k coordinates: the strict graph's distinct-parts test, the
+    room test, then the codec, with no second pass over the rows."""
+    if kind == "young":
+        codec = _young_vertex
+    elif kind == "strict":
+        rows, codec = _distinct_parts(rows), _strict_vertex
+    else:
+        raise ValueError(f"partition input is not defined for {kind} graphs")
     if k < len(rows):
         raise ValueError(f"need k >= {len(rows)} coordinates for {rows}")
-    return _young_vertex(rows, k)
+    return codec(rows, k)
 
 
 def _young_vertex(rows: Rows, k: int) -> Vertex:
@@ -132,10 +152,7 @@ def _strict_rows(v: Vertex) -> Rows:
 
 
 def strict_partition_to_vertex(rows: Sequence[int], k: int) -> Vertex:
-    rows = _checked_strict_partition(rows)
-    if k < len(rows):
-        raise ValueError(f"need k >= {len(rows)} coordinates for {rows}")
-    return _strict_vertex(rows, k)
+    return _partition_vertex("strict", _checked_partition(rows), k)
 
 
 def parse_partition(text: str) -> Rows:
@@ -253,13 +270,15 @@ def hook_product(rows: Sequence[int]) -> int:
     """Product of all hook lengths, cross-checked against the value the
     coordinate encoding predicts for it: prod(m_i!) / prod_{i<j} (m_j - m_i),
     where m is the vertex for the partition on exactly its number of rows."""
-    return _hook_product(_checked_partition(rows))
+    rows = _checked_partition(rows)
+    return _hook_product(rows, _hook_lengths(rows))
 
 
-def _hook_product(rows: Rows) -> int:
-    """``hook_product`` on checked rows.  The cross-check multiplies out:
-    product * prod_{i<j} (m_j - m_i) == prod(m_i!)."""
-    product = prod(h for line in _hook_lengths(rows) for h in line)
+def _hook_product(rows: Rows, grid: list[list[int]]) -> int:
+    """``hook_product`` on checked rows and their ``_hook_lengths``.  The
+    cross-check multiplies out: product * prod_{i<j} (m_j - m_i) ==
+    prod(m_i!)."""
+    product = prod(h for line in grid for h in line)
     m = _young_vertex(rows, len(rows))
     factorials = prod(map(factorial, m))
     if product * prod(b - a for a, b in itertools.combinations(m, 2)) \
@@ -273,8 +292,12 @@ def _hook_product(rows: Rows) -> int:
 def syt_count_hook(rows: Sequence[int]) -> int:
     """Cell count factorial over the hook product."""
     rows = _checked_partition(rows)
+    return _hook_count(rows, _hook_product(rows, _hook_lengths(rows)))
+
+
+def _hook_count(rows: Rows, product: int) -> int:
+    """``syt_count_hook`` on checked rows and their ``_hook_product``."""
     cells = sum(rows)
-    product = _hook_product(rows)
     count, remainder = divmod(factorial(cells), product)
     if remainder:
         raise ArithmeticError(f"hook product {product} does not divide {cells}!")
@@ -464,16 +487,27 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
                       k: int) -> int:
     """Paths between two distinct-parts partitions inside k coordinates:
     (n-m)! / prod(n_i!) times the anchored weight function evaluated (with
-    exact limits) at the descending zero-padded target."""
+    exact limits) at the descending zero-padded target.  The rows are
+    checked here, once; ``tableaux count`` and the identity suite reach the
+    vertex-level ``_strict_skew_count`` through ``_closed_form_count`` with
+    vertices they checked themselves."""
     frm = _checked_strict_partition(rows_from)
     to = _checked_strict_partition(rows_to)
     if k < len(frm) or k < len(to):
         raise ValueError(f"need k >= {max(len(frm), len(to))} coordinates")
-    v = _strict_vertex(frm, k)
-    u = _strict_vertex(to, k)
-    if not all(a <= b for a, b in zip(v, u)):
+    return _strict_skew_count(_strict_vertex(frm, k), _strict_vertex(to, k))
+
+
+def _strict_skew_count(v: Vertex, u: Vertex) -> int:
+    """``strict_skew_count`` between vertices of the strict graph, as
+    ``_checked_strict_vertex`` or ``StrictPartitionGraph.contains`` accepts
+    them."""
+    if len(v) != len(u):
+        raise ValueError("dimension mismatch")
+    if not all(map(operator.le, v, u)):
         return 0
-    _check_symmetrization_size(frm, k)
+    frm, to = _strict_rows(v), _strict_rows(u)
+    _check_symmetrization_size(frm, len(v))
     limit = _skew_weight_limit(frm, tuple(reversed(u)))
     numerator = factorial(sum(to) - sum(frm)) * limit.numerator
     denominator = prod(map(factorial, to)) * limit.denominator
@@ -490,29 +524,33 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
 
 def _checked_vertex(kind: str, v: Sequence[int]) -> Vertex:
     """v as a vertex of the built-in graph of the given kind, checked as
-    its closed form needs; the full lattice's count checks its own."""
+    its closed form needs; the full lattice's count checks its own, and a
+    kind with no closed form is rejected by ``_closed_form_count``."""
     if kind == "young":
         return _checked_young_vertex(v)
     if kind == "strict":
         return _checked_strict_vertex(v)
-    if kind == "pascal":
-        return tuple(v)
-    raise ValueError(f"no closed form for {kind} graphs")
+    return tuple(v)
 
 
 def closed_form_count(kind: str, v_from: Sequence[int],
                       v_to: Sequence[int]) -> tuple[str, int]:
     """The closed-form path count between two vertices of the lattice graph
-    of the given kind, with the name of the formula that produced it."""
+    of the given kind, with the name of the formula that produced it.  Both
+    vertices are checked here; ``tableaux count`` checks them once, by the
+    graph's ``contains``, and calls ``_closed_form_count``."""
     return _closed_form_count(kind, _checked_vertex(kind, v_from),
                               _checked_vertex(kind, v_to))
 
 
 def _closed_form_count(kind: str, v: Vertex, u: Vertex) -> tuple[str, int]:
-    """``closed_form_count`` on vertices from ``_checked_vertex``."""
+    """``closed_form_count`` on vertices from ``_checked_vertex``, or on
+    vertices that the graph's ``contains`` accepted, which tests the same
+    relation."""
     if kind == "pascal":
         return "multinomial", multinomial_paths(v, u)
     if kind == "young":
         return "determinant", _young_path_count(v, u)
-    return "anchored_limit", strict_skew_count(_strict_rows(v), _strict_rows(u),
-                                               len(v))
+    if kind == "strict":
+        return "anchored_limit", _strict_skew_count(v, u)
+    raise ValueError(f"no closed form for {kind} graphs")

@@ -4,10 +4,11 @@ import argparse
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from tableaux import cli
+from tableaux import cli, formulas
 from tableaux.cli import BUDGET_ENV, main
 
 
@@ -282,8 +283,9 @@ def test_phi_lattice_base(capsys):
 
 
 def test_phi_far_source_scans_in_bounded_time(capsys):
-    # the box grows to 302, so a pair scan of the relation would meet about
-    # 10^9 pairs; the row scan meets each of its points once
+    # the enclosing box grows to 302, where a pair scan of the relation
+    # would meet about 10^9 pairs; young's relation is order-invariant, so
+    # the scans cover [0, 4]^2 only
     rc, out, _ = run(capsys, "phi", "--graph", "young", "--k", "2",
                      "--from", "0,300", "--deg", "1")
     assert rc == 0
@@ -443,3 +445,74 @@ def test_parser_is_built_once_across_calls(capsys, monkeypatch):
         assert len(built) == 6
     finally:
         cli._build_parser.cache_clear()
+
+
+# -- parsing: each request once, through its subcommand's parser --------------------
+
+USAGE = json.loads((Path(__file__).with_name("cli_usage.json")).read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(case["argv"]) or "(none)"
+                                             for case in USAGE])
+def test_usage_replies_are_worded_as_the_top_level_parser_words_them(
+        capsys, monkeypatch, case):
+    # exit code, stdout and stderr as recorded before requests went straight
+    # to their subcommand's parser (Python 3.11 argparse at 80 columns):
+    # usage errors, help, abbreviated and --opt=value options, and the input
+    # errors that the count and hooks handlers raise themselves
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (case["exit"], case["stdout"], case["stderr"])
+
+
+ACCEPTED = [
+    "count --graph strict --k 5 --from-partition 3,1 --to-partition 5,3,2,1"
+    " --method formula",
+    "count --graph young --k 3 --to 1,2,4 --meth formula --format=json",
+    "verify vandermonde --k 2 --n 2",
+    "hooks --partition 3,2,1",
+    "phi --graph young --k 2 --deg 2",
+    "table --graph pascal --k 2 --deg 2",
+]
+
+
+def test_each_accepted_request_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for command in ACCEPTED:
+        calls.clear()
+        assert run(capsys, *command.split())[0] == 0, command
+        assert calls == [f"tableaux {command.split()[0]}"], command
+
+
+def test_a_hooks_request_checks_builds_and_multiplies_once(capsys,
+                                                           monkeypatch):
+    calls = {"_checked_partition": 0, "_hook_lengths": 0, "_hook_product": 0}
+
+    def counted(name):
+        real = getattr(formulas, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        spy = counted(name)
+        monkeypatch.setattr(formulas, name, spy)
+        monkeypatch.setattr(cli, name, spy, raising=False)
+    rc, out, _ = run(capsys, "hooks", "--partition", "4,2,1")
+    assert (rc, out) == (0, "6 4 2 1\n3 1\n1\nproduct 144\ncount 35\n")
+    assert calls == {"_checked_partition": 1, "_hook_lengths": 1,
+                     "_hook_product": 1}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tableaux import formulas
 from tableaux.cli import main
 from tableaux.formulas import (SYMMETRIZATION_CAP, _symmetrized_sum,
-                               aitken_weight,
+                               aitken_weight, closed_form_count,
                                format_partition, hook_lengths, hook_product,
                                parse_partition, partition_to_young_vertex,
                                skew_weight_fn, skew_weight_limit,
@@ -279,6 +279,16 @@ def test_strict_skew_count_edge_cases():
     assert strict_skew_count((3,), (2, 1), 2) == 0  # not nested
     with pytest.raises(ValueError):
         strict_skew_count((2, 1), (3, 2, 1), 2)  # needs k >= 3
+
+
+def test_closed_forms_reject_vertices_of_two_dimensions():
+    # the strict count compares vertices, so it needs one k as the Young
+    # and full-lattice counts do
+    for kind, v, u in (("pascal", (0, 1), (0, 1, 2)),
+                       ("young", (0, 1), (0, 1, 2)),
+                       ("strict", (0, 1), (0, 0, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            closed_form_count(kind, v, u)
 
 
 def test_strict_skew_from_empty_matches_plain_count():
@@ -574,18 +584,18 @@ def test_vertex_checks_agree_with_graph_membership(kind, check):
 
 def test_a_strict_formula_count_checks_only_at_entry_points(monkeypatch):
     checked, built = [], []
-    real = formulas._checked_strict_partition
-    monkeypatch.setattr(formulas, "_checked_strict_partition",
+    real = formulas._checked_partition
+    monkeypatch.setattr(formulas, "_checked_partition",
                         lambda rows: checked.append(tuple(rows)) or real(rows))
     init = GradedGraph.__init__
     monkeypatch.setattr(GradedGraph, "__init__",
                         lambda self, k: built.append(k) or init(self, k))
     assert main("count --graph strict --k 5 --from-partition 3,1 "
                 "--to-partition 5,3,2,1 --method formula".split()) == 0
-    # once each when the CLI turns the partitions into vertices, and once
-    # each in strict_skew_count, which hands them down unchecked; the one
-    # graph is the CLI's
-    assert checked == [(3, 1), (5, 3, 2, 1)] * 2
+    # once each, when the CLI parses the partitions; the vertices that the
+    # graph accepted go to the closed form unchecked, and the one graph is
+    # the CLI's
+    assert checked == [(3, 1), (5, 3, 2, 1)]
     assert built == [5]
 
 

@@ -221,6 +221,121 @@ def test_builtin_checks_call_membership_at_most_box_squared(kind, monkeypatch):
         assert calls <= (box + 1) ** 2, (check.__name__, calls)
 
 
+@pytest.mark.parametrize("kind", ["young", "strict"])
+def test_scans_do_not_grow_with_the_source(kind, monkeypatch):
+    # the scans before the solve meet the relation as often from a source
+    # with a huge entry as from one with a small entry
+    g = make_graph(kind, 3)
+    calls = scanning = 0
+    relation = g.neighbour_ok
+
+    def counted(a, b):
+        nonlocal calls
+        calls += scanning
+        return relation(a, b)
+
+    def scan(check):
+        def run(graph, box):
+            nonlocal scanning
+            scanning = 1
+            try:
+                return check(graph, box)
+            finally:
+                scanning = 0
+        return run
+
+    monkeypatch.setattr(g, "neighbour_ok", counted)
+    for check in ("check_minimum_closed", "check_coordinate_convex"):
+        monkeypatch.setattr(graded_graphs, check,
+                            scan(getattr(graded_graphs, check)))
+    work = []
+    for top in (100, 10**6):
+        calls = 0
+        construct_weight_series(g, (0, 1, top), top + 2)
+        work.append(calls)
+    assert work[0] == work[1] > 0
+
+
+class _InvariantMutant(_MutantGraph):
+    order_invariant = True
+
+
+def _order_preserving_map(rng, top):
+    """A seeded strictly increasing map of [0, top] into N with 0 -> 0."""
+    values = [0]
+    for _ in range(top):
+        values.append(values[-1] + rng.randint(1, 4))
+    return values
+
+
+@pytest.mark.parametrize("graph", [
+    make_graph("young", 3), make_graph("strict", 3),
+    _InvariantMutant(3, operator.ne)], ids=["young", "strict", "ne"])
+def test_order_invariant_relations_keep_their_box_4_verdicts(graph):
+    relation = graph.neighbour_ok
+    assert graph.order_invariant
+    rng = random.Random(23)
+    side = range(41)
+    for _ in range(20):
+        phi = _order_preserving_map(rng, 40)
+        assert all(relation(phi[a], phi[b]) == relation(a, b)
+                   for a in side for b in side)
+    for check in (check_minimum_closed, check_coordinate_convex):
+        verdict = check(graph, 4).ok
+        assert all(check(graph, b).ok == verdict for b in range(4, 41))
+    if graph.name == "mutant":
+        # the solve scans the small box, so a far source fails at once
+        started = time.perf_counter()
+        with pytest.raises(SeriesConstructionError,
+                           match="minimum_closed fails"):
+            construct_weight_series(graph, (0, 1, 1000), 1002)
+        assert time.perf_counter() - started < 1
+
+
+def _order_class(a, b):
+    """Which of the six order types (a, b) in N^2 has, telling 0 apart:
+    both 0, only b 0, only a 0, then a < b, a == b or a > b.  The
+    order-invariant relations are the unions of these classes."""
+    if a == 0 or b == 0:
+        return (a > 0) + 2 * (b > 0)
+    return 3 + (a >= b) + (a > b)
+
+
+def test_every_order_invariant_relation_keeps_its_box_4_verdicts():
+    verdicts = set()
+    for mask in range(64):
+        g = _InvariantMutant(2, lambda a, b, mask=mask:
+                             bool(mask >> _order_class(a, b) & 1))
+        for check in (check_minimum_closed, check_coordinate_convex):
+            verdict = check(g, 4).ok
+            assert all(check(g, b).ok == verdict for b in range(5, 17)), mask
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("graph, v, bound, box", [
+    (make_graph("young", 3), (0, 1, 40), 44, 4),
+    (make_graph("strict", 2), (0, 1), 2, 3),
+    (_MutantGraph(2, lambda a, b: (b - a) % 2 == 0), (0, 40), 41, 42)],
+    ids=["young-far", "strict-near", "parity"])
+def test_construction_scans_the_box_the_relation_declares(graph, v, bound, box,
+                                                          monkeypatch):
+    # parity is not order-invariant ((0, 2) is in it, but not its image
+    # (0, 1) under a map with 2 -> 1), so its scans keep the whole box
+    boxes = []
+    for name in ("check_minimum_closed", "check_coordinate_convex"):
+        real = getattr(graded_graphs, name)
+        monkeypatch.setattr(graded_graphs, name, lambda graph, b, real=real:
+                            boxes.append(b) or real(graph, b))
+    if graph.order_invariant:
+        construct_weight_series(graph, v, bound)
+        assert boxes == [box, box]
+    else:
+        with pytest.raises(SeriesConstructionError, match="minimum_closed"):
+            construct_weight_series(graph, v, bound)
+        assert boxes == [box]
+
+
 def _pair_scan_oracle(points):
     """Minimum closure by the entrywise minimum of every two points, in
     the order of ``itertools.combinations``."""
