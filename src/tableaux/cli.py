@@ -18,6 +18,12 @@ max_degree.  ``max_pairs`` bounds the sampled pairs of ``verify pairs``, and
 ``max_vertices`` the entries of a custom graph's ``--vertices`` list: its
 minimum-closure scan is quadratic in the list's length, and its convexity
 scan linear (up to a sort), whatever the size of the coordinates.
+
+Each subcommand's options are declared once, in ``_COMMANDS``, which feeds
+both argparse and ``_read_plain``.  A plain request (exact ``--flag value``
+pairs whose values do not start with ``-``, and ``verify``'s check) is read
+from that table without argparse.  Help, usage errors and every other form
+go through argparse, which words them as before.
 """
 
 from __future__ import annotations
@@ -344,99 +350,145 @@ def _cmd_table(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 
 # -- parser -------------------------------------------------------------------------
 
-def _add_graph_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--graph", choices=("pascal", "young", "strict", "custom"),
-                     default="pascal")
-    sub.add_argument("--k", type=int, default=None,
-                     help="number of coordinates")
-    sub.add_argument("--vertices", default=None,
-                     help="custom graph vertex list, e.g. '0,0;1,0;0,1'")
-    sub.add_argument("--from", dest="src", default=None,
-                     help="source vertex, comma separated ascending")
-    sub.add_argument("--from-partition", default=None,
-                     help="source as partition rows, decreasing ('-' for empty)")
+_FORMAT = ("--format", dict(choices=("plain", "json", "csv"), default="plain"))
+_GRAPH_OPTIONS = (
+    ("--graph", dict(choices=("pascal", "young", "strict", "custom"),
+                     default="pascal")),
+    ("--k", dict(type=int, help="number of coordinates")),
+    ("--vertices", dict(help="custom graph vertex list, e.g. '0,0;1,0;0,1'")),
+    ("--from", dict(dest="src",
+                    help="source vertex, comma separated ascending")),
+    ("--from-partition", dict(
+        help="source as partition rows, decreasing ('-' for empty)")),
+)
+
+# Each subcommand's help, handler and options (name, add_argument keywords),
+# in help order: the one declaration of the command line.
+_COMMANDS = {
+    "count": ("count paths between two vertices", _cmd_count, (
+        *_GRAPH_OPTIONS,
+        ("--to", dict(dest="dst",
+                      help="target vertex, comma separated ascending")),
+        ("--to-partition", dict(help="target as partition rows, decreasing")),
+        ("--method", dict(choices=("formula", "oracle", "phi", "all"),
+                          default="all")),
+        _FORMAT)),
+    "verify": ("run a named identity check", _cmd_verify, (
+        ("check", dict(choices=VERIFY_CHECKS)),
+        ("--k", dict(type=int, default=2)),
+        ("--n", dict(type=int, default=3,
+                     help="size parameter (steps or total degree)")),
+        ("--anchor", dict(help="anchor vertex for the skew check")),
+        ("--sigma", dict(default="-", help="distinct-parts anchor partition")),
+        ("--graph", dict(choices=("pascal", "young", "strict"),
+                         default="young")),
+        ("--deg", dict(type=int, default=6,
+                       help="degree range for count cross-checks")),
+        ("--pairs", dict(type=int, default=200)),
+        ("--seed", dict(type=int, default=1)))),
+    "hooks": ("hook lengths of a partition", _cmd_hooks, (
+        ("--partition", dict(required=True,
+                             help="rows, decreasing, e.g. '3,2,1'")),
+        _FORMAT)),
+    "phi": ("construct and verify a weight series", _cmd_phi, (
+        *_GRAPH_OPTIONS,
+        ("--deg", dict(type=int, default=4,
+                       help="how many levels above the base to certify")),
+        _FORMAT)),
+    "table": ("DP path counts from one vertex", _cmd_table, (
+        *_GRAPH_OPTIONS,
+        ("--deg", dict(type=int, default=4, help="how many levels to sweep")),
+        _FORMAT)),
+}
 
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommands' parsers by name, built once per
-    process: they hold no per-request state (budgets are read per call, and
-    handlers look up their helpers when they run), so ``main`` can reuse
-    them."""
+                             dict[str, argparse.ArgumentParser],
+                             dict[str, tuple]]:
+    """The parser, its subcommands' parsers by name and the index that
+    ``_read_plain`` reads, all built from ``_COMMANDS`` once per process:
+    they hold no per-request state (budgets are read per call, and handlers
+    look up their helpers when they run), so ``main`` can reuse them.
+
+    A subcommand's index entry holds, from the actions that argparse made of
+    its options: each flag's (dest, type, choices), and the positional's
+    under None; every dest's default, plus the handler; the required dests."""
     parser = argparse.ArgumentParser(
         prog="tableaux",
         description="Exact path counts in graded lattice graphs, verified "
                     "three ways.")
     subs = parser.add_subparsers(dest="command", required=True)
+    index = {}
+    for command, (help_text, handler, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        flags, defaults, required = {}, {"handler": handler}, set()
+        for name, keywords in options:
+            action = sub.add_argument(name, **keywords)
+            flags[name if action.option_strings else None] = (
+                action.dest, action.type, action.choices)
+            defaults[action.dest] = action.default
+            if action.required:
+                required.add(action.dest)
+        sub.set_defaults(handler=handler)
+        index[command] = (flags, defaults, required)
+    return parser, subs.choices, index
 
-    count = subs.add_parser("count", help="count paths between two vertices")
-    _add_graph_options(count)
-    count.add_argument("--to", dest="dst", default=None,
-                       help="target vertex, comma separated ascending")
-    count.add_argument("--to-partition", default=None,
-                       help="target as partition rows, decreasing")
-    count.add_argument("--method", choices=("formula", "oracle", "phi", "all"),
-                       default="all")
-    count.add_argument("--format", choices=("plain", "json", "csv"),
-                       default="plain")
-    count.set_defaults(handler=_cmd_count)
 
-    verify = subs.add_parser("verify", help="run a named identity check")
-    verify.add_argument("check", choices=VERIFY_CHECKS)
-    verify.add_argument("--k", type=int, default=2)
-    verify.add_argument("--n", type=int, default=3,
-                        help="size parameter (steps or total degree)")
-    verify.add_argument("--anchor", default=None,
-                        help="anchor vertex for the skew check")
-    verify.add_argument("--sigma", default="-",
-                        help="distinct-parts anchor partition")
-    verify.add_argument("--graph", choices=("pascal", "young", "strict"),
-                        default="young")
-    verify.add_argument("--deg", type=int, default=6,
-                        help="degree range for count cross-checks")
-    verify.add_argument("--pairs", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=1)
-    verify.set_defaults(handler=_cmd_verify)
-
-    hooks = subs.add_parser("hooks", help="hook lengths of a partition")
-    hooks.add_argument("--partition", required=True,
-                       help="rows, decreasing, e.g. '3,2,1'")
-    hooks.add_argument("--format", choices=("plain", "json", "csv"),
-                       default="plain")
-    hooks.set_defaults(handler=_cmd_hooks)
-
-    phi = subs.add_parser("phi", help="construct and verify a weight series")
-    _add_graph_options(phi)
-    phi.add_argument("--deg", type=int, default=4,
-                     help="how many levels above the base to certify")
-    phi.add_argument("--format", choices=("plain", "json", "csv"),
-                     default="plain")
-    phi.set_defaults(handler=_cmd_phi)
-
-    table = subs.add_parser("table", help="DP path counts from one vertex")
-    _add_graph_options(table)
-    table.add_argument("--deg", type=int, default=4,
-                       help="how many levels to sweep")
-    table.add_argument("--format", choices=("plain", "json", "csv"),
-                       default="plain")
-    table.set_defaults(handler=_cmd_table)
-
-    return parser, subs.choices
+def _read_plain(argv: list[str],
+                index: dict[str, tuple]) -> argparse.Namespace | None:
+    """The Namespace that argv's subcommand parser would return, when every
+    token after the subcommand is an exact ``--flag value`` pair whose value
+    does not start with ``-``, or the subcommand's one positional: each
+    value converted and checked as its option declares, the last repeat of
+    a flag winning, defaults and handler filled in.  None for any other
+    request (help, abbreviations, ``--flag=value``, values starting with
+    ``-``, stray or unknown strings, bad values, a missing required option),
+    which argparse then reads and words."""
+    entry = index.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    flags, defaults, required = entry
+    values, given = dict(defaults), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            spec, text = flags.get(token), next(tokens, "-")
+            if spec is None or text.startswith("-"):
+                return None
+        else:
+            spec, text = flags.get(None), token
+            if spec is None or spec[0] in given:
+                return None
+        dest, convert, choices = spec
+        try:
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    return argparse.Namespace(**values) if required <= given else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one request.  argv goes straight to its subcommand's parser,
-    which is what the top-level parser would hand it; only a request that
-    names no subcommand, or leaves strings unparsed, is parsed again from
-    the top, so that every usage error is worded as the top level words it."""
+    """Run one request.  A plain request (``--flag value`` pairs and
+    ``verify``'s check) is read from the option table by ``_read_plain``,
+    into the Namespace that argparse would return.  Any other goes straight
+    to its subcommand's parser, which is what the top-level parser would
+    hand it; only a request that names no subcommand, or leaves strings
+    unparsed, is parsed again from the top, so that help and every usage
+    error are worded as argparse words them."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-    if command is None or rest:
-        args = parser.parse_args(argv)
+    parser, commands, index = _build_parser()
+    args = _read_plain(argv, index)
+    if args is None:
+        command = commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+        if command is None or rest:
+            args = parser.parse_args(argv)
     try:
         for flag in ("n", "deg"):
             value = getattr(args, flag, 0)

@@ -465,14 +465,19 @@ def skew_weight_limit(rows: Sequence[int], point: Sequence[int]) -> Fraction:
 
     bounds every c_j."""
     point = tuple(point)
-    return _skew_weight_limit(_checked_symmetrization(rows, len(point)), point)
+    rows = _checked_symmetrization(rows, len(point))
+    # the bound's factorials need the point that the evaluator accepts
+    if not all(isinstance(c, int) and c >= 0 for c in point):
+        raise ValueError(f"need a non-negative integer point, got {point}")
+    return _skew_weight_limit(rows, point)
 
 
 def _weight_bound(rows: Rows, point: Vertex) -> int:
     """The bound M of ``skew_weight_limit``."""
     k, x = len(point), max(point, default=0) + 1
+    # prod_{j<m} (X + j) = (X + m - 1)! / (X - 1)!
     return (perm(k, len(rows)) * (2 * x) ** comb(k, 2)
-            * prod(x + j for m in rows for j in range(m)))
+            * prod(perm(x + m - 1, m) for m in rows))
 
 
 def _skew_weight_limit(rows: Rows, point: Vertex) -> Fraction:

@@ -1,9 +1,14 @@
 """CLI behavior: output formats, exit codes, budgets."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -481,19 +486,181 @@ ACCEPTED = [
 ]
 
 
-def test_each_accepted_request_is_parsed_once(capsys, monkeypatch):
+def _spy_on_parsing(monkeypatch):
+    """The prog of each parser that parse_known_args or parse_args runs."""
     calls = []
-    real = argparse.ArgumentParser.parse_known_args
+    for name in ("parse_known_args", "parse_args"):
+        real = getattr(argparse.ArgumentParser, name)
 
-    def spy(self, *args, **kwargs):
-        calls.append(self.prog)
-        return real(self, *args, **kwargs)
+        def spy(self, *args, _real=real, **kwargs):
+            calls.append(self.prog)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, name, spy)
+    return calls
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+
+def test_each_accepted_request_is_parsed_once(capsys, monkeypatch):
+    calls = _spy_on_parsing(monkeypatch)
     for command in ACCEPTED:
         calls.clear()
         assert run(capsys, *command.split())[0] == 0, command
-        assert calls == [f"tableaux {command.split()[0]}"], command
+        # plain requests are read from the option table; the abbreviated
+        # --meth and the --format=json form go to the count parser, once
+        expected = ["tableaux count"] if "--meth " in command else []
+        assert calls == expected, command
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    calls = _spy_on_parsing(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["tableaux", "hooks", "--partition",
+                                      "3,2,1", "--format", "json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["count"] == "16"
+    assert calls == []
+
+
+def test_a_fresh_interpreter_counts_a_strict_partition():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "tableaux.cli", "count", "--graph", "strict",
+         "--k", "3", "--to-partition", "3,1", "--method", "formula"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
+
+
+# -- the option-table reader against argparse ---------------------------------------
+
+FLAG_VALUES = {
+    "--graph": ("pascal", "young", "strict", "custom"),
+    "--k": ("2", "3", "5", "0", " 4"),
+    "--vertices": ("0,0;1,0;0,1",),
+    "--from": ("0,1", "0,1,3"),
+    "--from-partition": ("3,1", "2"),
+    "--to": ("1,2,4", "x"),
+    "--to-partition": ("5,3,2,1", "3,1"),
+    "--method": ("formula", "oracle", "phi", "all"),
+    "--format": ("plain", "json", "csv"),
+    "--n": ("0", "3"),
+    "--anchor": ("0,1",),
+    "--sigma": ("2,1", "3"),
+    "--deg": ("2", "6"),
+    "--pairs": ("10", "200"),
+    "--seed": ("7", "1"),
+    "--partition": ("3,2,1", "4,2"),
+}
+BAD_VALUES = ("x", "2.5", "nonsense", "")
+_GRAPH_FLAGS = ("--graph", "--k", "--vertices", "--from", "--from-partition")
+COMMAND_FLAGS = {
+    "count": _GRAPH_FLAGS + ("--to", "--to-partition", "--method", "--format"),
+    "verify": ("--k", "--n", "--anchor", "--sigma", "--graph", "--deg",
+               "--pairs", "--seed"),
+    "hooks": ("--partition", "--format"),
+    "phi": _GRAPH_FLAGS + ("--deg", "--format"),
+    "table": _GRAPH_FLAGS + ("--deg", "--format"),
+}
+DASH_VALUES = ("-", "-1,2", "--", "-1")
+
+
+def _generated_request(rng):
+    """A seeded argv, and whether it is plain: only --flag value pairs whose
+    values do not start with '-', and verify's check."""
+    command = rng.choice(sorted(COMMAND_FLAGS))
+    flags = COMMAND_FLAGS[command]
+    tokens = []
+    for flag in rng.sample(flags, rng.randint(0, len(flags))):
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            values = BAD_VALUES if rng.random() < 0.1 else FLAG_VALUES[flag]
+            tokens.append([flag, rng.choice(values)])
+    rng.shuffle(tokens)
+    if command == "verify" and rng.random() < 0.9:
+        tokens.insert(rng.randint(0, len(tokens)),
+                      [rng.choice(cli.VERIFY_CHECKS + ("nonsense",))])
+    odd = "plain" if rng.random() < 0.5 else rng.choice((
+        "abbreviated", "equals", "dash", "unknown", "stray", "help",
+        "dangling"))
+    pairs = [pair for pair in tokens if len(pair) == 2]
+    if odd in ("abbreviated", "equals", "dash") and not pairs:
+        odd = "stray"
+    if odd == "abbreviated":
+        pair = rng.choice(pairs)
+        pair[0] = pair[0][:rng.randint(3, max(3, len(pair[0]) - 1))]
+    elif odd == "equals":
+        pair = rng.choice(pairs)
+        pair[:] = [f"{pair[0]}={pair[1]}"]
+    elif odd == "dash":
+        rng.choice(pairs)[1] = rng.choice(DASH_VALUES)
+    elif odd != "plain":
+        where = rng.randint(0, len(tokens))
+        tokens.insert(where, {"unknown": ["--bogus", "1"], "stray": ["extra"],
+                              "help": [rng.choice(("-h", "--help"))],
+                              "dangling": [rng.choice(flags)]}[odd])
+    argv = [command] + [token for pair in tokens for token in pair]
+    return argv, odd in ("plain", "stray")
+
+
+def _argparse_reads(argv):
+    """The Namespace of argv's subcommand parser, or None when argparse
+    rejects argv, prints help, or leaves strings over."""
+    _, commands, _ = cli._build_parser()
+    if not argv or argv[0] not in commands:
+        return None
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        except SystemExit:
+            return None
+    return None if rest else args
+
+
+def _workload_requests():
+    """Plain requests of the shapes the benchmark sends."""
+    count = ["count", "--graph", "strict", "--k", "5", "--from-partition",
+             "3,2", "--to-partition", "5,3,2,1", "--method", "formula"]
+    series = [["count", "--graph", graph, "--k", "3", "--from", "0,1,2",
+               "--to", "1,3,4", "--method", "phi"] for graph in
+              ("pascal", "young", "strict")]
+    phi = [["phi", "--graph", graph, "--k", "4", "--from", "0,1,2,3",
+            "--deg", "5"] for graph in ("pascal", "young", "strict")]
+    verify = [["verify", "polycomponent", "--k", "3", "--n", "5"],
+              ["verify", "skew-polycomponent", "--sigma", "2,1", "--k", "3",
+               "--n", "6"],
+              ["verify", "pfaffian", "--k", "6"],
+              ["verify", "pairs", "--graph", "young", "--k", "4", "--deg",
+               "9", "--pairs", "500", "--seed", "123456"],
+              ["verify", "counts", "--graph", "strict", "--k", "3", "--deg",
+               "11"],
+              ["verify", "construction", "--graph", "pascal", "--k", "3",
+               "--deg", "5"],
+              ["verify", "controls"]]
+    return [count, *series, *phi, *verify]
+
+
+def test_the_option_table_reader_agrees_with_argparse():
+    _, _, index = cli._build_parser()
+    golden = json.loads(Path(__file__).with_name("cli_golden.json")
+                        .read_text())
+    recorded = ([(case["command"].split(), False) for case in golden]
+                + [(case["argv"], False) for case in USAGE]
+                + [(command.split(), False) for command in ACCEPTED])
+    rng = random.Random(2015)
+    generated = [_generated_request(rng) for _ in range(1000)]
+    workload = [(argv, True) for argv in _workload_requests()]
+    read = 0
+    for argv, plain in recorded + generated + workload:
+        ours, theirs = cli._read_plain(argv, index), _argparse_reads(argv)
+        if ours is not None:
+            read += 1
+            assert ours == theirs, argv
+        else:
+            assert not (plain and theirs is not None), argv
+    # a third of the generated requests are read
+    assert read > 300
+    fault = ["count", "--graph", "custom", "--vertices=-1,-2;-1,1;0,0",
+             "--from=-1,-2", "--to=-1,1", "--method", "phi"]
+    assert cli._read_plain(fault, index) is None
+    assert _argparse_reads(fault) is not None
 
 
 def test_a_hooks_request_checks_builds_and_multiplies_once(capsys,

@@ -5,7 +5,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import given
@@ -501,6 +501,32 @@ def test_packed_weight_limits_match_truncated_series(k):
     # order is sum over i < j of min(i, j) with zeros numbered from 1
     assert orders == {sum(min(i, j) for i, j in itertools.combinations(
         range(1, z + 1), 2)) for z in range(k + 1)}
+
+
+def _weight_bound_by_products(rows, point):
+    # the bound as first written: one factor X + j per cell of the rows
+    k, x = len(point), max(point, default=0) + 1
+    return (perm(k, len(rows)) * (2 * x) ** comb(k, 2)
+            * prod(x + j for m in rows for j in range(m)))
+
+
+def test_weight_bound_matches_its_product_form():
+    rng = random.Random(24)
+    rows_list = [()] + [(m,) for m in range(13)] + [
+        tuple(rng.choice(range(13)) for _ in range(rng.randint(2, 4)))
+        for _ in range(40)]
+    for rows in rows_list:
+        for top in range(41):
+            for k in (1, 3, 6):
+                point = (*(rng.randint(0, top) for _ in range(k - 1)), top)
+                assert formulas._weight_bound(rows, point) == \
+                    _weight_bound_by_products(rows, point), (rows, point)
+
+
+def test_skew_weight_limit_needs_a_non_negative_integer_point():
+    for point in [(-5, -3), (-1, 2), (Fraction(1, 2), 1), (1.0, 0)]:
+        with pytest.raises(ValueError, match="point"):
+            skew_weight_limit((1,), point)
 
 
 @pytest.mark.parametrize("k", range(1, SYMMETRIZATION_CAP + 1))
