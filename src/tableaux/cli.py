@@ -209,6 +209,8 @@ def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 def _verify_reports(args: argparse.Namespace,
                     budgets: dict[str, int]) -> list[VerifyReport]:
     name = args.check
+    if name not in ("controls", "sweep") and args.k < 1:
+        raise ValueError("need k >= 1")
     if name in ("vandermonde", "multinomial", "hook", "skew", "polycomponent",
                 "skew-polycomponent"):
         _require(budgets, max_k=args.k, max_n=args.n)

@@ -30,11 +30,13 @@ checked values are passed down to private bodies (``_hook_product``,
 ``_skew_weight_limit``, ...).  The CLI checks its inputs where it reads
 them, and calls the private bodies: a partition argument is checked by
 ``parse_partition`` and, on the strict graph, the distinct-parts test of
-``_partition_vertex``; a vertex by the graph's ``contains``, which tests
-the relation ``_checked_vertex`` tests, before ``_closed_form_count``.  For the
-Laurent expansions of the identity suite, ``skew_weight_fn`` writes the
-same weight function as a Pfaffian, one small fraction per matching over
-that matching's own pair sums, and ``strict_skew_path_series`` multiplies
+``_partition_vertex``; a vertex by the graph's ``contains`` before
+``_closed_form_count``.  ``contains`` and ``_checked_vertex``, the check
+of the public functions, apply one rule, ``graded_graphs.in_relation``.
+For the Laurent expansions of the identity suite, ``skew_weight_fn`` writes
+the same weight function as a Pfaffian, one small fraction per matching
+over that matching's own pair sums, with the matchings listed by
+``laurent.signed_matchings``, and ``strict_skew_path_series`` multiplies
 each fraction by a falling factorial.
 """
 
@@ -46,8 +48,8 @@ from fractions import Fraction
 from math import comb, factorial, perm, prod
 from typing import Sequence
 
-from .graded_graphs import RestrictedYoungGraph, StrictPartitionGraph
-from .laurent import RationalFn, evaluate_with_limits
+from .graded_graphs import GRAPH_KINDS, in_relation
+from .laurent import RationalFn, evaluate_with_limits, signed_matchings
 from .multipoly import (MultiPoly, det, divide_exact_linear,
                         falling_factorial, ff_of_poly, ff_poly, multinomial)
 
@@ -59,26 +61,15 @@ SYMMETRIZATION_CAP = 7
 
 # -- validation ---------------------------------------------------------------
 
-def _satisfies(v: Vertex, neighbour_ok) -> bool:
-    """Whether v is a vertex of the built-in graph on len(v) coordinates
-    with this relation, as its ``contains`` decides, without building the
-    graph."""
+def _checked_vertex(kind: str, v: Sequence[int]) -> Vertex:
+    """v as a vertex of the built-in graph of the given kind, by the rule
+    its ``contains`` applies (``graded_graphs.in_relation``), without
+    building the graph."""
+    v = tuple(map(int, v))
     if not v:
         raise ValueError("need k >= 1")
-    return min(v) >= 0 and all(map(neighbour_ok, v, v[1:]))
-
-
-def _checked_young_vertex(v: Sequence[int]) -> Vertex:
-    v = tuple(map(int, v))
-    if not _satisfies(v, RestrictedYoungGraph.neighbour_ok):
-        raise ValueError(f"{v} is not a strictly increasing non-negative tuple")
-    return v
-
-
-def _checked_strict_vertex(v: Sequence[int]) -> Vertex:
-    v = tuple(map(int, v))
-    if not _satisfies(v, StrictPartitionGraph.neighbour_ok):
-        raise ValueError(f"{v} must increase weakly, with repeats only at zero")
+    if not in_relation(v, GRAPH_KINDS[kind].neighbour_ok):
+        raise ValueError(f"{v} is not a vertex of the {kind} graph")
     return v
 
 
@@ -106,7 +97,7 @@ def _distinct_parts(rows: Rows) -> Rows:
 # -- codecs -------------------------------------------------------------------
 
 def young_vertex_to_partition(v: Sequence[int]) -> Rows:
-    return _young_rows(_checked_young_vertex(v))
+    return _young_rows(_checked_vertex("young", v))
 
 
 def _young_rows(v: Vertex) -> Rows:
@@ -144,7 +135,7 @@ def _strict_vertex(rows: Rows, k: int) -> Vertex:
 
 
 def strict_vertex_to_partition(v: Sequence[int]) -> Rows:
-    return _strict_rows(_checked_strict_vertex(v))
+    return _strict_rows(_checked_vertex("strict", v))
 
 
 def _strict_rows(v: Vertex) -> Rows:
@@ -192,7 +183,7 @@ def multinomial_paths(v_from: Sequence[int], v_to: Sequence[int]) -> int:
 def syt_count(v: Sequence[int]) -> int:
     """Paths from (0, 1, .., k-1) to v: the ratio-product formula
     steps! / prod(v_i!) * prod_{i<j} (v_j - v_i)."""
-    return _syt_count(_checked_young_vertex(v))
+    return _syt_count(_checked_vertex("young", v))
 
 
 def _syt_count(v: Vertex) -> int:
@@ -236,8 +227,8 @@ def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
 
 def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
     """Paths between two strictly increasing tuples: ``aitken_weight``."""
-    return _young_path_count(_checked_young_vertex(v_from),
-                             _checked_young_vertex(v_to))
+    return _young_path_count(_checked_vertex("young", v_from),
+                             _checked_vertex("young", v_to))
 
 
 def _young_path_count(v: Vertex, u: Vertex) -> int:
@@ -388,20 +379,6 @@ def skew_weight_polynomial(rows: Sequence[int], k: int) -> MultiPoly:
     return result
 
 
-def _matchings(free: tuple[int, ...], allowed):
-    """Each perfect matching of ``free`` with allowed(a, b) on all its pairs,
-    as (sign, pairs), by first-row expansion: the first index a is paired
-    with each later index b, the sign alternating with b's position."""
-    if not free:
-        yield 1, ()
-        return
-    a, rest = free[0], free[1:]
-    for pos, b in enumerate(rest):
-        if allowed(a, b):
-            for sign, pairs in _matchings(rest[:pos] + rest[pos + 1:], allowed):
-                yield (-sign if pos % 2 else sign), ((a, b),) + pairs
-
-
 def skew_weight_fn(rows: Sequence[int], k: int) -> RationalFn:
     """The weight function prod (x_i - x_j)/(x_i + x_j) * psi_rows as the
     Pfaffian of [[R, F], [-F^T, 0]] (Jozefiak-Pragacz, Nimmo), where
@@ -409,14 +386,18 @@ def skew_weight_fn(rows: Sequence[int], k: int) -> RationalFn:
     the k variables, a zero variable when k + l is odd, the rows from last
     to first.  Row-row and zero-variable-row entries vanish; a variable
     paired with the zero variable gives R = 1.  Expanded along its first
-    row, it is one fraction per perfect matching, over the sums
-    (x_a + x_b) of that matching's variable pairs only."""
+    row by ``signed_matchings``, pruned to the pairs (a, b) with a < k,
+    which are all the nonzero entries, it is one fraction per perfect
+    matching, over the sums (x_a + x_b) of that matching's variable pairs
+    only."""
     rows = _checked_symmetrization(rows, k)
     pad = (k + len(rows)) % 2
     size = k + pad + len(rows)
     xs = [MultiPoly.var(k, i) for i in range(k)]
     terms = []
-    for sign, pairs in _matchings(tuple(range(size)), lambda a, b: a < k):
+    for sign, pairs in signed_matchings(
+            size, (), lambda pairs, a, b, _: pairs + ((a, b),),
+            lambda a, b: a < k):
         numerator = MultiPoly.const(k, sign)
         variable_pairs = []
         for a, b in pairs:
@@ -505,7 +486,7 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
 
 def _strict_skew_count(v: Vertex, u: Vertex) -> int:
     """``strict_skew_count`` between vertices of the strict graph, as
-    ``_checked_strict_vertex`` or ``StrictPartitionGraph.contains`` accepts
+    ``_checked_vertex`` or ``StrictPartitionGraph.contains`` accepts
     them."""
     if len(v) != len(u):
         raise ValueError("dimension mismatch")
@@ -527,31 +508,11 @@ def _strict_skew_count(v: Vertex, u: Vertex) -> int:
 
 # -- dispatch -----------------------------------------------------------------
 
-def _checked_vertex(kind: str, v: Sequence[int]) -> Vertex:
-    """v as a vertex of the built-in graph of the given kind, checked as
-    its closed form needs; the full lattice's count checks its own, and a
-    kind with no closed form is rejected by ``_closed_form_count``."""
-    if kind == "young":
-        return _checked_young_vertex(v)
-    if kind == "strict":
-        return _checked_strict_vertex(v)
-    return tuple(v)
-
-
-def closed_form_count(kind: str, v_from: Sequence[int],
-                      v_to: Sequence[int]) -> tuple[str, int]:
-    """The closed-form path count between two vertices of the lattice graph
-    of the given kind, with the name of the formula that produced it.  Both
-    vertices are checked here; ``tableaux count`` checks them once, by the
-    graph's ``contains``, and calls ``_closed_form_count``."""
-    return _closed_form_count(kind, _checked_vertex(kind, v_from),
-                              _checked_vertex(kind, v_to))
-
-
 def _closed_form_count(kind: str, v: Vertex, u: Vertex) -> tuple[str, int]:
-    """``closed_form_count`` on vertices from ``_checked_vertex``, or on
-    vertices that the graph's ``contains`` accepted, which tests the same
-    relation."""
+    """The closed-form path count between two vertices of the lattice graph
+    of the given kind, with the name of the formula that produced it, on
+    vertices from ``_checked_vertex`` or that the graph's ``contains``
+    accepted, which applies the same rule."""
     if kind == "pascal":
         return "multinomial", multinomial_paths(v, u)
     if kind == "young":

@@ -29,8 +29,9 @@ Both hypotheses reduce to two dimensions for the built-in graphs.  Their
 vertex sets all have one form: c is a vertex when every c_i >= 0 and every
 neighbouring pair (c_i, c_{i+1}) lies in one relation R on N^2, the class's
 ``neighbour_ok`` (young: a < b; strict: a < b or a == b == 0; pascal: no
-relation, so every pair).  ``GradedGraph.contains`` is defined once from R,
-so this form holds by construction.  Inside the box [0, b]^k:
+relation, so every pair).  ``in_relation`` is that rule, written once:
+``GradedGraph.contains`` calls it, and so does the vertex check of the
+closed forms, so this form holds by construction.  Inside the box [0, b]^k:
 
 * minimum-closed: min acts one coordinate at a time, so the pair of
   min(u, w) at (i, i+1) is the minimum of the pairs of u and w there.  If
@@ -148,13 +149,22 @@ def majorates(w: Vertex, u: Vertex) -> bool:
     return all(map(operator.le, u, w))
 
 
+def in_relation(v: Vertex, neighbour_ok: Callable[[int, int], bool] | None
+                ) -> bool:
+    """Whether the non-empty v has every entry >= 0 and every neighbouring
+    pair (v_i, v_(i+1)) in the relation ``neighbour_ok``, which admits
+    every pair when it is None: the vertex rule of the built-in graphs."""
+    return min(v) >= 0 and (neighbour_ok is None
+                            or all(map(neighbour_ok, v, v[1:])))
+
+
 class GradedGraph:
     """Base: a membership predicate plus the induced +e_i edges.
 
-    c is a vertex when it has k entries, all >= 0, and every neighbouring
-    pair (c_i, c_{i+1}) satisfies ``neighbour_ok``; None admits every pair.
-    A subclass sets ``neighbour_ok`` and keeps this ``contains``: the
-    hypothesis checks rely on that form (see the module docstring)."""
+    c is a vertex when it has k entries and passes ``in_relation`` with
+    ``neighbour_ok``.  A subclass sets ``neighbour_ok`` and keeps this
+    ``contains``: the hypothesis checks rely on that form (see the module
+    docstring)."""
 
     name = "graph"
     neighbour_ok: Callable[[int, int], bool] | None = None
@@ -169,10 +179,7 @@ class GradedGraph:
         self._successors: dict[Vertex, tuple[Vertex, ...]] = {}
 
     def contains(self, v: Vertex) -> bool:
-        if len(v) != self.k or min(v) < 0:
-            return False
-        ok = self.neighbour_ok
-        return ok is None or all(map(ok, v, v[1:]))
+        return len(v) == self.k and in_relation(v, self.neighbour_ok)
 
     def base_vertex(self) -> Vertex:
         """Canonical minimal vertex used as the default source."""

@@ -32,7 +32,9 @@ The rational functions themselves are built in ``formulas``.
 
 ``verify_pfaffian_product`` checks Schur's identity: the Pfaffian of the
 pair ratio matrix (x_i - x_j)/(x_i + x_j) is the product of the ratios.  It
-clears the denominators and expands the Pfaffian along its first row.
+clears the denominators and expands the Pfaffian along its first row with
+``signed_matchings``, the one first-row expansion of the package, which
+also lists the matchings of ``formulas.skew_weight_fn``.
 The polynomial-component checks expand the strict series as such a
 Pfaffian and take its limits from the product, so at the empty partition
 this identity backs them.  Both sides are compared as integers by
@@ -53,12 +55,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .multipoly import Coeff, MultiPoly, grlex_key
 from .reports import VerifyReport, failed, passed
 
 SignedExponents = tuple[int, ...]
+T = TypeVar("T")
 
 
 class LimitInfiniteError(ArithmeticError):
@@ -279,36 +282,54 @@ def _unpack(value: int, k: int) -> dict[SignedExponents, int]:
     return terms
 
 
+def signed_matchings(n: int, start: T,
+                     pair: Callable[[T, int, int, tuple[int, ...]], T],
+                     admit: Callable[[int, int], bool] | None = None,
+                     ) -> Iterator[tuple[int, T]]:
+    """Each perfect matching of the indices 0..n-1 whose pairs all pass
+    ``admit`` (every pair when it is None), as (sign, accumulator), by
+    first-row expansion of a Pfaffian: the first free index a is paired
+    with each later free index b in turn, the sign alternating with b's
+    position among them.  The accumulator starts at ``start`` and each
+    pair folds it once, as pair(acc, a, b, others) with ``others`` the
+    indices still free after a and b, so matchings that share a prefix of
+    pairs share its accumulator.  Matchings come in the order of the
+    expansion, each with the sign of the permutation listing its pairs."""
+    def fold(free: tuple[int, ...], acc: T) -> Iterator[tuple[int, T]]:
+        if not free:
+            yield 1, acc
+            return
+        a, rest = free[0], free[1:]
+        for pos, b in enumerate(rest):
+            if admit is None or admit(a, b):
+                others = rest[:pos] + rest[pos + 1:]
+                for sign, leaf in fold(others, pair(acc, a, b, others)):
+                    yield (-sign if pos % 2 else sign), leaf
+
+    return fold(tuple(range(n)), start)
+
+
 def _matching_sum(shifts: Sequence[int | None]) -> int:
     """sum over perfect matchings M of the entries of
     sign(M) * prod_{(a,b) in M} (x_a - x_b) * prod_{other a<b} (x_a + x_b),
     the Pfaffian of (x_a - x_b)/(x_a + x_b) times prod_{a<b} (x_a + x_b),
     at x_a = 2^shifts[a] (0 where the shift is None).
 
-    Expanded along the first row: the first free index a is matched with
-    each other free index b in turn, the sign alternating with b's
-    position, and every pair that meets a or b is multiplied in once per
-    branch, as (x_a - x_b) and (x_a + x_i)(x_b + x_i) for each index i
-    still free.  The pairs among those i are left to the recursion, which
-    takes the branch's product so far and multiplies on, so every factor is
-    one ``_times`` and no two large integers are multiplied.  Needs an even
-    number of entries."""
-    def pf(free: tuple[int, ...], p: int) -> int:
-        a, rest = free[0], free[1:]
-        if len(rest) == 1:
-            return _times(p, shifts[a], shifts[rest[0]], -1)
-        total = 0
-        for pos, b in enumerate(rest):
-            others = rest[:pos] + rest[pos + 1:]
-            term = _times(p, shifts[a], shifts[b], -1)
-            for i in others:
-                term = _times(_times(term, shifts[a], shifts[i], 1),
-                              shifts[b], shifts[i], 1)
-            term = pf(others, term)
-            total = total - term if pos % 2 else total + term
-        return total
+    The accumulator of ``signed_matchings`` is the product so far: pairing
+    a with b multiplies in (x_a - x_b) and (x_a + x_i)(x_b + x_i) for each
+    index i still free, and the pairs among those i are left to later
+    pairs, so each factor is one ``_times``, no two large integers are
+    multiplied, and matchings that share a prefix share its product.
+    Needs an even number of entries."""
+    def pair(p: int, a: int, b: int, others: tuple[int, ...]) -> int:
+        sa, sb = shifts[a], shifts[b]
+        p = _times(p, sa, sb, -1)
+        for i in others:
+            p = _times(_times(p, sa, shifts[i], 1), sb, shifts[i], 1)
+        return p
 
-    return pf(tuple(range(len(shifts))), 1)
+    return sum(p if sign > 0 else -p
+               for sign, p in signed_matchings(len(shifts), 1, pair))
 
 
 def verify_pfaffian_product(k: int) -> VerifyReport:

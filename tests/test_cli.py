@@ -196,6 +196,16 @@ def test_verify_rejects_requests_that_check_nothing(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("check", [c for c in cli.VERIFY_CHECKS
+                                   if c not in ("controls", "sweep")])
+def test_verify_rejects_k_below_one_in_one_wording(capsys, check, k):
+    # every check that reads --k rejects it alike, before any internal
+    # message (an empty matrix, no variables) can surface
+    assert run(capsys, "verify", check, "--k", k) == (
+        2, "", "error: need k >= 1\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("verify", "counts", "--deg", "-1"), "--deg"),
     (("verify", "pairs", "--deg", "-1"), "--deg"),

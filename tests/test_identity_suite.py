@@ -156,19 +156,21 @@ def test_counts_from_base_checks_the_strict_product(monkeypatch):
     assert rep.witness["ratio_product"] == rep.witness["dp"] + 1
 
 
-@pytest.mark.parametrize("kind,check", [("young", "_checked_young_vertex"),
-                                        ("strict", "_checked_strict_vertex")])
-def test_formula_routes_check_each_vertex_once(monkeypatch, kind, check):
+@pytest.mark.parametrize("kind", ["young", "strict"])
+def test_formula_routes_check_each_vertex_once(monkeypatch, kind):
     # each source is checked once, and each target once per distinct pair;
     # the base vertex's other routes take the checked target
     calls = []
-    real = getattr(formulas, check)
+    real = formulas._checked_vertex
 
-    def spy(v):
+    def spy(checked_kind, v):
         calls.append(v)
-        return real(v)
+        return real(checked_kind, v)
 
-    monkeypatch.setattr(formulas, check, spy)
+    # the suite calls the check by its own name, the public routes by
+    # the module's
+    monkeypatch.setattr(formulas, "_checked_vertex", spy)
+    monkeypatch.setattr(identity_suite, "_checked_vertex", spy)
     rep = check_counts_from_base(kind, 3, 5)
     assert rep.ok, rep.witness
     assert len(calls) == 1 + rep.params["targets"]

@@ -15,7 +15,8 @@ from tableaux.laurent import (LimitInfiniteError, RationalFn, _matching_sum,
                               _packing, _unpack,
                               check_trailing_negative_coeffs, coefficients,
                               evaluate_with_limits, expand,
-                              polynomial_component, verify_pfaffian_product)
+                              polynomial_component, signed_matchings,
+                              verify_pfaffian_product)
 from tableaux.multipoly import MultiPoly, canonical_text, grlex_key
 
 
@@ -212,21 +213,50 @@ def _sign(p):
     return -1 if inversions % 2 else 1
 
 
+def _brute_force_matchings(n):
+    """Every perfect matching of 0..n-1 as (sign, pairs), read off the
+    permutations that list it as increasing pairs in increasing order of
+    their first entries, signed by inversion count, in the permutations'
+    lexicographic order."""
+    if n % 2:
+        return []
+    found = []
+    for p in itertools.permutations(range(n)):
+        pairs = tuple(zip(p[::2], p[1::2]))
+        if all(a < b for a, b in pairs) and list(p[::2]) == sorted(p[::2]):
+            found.append((_sign(p), pairs))
+    return found
+
+
 def _brute_force_matching_sum(xs):
-    """The cleared Pfaffian straight from its definition: every perfect
-    matching, read off the permutations that list it as sorted pairs in
-    increasing order of their first entries, signed by inversion count."""
+    """The cleared Pfaffian straight from its definition, over every
+    perfect matching that ``_brute_force_matchings`` reads off the
+    permutations."""
     m = len(xs)
     total = MultiPoly.zero(xs[0].k)
-    for p in itertools.permutations(range(m)):
-        pairs = list(zip(p[::2], p[1::2]))
-        if any(a > b for a, b in pairs) or list(p[::2]) != sorted(p[::2]):
-            continue
-        term = MultiPoly.const(xs[0].k, _sign(p))
+    for sign, pairs in _brute_force_matchings(m):
+        term = MultiPoly.const(xs[0].k, sign)
         for a, b in itertools.combinations(range(m), 2):
             term = term * (xs[a] - xs[b] if (a, b) in pairs else xs[a] + xs[b])
         total = total + term
     return total
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_signed_matchings_are_the_brute_force_matchings(n):
+    def pair(pairs, a, b, others):
+        # others is what stays free once a and b are paired
+        taken = {c for ab in pairs for c in ab} | {a, b}
+        assert others == tuple(c for c in range(n) if c not in taken)
+        return pairs + ((a, b),)
+
+    every = _brute_force_matchings(n)
+    assert list(signed_matchings(n, (), pair)) == every
+    for k in range(n + 1):
+        admitted = [(sign, pairs) for sign, pairs in every
+                    if all(a < k for a, _ in pairs)]
+        assert list(signed_matchings(n, (), pair,
+                                     lambda a, b: a < k)) == admitted
 
 
 def _packing_point(k):
