@@ -12,7 +12,8 @@ from .formulas import (format_partition, hook_lengths, hook_product,
                        multinomial_paths, parse_partition,
                        partition_to_young_vertex, skew_weight_fn,
                        skew_weight_polynomial, strict_count,
-                       strict_partition_to_vertex, strict_skew_count,
+                       strict_partition_to_vertex, strict_pfaffian_count,
+                       strict_skew_count,
                        strict_skew_path_series, strict_vertex_to_partition,
                        syt_count, syt_count_hook, young_path_count,
                        young_vertex_to_partition)
@@ -32,7 +33,7 @@ __all__ = [
     "hook_product", "make_graph", "multinomial_paths", "parse_partition",
     "partition_to_young_vertex", "path_count_table", "polynomial_component",
     "skew_weight_fn", "skew_weight_polynomial", "strict_count",
-    "strict_partition_to_vertex", "strict_skew_count",
+    "strict_partition_to_vertex", "strict_pfaffian_count", "strict_skew_count",
     "strict_skew_path_series", "strict_vertex_to_partition", "syt_count",
     "syt_count_hook", "verify_pfaffian_product", "verify_weight_conditions",
     "weighted_path_count", "young_path_count", "young_vertex_to_partition",

@@ -134,8 +134,9 @@ def _resolve_vertex(graph: GradedGraph, vertex_text: str | None,
     if vertex_text is not None:
         v = _parse_vertex(vertex_text)
     elif partition_text is not None:
-        v = _partition_vertex(graph.name, parse_partition(partition_text),
-                              graph.k)
+        # the codec takes checked rows to a vertex of the graph
+        return _partition_vertex(graph.name, parse_partition(partition_text),
+                                 graph.k)
     elif default is not None:
         v = default
     else:
@@ -182,8 +183,8 @@ def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     counts: dict[str, int] = {}
     for method in methods:
         if method == "formula":
-            # src and dst passed graph.contains, the relation the closed
-            # forms check
+            # src and dst are vertices of the graph, by graph.contains or
+            # by the codec, in the relation the closed forms check
             counts[method] = _closed_form_count(graph.name, src, dst)[1]
         elif method == "oracle":
             counts[method] = count_paths_dp(graph, src, dst)
@@ -471,7 +472,9 @@ def _read_plain(argv: list[str],
             return None
         values[dest] = value
         given.add(dest)
-    return argparse.Namespace(**values) if required <= given else None
+    args = argparse.Namespace()
+    vars(args).update(values)  # one update, not a setattr per value
+    return args if required <= given else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -9,24 +9,30 @@ between the two pictures:
 * a weakly increasing tuple with repeats only at zero encodes a partition
   into distinct parts (the positive entries, read backwards).
 
-Counts come from product and determinant formulas: multinomials for the
-full lattice, the ratio product / hook lengths / falling-factorial
-determinant family for the Young case, and a symmetrized weight function
-for the distinct-parts case.  Aitken's determinant, the Young count between
-any two vertices, is formed on entries s!/(u_i - v_j)! bounded by the step
-count s (``aitken_weight``), so its cost does not grow with the
-coordinates.  Each count is formed on plain ints as a
-numerator and a denominator and divided once; a remainder raises
+Counts come from product, determinant and Pfaffian formulas: multinomials
+for the full lattice, the ratio product / hook lengths / falling-factorial
+determinant family for the Young case, and for the distinct-parts case the
+ratio product at the base and a Pfaffian of two-row counts between any two
+vertices.  Aitken's determinant, the Young count between any two vertices,
+is formed on entries s!/(u_i - v_j)! bounded by the step count s
+(``aitken_weight``), and the strict Pfaffian (``strict_pfaffian_count``),
+which ``tableaux count`` takes, on entries bounded the same way, so
+neither cost grows with the coordinates.  Each count is formed on plain
+ints as a numerator and a denominator and divided once; a remainder raises
 ``ArithmeticError``, and so does a negative count where one can arise.
 The hook product is cross-checked by cross-multiplication, with no
-division.  The symmetrized weight function is a sum over permutations; a
-count hands it to ``laurent.evaluate_with_limits``, which evaluates it
-directly at the target in Z[t]/(t^(d+1)), where t replaces each zero
-coordinate and d is the t-order of prod (x_i + x_j), packed into plain
-Python integers with t = 2^B; ``skew_weight_limit`` proves the bound on
-the coefficients that fixes B.  The sum is never expanded into a
-polynomial.  Inputs are checked once, at the public functions, and the
-checked values are passed down to private bodies (``_hook_product``,
+division.  The paper's own strict count, ``strict_skew_count``, is the
+cross-check of the Pfaffian in the identity suite, up to
+``SYMMETRIZATION_CAP`` coordinates: a symmetrized weight function, a sum
+over permutations that ``laurent.evaluate_with_limits`` evaluates directly
+at the target in Z[t]/(t^(d+1)), where t replaces each zero coordinate and
+d is the t-order of prod (x_i + x_j), packed into plain Python integers
+with t = 2^B; ``skew_weight_limit`` proves the bound on the coefficients
+that fixes B.  Its integers still grow with the target's entries.  The sum
+is never expanded into a polynomial.
+
+Inputs are checked once, at the public functions, and the checked values
+are passed down to private bodies (``_hook_product``,
 ``_skew_weight_limit``, ...).  The CLI checks its inputs where it reads
 them, and calls the private bodies: a partition argument is checked by
 ``parse_partition`` and, on the strict graph, the distinct-parts test of
@@ -51,7 +57,8 @@ from typing import Sequence
 from .graded_graphs import GRAPH_KINDS, in_relation
 from .laurent import RationalFn, evaluate_with_limits, signed_matchings
 from .multipoly import (MultiPoly, det, divide_exact_linear,
-                        falling_factorial, ff_of_poly, ff_poly, multinomial)
+                        falling_factorial, ff_of_poly, ff_poly, multinomial,
+                        pf)
 
 Vertex = tuple[int, ...]
 Rows = tuple[int, ...]
@@ -92,6 +99,19 @@ def _distinct_parts(rows: Rows) -> Rows:
     if not all(map(operator.gt, rows, rows[1:])):
         raise ValueError(f"{rows} has repeated parts")
     return rows
+
+
+def _quotient(numerator: int, denominator: int, *where: object,
+              signed: bool = False) -> int:
+    """numerator / denominator, exactly: a remainder raises
+    ArithmeticError, and so does a negative quotient unless ``signed``; the
+    message names ``where``."""
+    count, remainder = divmod(numerator, denominator)
+    if remainder or count < 0 and not signed:
+        raise ArithmeticError(" ".join(map(str, (
+            f"non-integer count {numerator}/{denominator}" if remainder
+            else f"negative count {count}", *where))))
+    return count
 
 
 # -- codecs -------------------------------------------------------------------
@@ -190,12 +210,7 @@ def _syt_count(v: Vertex) -> int:
     k = len(v)
     numerator = factorial(sum(v) - k * (k - 1) // 2) * prod(
         b - a for a, b in itertools.combinations(v, 2))
-    denominator = prod(map(factorial, v))
-    count, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"non-integer count {numerator}/{denominator} at {v}")
-    return count
+    return _quotient(numerator, prod(map(factorial, v)), "at", v)
 
 
 def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
@@ -218,11 +233,7 @@ def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
     # s!/d! at each difference d in [0, s]; any other difference reads 0
     scaled = {d: perm(steps, steps - d) for d in range(steps + 1)}
     numerator = det([[scaled.get(c - a, 0) for a in v] for c in u])
-    count, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"non-integer count {numerator}/{denominator} for {v} -> {u}")
-    return count
+    return _quotient(numerator, denominator, "for", v, "->", u, signed=True)
 
 
 def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
@@ -304,11 +315,70 @@ def strict_count(rows: Sequence[int]) -> int:
     pairs = list(itertools.combinations(rows, 2))
     numerator = factorial(sum(rows)) * prod(a - b for a, b in pairs)
     denominator = prod(map(factorial, rows)) * prod(a + b for a, b in pairs)
-    count, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"non-integer count {numerator}/{denominator} at {rows}")
-    return count
+    return _quotient(numerator, denominator, "at", rows)
+
+
+def strict_pfaffian_count(rows_from: Sequence[int],
+                          rows_to: Sequence[int]) -> int:
+    """Paths between two distinct-parts partitions, as a Pfaffian on
+    entries bounded by the step count (``_strict_pfaffian_count``).  The
+    rows are checked here, once."""
+    frm, to = map(_checked_strict_partition, (rows_from, rows_to))
+    k = max(len(frm), len(to))
+    return _strict_pfaffian_count(_strict_vertex(frm, k), _strict_vertex(to, k))
+
+
+def _strict_pfaffian_count(v: Vertex, u: Vertex) -> int:
+    """Paths between vertices of the strict graph, as ``_checked_vertex``
+    or ``StrictPartitionGraph.contains`` accepts them: the number of
+    standard shifted tableaux of shape lambda / mu, for the rows lambda of
+    u and mu of v, with n = |lambda| - |mu| steps.
+
+    It is n! times the exponential specialization of the Jozefiak-Pragacz /
+    Nimmo Pfaffian of M = [[A, B], [-B^T, 0]], on the indices lambda_1 >
+    ... > lambda_l, with a 0 appended when l + m is odd, then mu_m < ... <
+    mu_1 for the m rows of mu:
+
+    * A_ij = E(lambda_i, lambda_j), where E(a, b) = 1/(a! b!) + 2
+      sum_{i=1..b} (-1)^i / ((a+i)! (b-i)!), of degree d = a + b.  Pascal's
+      rule telescopes sum_{i=0..b} (-1)^i C(d, b-i) to C(d-1, b), so
+      d! E(a, b) = 2 C(d-1, b) - C(d, b) = C(d-1, b) - C(d-1, b-1) =
+      (a-b) C(d, b) / d, the two-row count ``strict_count((a, b))``;
+    * B_ij = 1/(lambda_i - mu_j)!, of degree lambda_i - mu_j, and 0 when
+      that degree is negative.
+
+    Setting every entry of degree above n to 0 changes nothing.  The mu-mu
+    block is 0, so every nonzero term of the Pfaffian pairs each mu index
+    with a lambda index, and the degrees of its factors sum to |lambda| -
+    |mu| = n.  A factor of negative degree is 0, so in a nonzero term every
+    degree lies in [0, n]; an entry of degree above n appears only in terms
+    that are already 0.  Scaled by n!, the entries left are the integers
+    n!/d! and n!/d! times a two-row count, d <= n, so no factorial above n!
+    is formed, whatever the size of the parts.  Pf(n! M) = n!^(size/2)
+    Pf(M), so the count is Pf(n! M) / n!^(size/2 - 1), divided once.  Only
+    the entries above the diagonal, which ``pf`` reads, are filled in.
+    With this ordering the Pfaffian has come out positive on every pair
+    tried; a remainder or a negative count raises ArithmeticError."""
+    if len(v) != len(u):
+        raise ValueError("dimension mismatch")
+    if not all(map(operator.le, v, u)):
+        return 0
+    frm, to = _strict_rows(v), _strict_rows(u)
+    if not to:
+        return 1
+    n = sum(to) - sum(frm)
+    rows = to + (0,) * ((len(to) + len(frm)) % 2)
+    size = len(rows) + len(frm)
+    matrix = [[0] * size for _ in rows] + [[0] * size] * len(frm)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows[i + 1:], i + 1):
+            if (d := a + b) <= n:
+                matrix[i][j] = perm(n, n - d) * (a - b) * comb(d, b) // d
+        for j, m in enumerate(reversed(frm), len(rows)):
+            if 0 <= a - m <= n:
+                matrix[i][j] = perm(n, n - a + m)
+    return _quotient(pf(matrix), factorial(n) ** (size // 2 - 1),
+                     "for", frm, "->", to)
 
 
 def _check_symmetrization_size(rows: Rows, k: int) -> None:
@@ -473,10 +543,10 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
                       k: int) -> int:
     """Paths between two distinct-parts partitions inside k coordinates:
     (n-m)! / prod(n_i!) times the anchored weight function evaluated (with
-    exact limits) at the descending zero-padded target.  The rows are
-    checked here, once; ``tableaux count`` and the identity suite reach the
-    vertex-level ``_strict_skew_count`` through ``_closed_form_count`` with
-    vertices they checked themselves."""
+    exact limits) at the descending zero-padded target: the paper's route.
+    The rows are checked here, once; the identity suite reaches the
+    vertex-level ``_strict_skew_count`` with vertices it checked itself, as
+    a cross-check of ``strict_pfaffian_count``."""
     frm = _checked_strict_partition(rows_from)
     to = _checked_strict_partition(rows_to)
     if k < len(frm) or k < len(to):
@@ -497,13 +567,7 @@ def _strict_skew_count(v: Vertex, u: Vertex) -> int:
     limit = _skew_weight_limit(frm, tuple(reversed(u)))
     numerator = factorial(sum(to) - sum(frm)) * limit.numerator
     denominator = prod(map(factorial, to)) * limit.denominator
-    count, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"non-integer count {numerator}/{denominator} for {frm} -> {to}")
-    if count < 0:
-        raise ArithmeticError(f"negative count {count} for {frm} -> {to}")
-    return count
+    return _quotient(numerator, denominator, "for", frm, "->", to)
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -518,5 +582,5 @@ def _closed_form_count(kind: str, v: Vertex, u: Vertex) -> tuple[str, int]:
     if kind == "young":
         return "determinant", _young_path_count(v, u)
     if kind == "strict":
-        return "anchored_limit", _strict_skew_count(v, u)
+        return "pfaffian", _strict_pfaffian_count(v, u)
     raise ValueError(f"no closed form for {kind} graphs")

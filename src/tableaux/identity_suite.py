@@ -26,7 +26,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .formulas import (_checked_vertex, _closed_form_count, _strict_rows,
+from .formulas import (SYMMETRIZATION_CAP, _checked_vertex,
+                       _closed_form_count, _strict_rows, _strict_skew_count,
                        _syt_count, _young_rows, aitken_weight,
                        skew_weight_limit, strict_count,
                        strict_partition_to_vertex, strict_skew_path_series,
@@ -315,10 +316,14 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
 def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
                     u: tuple[int, ...]) -> dict[str, int]:
     """Every closed form from v, checked by ``_checked_vertex``, to u,
-    checked here; the base vertex's other routes take the checked u."""
+    checked here: a strict pair takes the Pfaffian and, up to the
+    symmetrization cap, the paper's anchored limit; from the base vertex
+    the ratio product (and for Young the hooks) join them."""
     u = _checked_vertex(graph.name, u)
     route, count = _closed_form_count(graph.name, v, u)
     routes = {route: count}
+    if graph.name == "strict" and graph.k <= SYMMETRIZATION_CAP:
+        routes["anchored_limit"] = _strict_skew_count(v, u)
     if v == graph.base_vertex():
         if graph.name == "young":
             routes["ratio_product"] = _syt_count(u)

@@ -19,6 +19,8 @@ rest of the package is built on:
   by top-row expansion with each minor of the lower rows built once, named
   by the bitmask of its columns, from a plan built once per size; and the
   alternants det(x_i^{m_j}) and det(ff(x_i, m_j)) built on it,
+* one Pfaffian over any commutative ring, by first-row expansion with each
+  minor built once, named by the bitmask of its indices, likewise planned,
 * exact division by a difference of variables.  Only
   ``skew_weight_polynomial`` uses it, to divide prod (x_i - x_j) out of the
   symmetrized sum; the counts take limits of that sum and the Laurent
@@ -402,6 +404,51 @@ def _det_plan(n: int) -> tuple:
                      for p, c in enumerate(cols)]
             plan.append((r, mask, terms[0][:2], tuple(terms[1:])))
     return tuple(plan)
+
+
+def pf(rows: Sequence[Sequence[Ring]]) -> Ring:
+    """Pfaffian of an antisymmetric matrix of even size over any commutative
+    ring (int, Fraction, MultiPoly); only the entries above the diagonal
+    are read, and the diagonal entry rows[0][0] is the ring's zero.
+
+    Expansion along the first row, Pf = sum_p (-1)^p a_{0,j_p} times the
+    Pfaffian with rows and columns 0 and j_p dropped, where j_0 < j_1 < ...
+    are the other indices, and each minor expanded along its own first row.
+    A minor is fixed by the bitmask of its indices, so each one is built
+    once, smallest first, in an order that depends only on the size and
+    comes from ``_pf_plan``; a term whose entry or minor is zero is
+    skipped."""
+    n = len(rows)
+    if n == 0 or n % 2 or any(len(row) != n for row in rows):
+        raise ValueError("need a non-empty square matrix of even size")
+    minors = {}
+    for mask, first, terms in _pf_plan(n):
+        row, total = rows[first], rows[0][0]
+        for col, minor, odd in terms:
+            if not minor:
+                total = row[col]
+            elif (entry := row[col]) and (sub := minors[minor]):
+                total = total - entry * sub if odd else total + entry * sub
+        minors[mask] = total
+    return minors[(1 << n) - 1]
+
+
+@functools.cache
+def _pf_plan(n: int) -> tuple:
+    """The minors ``pf`` builds for an n x n matrix, smallest first: those
+    reached from the full index set by dropping its first index and one
+    more.  Each entry is (mask, its first index, ((j_p, sub-minor's mask,
+    p odd) for the later indices j_0 < j_1 < ...)); a pair's sub-minor is
+    the empty mask 0."""
+    plan, level = {}, {(1 << n) - 1}
+    while level:
+        for mask in level:
+            first, *rest = (i for i in range(n) if mask >> i & 1)
+            plan[mask] = first, tuple(
+                (j, mask & ~(1 << first | 1 << j), p % 2 == 1)
+                for p, j in enumerate(rest))
+        level = {sub for mask in level for _, sub, _ in plan[mask][1] if sub}
+    return tuple((mask, *plan[mask]) for mask in reversed(plan))
 
 
 def power_alternant(exponents: Sequence[int]) -> MultiPoly:

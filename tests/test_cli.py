@@ -15,6 +15,7 @@ import pytest
 
 from tableaux import cli, formulas
 from tableaux.cli import BUDGET_ENV, main
+from tableaux.graded_graphs import make_graph
 
 
 def run(capsys, *argv):
@@ -123,6 +124,16 @@ def test_budget_env_override(capsys, monkeypatch):
     rc, out, _ = run(capsys, "hooks", "--partition", partition)
     assert rc == 0
     assert out.splitlines()[0].startswith("17 ")
+
+
+def test_strict_formula_count_has_no_symmetrization_cap(capsys, monkeypatch):
+    # k = 8 is past the cap of the paper's symmetrized sum; the Pfaffian
+    # route that the CLI takes has none
+    monkeypatch.setenv(BUDGET_ENV, "max_k=8,max_degree=40")
+    rc, out, err = run(capsys, "count", "--graph", "strict", "--k", "8",
+                       "--from-partition", "4,2,1", "--to-partition",
+                       "10,8,6,5,4,3,2,1", "--method", "formula")
+    assert (rc, out, err) == (0, "6999781501680\n", "")
 
 
 def test_verify_pfaffian_rejects_k_beyond_range_at_once(capsys, monkeypatch):
@@ -527,6 +538,32 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["count"] == "16"
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["young", "strict"])
+def test_a_partition_is_checked_once_and_its_vertex_is_in_the_graph(
+        monkeypatch, capsys, kind):
+    # the codec takes every checked partition that fits to a vertex, so a
+    # partition request makes no second membership check
+    shapes = [(), (1,), (2,), (2, 1), (3, 1), (3, 2), (3, 2, 1), (4, 2),
+              (5, 3, 1), (4, 3, 2, 1)]
+    if kind == "young":
+        shapes += [(1, 1), (2, 2, 1), (3, 3, 3), (2, 1, 1, 1)]
+    for k in range(1, 6):
+        graph = make_graph(kind, k)
+        for rows in shapes:
+            if len(rows) <= k:
+                assert graph.contains(
+                    formulas._partition_vertex(kind, rows, k)), (rows, k)
+    calls = []
+    real = cli.GradedGraph.contains
+    monkeypatch.setattr(cli.GradedGraph, "contains",
+                        lambda self, v: calls.append(v) or real(self, v))
+    rc, out, _ = run(capsys, "count", "--graph", kind, "--k", "3",
+                     "--from-partition", "1", "--to-partition", "3,2",
+                     "--method", "formula")
+    assert (rc, calls) == (0, [])
+    assert out.strip() == ("5" if kind == "young" else "2")
 
 
 def test_a_fresh_interpreter_counts_a_strict_partition():

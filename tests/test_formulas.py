@@ -20,7 +20,8 @@ from tableaux.formulas import (SYMMETRIZATION_CAP, _symmetrized_sum,
                                skew_weight_fn, skew_weight_limit,
                                skew_weight_polynomial,
                                strict_count, strict_partition_to_vertex,
-                               strict_skew_count, strict_skew_path_series,
+                               strict_pfaffian_count, strict_skew_count,
+                               strict_skew_path_series,
                                strict_vertex_to_partition,
                                syt_count, syt_count_hook,
                                young_path_count, young_vertex_to_partition)
@@ -188,6 +189,26 @@ def test_the_young_count_forms_no_factorial_above_the_steps(monkeypatch,
     assert young_path_count((0, 1, 10**6), (1, 3, 10**6 + 2)) == 20
     assert main("count --graph young --k 3 --from 0,1,1000000 "
                 "--to 1,3,1000002 --method formula".split()) == 0
+    assert capsys.readouterr().out.strip() == "20"
+
+
+def test_the_strict_count_forms_no_factorial_above_the_steps(monkeypatch,
+                                                             capsys):
+    # five steps from a source with a part of a billion: no factorial or
+    # falling factorial of a part is formed
+    def bounded(real):
+        def call(*args):
+            if max(args) > 5:
+                raise AssertionError(f"{real.__name__}{args} above the 5 steps")
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(formulas, "factorial", bounded(factorial))
+    monkeypatch.setattr(formulas, "perm", bounded(perm))
+    far = 10**9
+    assert strict_pfaffian_count((far, 1), (far + 2, 3, 1)) == 20
+    assert main(f"count --graph strict --k 3 --from 0,1,{far} "
+                f"--to 1,3,{far + 2} --method formula".split()) == 0
     assert capsys.readouterr().out.strip() == "20"
 
 
@@ -746,6 +767,48 @@ def test_integer_closed_forms_raise_on_a_remainder(monkeypatch):
     ((5, 3, 1), (7, 6, 5, 4, 3, 2, 1), 271320)])
 def test_strict_counts_at_seven_coordinates(frm, to, count):
     assert strict_skew_count(frm, to, 7) == count
+    assert strict_pfaffian_count(frm, to) == count
+
+
+@pytest.mark.parametrize("frm,to,count", [
+    ((3, 2, 1), (9, 7, 5, 4, 3, 2, 1), 773358900),
+    ((4, 2, 1), (10, 8, 6, 5, 4, 3, 2, 1), 6999781501680),
+    ((8, 6, 5, 4, 3, 2, 1), (10, 8, 6, 5, 4, 3, 2, 1), 231)])
+def test_the_pfaffian_matches_the_dp_at_seven_and_eight_coordinates(frm, to,
+                                                                     count):
+    # k = 8 is past the symmetrization cap, which the Pfaffian does not have;
+    # in the last pair 10 meets the appended 0 in an entry of degree n = 10
+    k = len(to)
+    assert count_paths_dp(make_graph("strict", k),
+                          strict_partition_to_vertex(frm, k),
+                          strict_partition_to_vertex(to, k)) == count
+    assert strict_pfaffian_count(frm, to) == count
+
+
+def test_the_pfaffian_matches_the_paper_route_on_every_small_pair():
+    shapes = [rows for rows in SMALL_STRICT if sum(rows) <= 10]
+    pairs = [(frm, to) for to in shapes for frm in shapes
+             if len(frm) <= len(to) and all(map(operator.le, frm, to))]
+    assert len(pairs) == 561
+    for frm, to in pairs:
+        assert strict_pfaffian_count(frm, to) == \
+            strict_skew_count(frm, to, max(len(to), 1)), (frm, to)
+    # pairs out of order count nothing
+    assert strict_pfaffian_count((3,), (2, 1)) == 0
+    assert strict_pfaffian_count((2, 1), (3,)) == 0
+
+
+def test_the_pfaffian_count_raises_on_a_remainder_or_a_negative(monkeypatch):
+    # (1) -> (3, 1) is a 4 x 4 Pfaffian over 3!^1
+    real = formulas.pf
+    monkeypatch.setattr(formulas, "pf", lambda rows: real(rows) + 1)
+    with pytest.raises(ArithmeticError, match="non-integer count"):
+        strict_pfaffian_count((1,), (3, 1))
+    monkeypatch.setattr(formulas, "pf", lambda rows: -real(rows))
+    with pytest.raises(ArithmeticError, match="negative count"):
+        strict_pfaffian_count((1,), (3, 1))
+    assert main("count --graph strict --k 2 --from-partition 1 "
+                "--to-partition 3,1 --method formula".split()) == 2
 
 
 def test_the_hook_route_checks_its_partition_once(monkeypatch):

@@ -156,6 +156,34 @@ def test_counts_from_base_checks_the_strict_product(monkeypatch):
     assert rep.witness["ratio_product"] == rep.witness["dp"] + 1
 
 
+@pytest.mark.parametrize("route,module,name", [
+    ("pfaffian", formulas, "_strict_pfaffian_count"),
+    ("anchored_limit", identity_suite, "_strict_skew_count")])
+def test_strict_checks_compare_the_pfaffian_and_the_paper_route(
+        monkeypatch, route, module, name):
+    # each strict route is compared with the DP on its own: one off by one
+    # fails the check, and the witness names it
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda v, u: real(v, u) + 1)
+    for rep in (check_counts_from_base("strict", 3, 4),
+                check_skew_pairs("strict", 3, 6, pairs=10, seed=1)):
+        assert not rep.ok
+        assert rep.witness[route] == rep.witness["dp"] + 1
+
+
+def test_strict_routes_are_the_pfaffian_and_up_to_the_cap_the_paper_route():
+    graph = graded_graphs.make_graph("strict", 3)
+    base, u = graph.base_vertex(), (1, 2, 4)
+    assert set(identity_suite._formula_routes(graph, (0, 0, 1), u)) == \
+        {"pfaffian", "anchored_limit"}
+    assert set(identity_suite._formula_routes(graph, base, u)) == \
+        {"pfaffian", "anchored_limit", "ratio_product"}
+    graph = graded_graphs.make_graph("strict", formulas.SYMMETRIZATION_CAP + 1)
+    u = (0,) * formulas.SYMMETRIZATION_CAP + (2,)
+    assert identity_suite._formula_routes(graph, graph.base_vertex(), u) == \
+        {"pfaffian": 1, "ratio_product": 1}
+
+
 @pytest.mark.parametrize("kind", ["young", "strict"])
 def test_formula_routes_check_each_vertex_once(monkeypatch, kind):
     # each source is checked once, and each target once per distinct pair;

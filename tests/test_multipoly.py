@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableaux.multipoly import (MultiPoly, bounded_exponents, canonical_text,
-                                det, divide_exact_linear,
+                                det, divide_exact_linear, pf,
                                 exact_compositions, falling_alternant,
                                 falling_factorial,
                                 ff_expansion, ff_of_poly, ff_poly, grlex_key,
@@ -310,6 +310,82 @@ def test_det_rejects_a_non_square_matrix():
         det([[1, 2], [3]])
     with pytest.raises(ValueError):
         det([])
+
+
+def _matching_pfaffian(rows):
+    """The Pfaffian straight from its definition: a sum over the perfect
+    matchings, each listed as a1 b1 a2 b2 ... with a_i < b_i and a1 < a2 <
+    ..., and signed by that permutation's inversion count."""
+    def matchings(free):
+        if not free:
+            yield ()
+            return
+        for b in free[1:]:
+            for rest in matchings([c for c in free[1:] if c != b]):
+                yield (free[0], b) + rest
+
+    total = 0
+    for p in matchings(list(range(len(rows)))):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        term = -1 if inversions % 2 else 1
+        for a, b in zip(p[::2], p[1::2]):
+            term = term * rows[a][b]
+        total = total + term
+    return total
+
+
+def _antisymmetric(n, entry, zero=0):
+    rows = [[zero] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        rows[a][b] = entry()
+        rows[b][a] = -rows[a][b]
+    return rows
+
+
+def _seeded_antisymmetric_matrices():
+    rng = random.Random(4)
+    for n in range(2, 11, 2):
+        yield pytest.param(_antisymmetric(n, lambda: rng.randint(-5, 5)),
+                           id=f"int-{n}")
+        # mostly zero entries, so zero minors are skipped on the way
+        yield pytest.param(_antisymmetric(
+            n, lambda: rng.choice([0, 0, 0, rng.randint(-5, 5)])),
+            id=f"sparse-{n}")
+    yield pytest.param(_antisymmetric(
+        6, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))),
+        id="fraction-6")
+    yield pytest.param(_antisymmetric(
+        4, lambda: MultiPoly.monomial(2, (rng.randint(0, 2), rng.randint(0, 2)),
+                                      rng.choice([0, 1, -1, 3])),
+        MultiPoly.zero(2)), id="poly-4")
+    zero_row = _antisymmetric(6, lambda: rng.randint(1, 5))
+    for b in range(6):
+        zero_row[2][b] = zero_row[b][2] = 0
+    yield pytest.param(zero_row, id="zero-row")
+
+
+@pytest.mark.parametrize("rows", _seeded_antisymmetric_matrices())
+def test_pf_is_the_matching_sum_and_squares_to_det(rows):
+    value = pf(rows)
+    assert value == _matching_pfaffian(rows)
+    assert value * value == det(rows)
+
+
+def test_pf_reads_only_the_entries_above_the_diagonal():
+    rows = _antisymmetric(4, iter(range(1, 7)).__next__)
+    upper = [[entry if a < b else 0 for b, entry in enumerate(row)]
+             for a, row in enumerate(rows)]
+    # a01 a23 - a02 a13 + a03 a12
+    assert pf(upper) == pf(rows) == 1 * 6 - 2 * 5 + 3 * 4
+
+
+def test_pf_rejects_a_matrix_of_odd_or_no_size():
+    with pytest.raises(ValueError):
+        pf([[0]])
+    with pytest.raises(ValueError):
+        pf([[0, 1], [-1]])
+    with pytest.raises(ValueError):
+        pf([])
 
 
 def test_divide_exact_linear_round_trip():

@@ -74,9 +74,13 @@ def test_traced_run_counts_laurent_expansions():
 
 
 def test_traced_formula_count_evaluates_limits():
-    # closed-form strict counts take their exact limit through the same
-    # evaluator as the identity suite
+    # the strict pairs check takes the paper's anchored limit through the
+    # same evaluator as the identity suite; a strict count takes the
+    # Pfaffian, which takes no limit
+    result = _traced("verify pairs --graph strict --k 3 --deg 6 --pairs 20")
+    assert result["exits"] == [0]
+    assert result["metrics"]["laurent.evaluate_with_limits.calls"] > 0
     result = _traced(
         "count --graph strict --k 3 --to-partition 3,1 --method formula")
     assert result["exits"] == [0]
-    assert result["metrics"]["laurent.evaluate_with_limits.calls"] > 0
+    assert result["metrics"]["laurent.evaluate_with_limits.calls"] == 0
