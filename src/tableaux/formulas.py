@@ -299,11 +299,7 @@ def syt_count_hook(rows: Sequence[int]) -> int:
 
 def _hook_count(rows: Rows, product: int) -> int:
     """``syt_count_hook`` on checked rows and their ``_hook_product``."""
-    cells = sum(rows)
-    count, remainder = divmod(factorial(cells), product)
-    if remainder:
-        raise ArithmeticError(f"hook product {product} does not divide {cells}!")
-    return count
+    return _quotient(factorial(sum(rows)), product, "for", rows)
 
 
 # -- distinct parts -----------------------------------------------------------
@@ -544,14 +540,12 @@ def strict_skew_count(rows_from: Sequence[int], rows_to: Sequence[int],
     """Paths between two distinct-parts partitions inside k coordinates:
     (n-m)! / prod(n_i!) times the anchored weight function evaluated (with
     exact limits) at the descending zero-padded target: the paper's route.
-    The rows are checked here, once; the identity suite reaches the
+    The rows and their room in k coordinates are checked once, by
+    ``strict_partition_to_vertex``; the identity suite reaches the
     vertex-level ``_strict_skew_count`` with vertices it checked itself, as
     a cross-check of ``strict_pfaffian_count``."""
-    frm = _checked_strict_partition(rows_from)
-    to = _checked_strict_partition(rows_to)
-    if k < len(frm) or k < len(to):
-        raise ValueError(f"need k >= {max(len(frm), len(to))} coordinates")
-    return _strict_skew_count(_strict_vertex(frm, k), _strict_vertex(to, k))
+    return _strict_skew_count(strict_partition_to_vertex(rows_from, k),
+                              strict_partition_to_vertex(rows_to, k))
 
 
 def _strict_skew_count(v: Vertex, u: Vertex) -> int:

@@ -52,28 +52,30 @@ for two neighbours more than 1 apart.  The one exception is a custom
 graph's minimum closure, which compares every incomparable pair of its
 k-dimensional list, quadratic in its length.
 
-The box itself can stay small.  Call R order-invariant when R(phi(a),
+The box itself is a constant.  Call R order-invariant when R(phi(a),
 phi(b)) == R(a, b) for every strictly increasing phi: N -> N with phi(0) =
 0.  Young's a < b is, and so is strict's "a < b or a == b == 0", since phi
-is injective and sends only 0 to 0; each class declares it as
-``order_invariant``.  For such an R both verdicts in [0, b]^2 are the same
-for every b >= 4.  A failure in [0, 4]^2 is one in [0, b]^2, since all its
-points lie in both boxes.  Conversely, a failure of minimum closure is two
-points of R whose minimum is not in R, and a failure of convexity is two
-points of R on one line with a point between them not in R.  Either uses at
-most four values: the entries of the two points (the minimum's entries are
-among them), or the fixed entry, the two ends and the missing value.  Add 0
-to them and list them as 0 = s_0 < s_1 < ... < s_r, with r <= 4, and let
-phi(i) = s_i for i <= r and s_r + i - r above r.  This phi is strictly
-increasing with phi(0) = 0, so a point with entries in [0, r] is in R
-exactly when its image under phi is.  The preimages of the failure's
+is injective and sends only 0 to 0; pascal has no relation.  Every
+built-in relation must be order-invariant, and a test holds each kind in
+``GRAPH_KINDS`` to it.  For such an R both verdicts in [0, b]^2 are the
+same for every b >= 4.  A failure in [0, 4]^2 is one in [0, b]^2, since all
+its points lie in both boxes.  Conversely, a failure of minimum closure is
+two points of R whose minimum is not in R, and a failure of convexity is
+two points of R on one line with a point between them not in R.  Either
+uses at most four values: the entries of the two points (the minimum's
+entries are among them), or the fixed entry, the two ends and the missing
+value.  Add 0 to them and list them as 0 = s_0 < s_1 < ... < s_r, with r <=
+4, and let phi(i) = s_i for i <= r and s_r + i - r above r.  This phi is
+strictly increasing with phi(0) = 0, so a point with entries in [0, r] is
+in R exactly when its image under phi is.  The preimages of the failure's
 points therefore keep their membership; min commutes with phi, so the
-minimum's preimage is the minimum of the preimages, and the missing value's
-preimage still lies strictly between the ends' on the same line.  So the
-preimages are a failure in [0, 4]^2.  ``construct_weight_series`` scans an
-order-invariant relation in [0, min(box, 4)]^2, whatever the size of the
-source's entries; a relation that does not declare the property keeps the
-full box.
+minimum's preimage is the minimum of the preimages, and the missing
+value's preimage still lies strictly between the ends' on the same line.
+So the preimages are a failure in [0, 4]^2, and the verdict there is R's
+on all of N^2; a pass there is also one on every smaller box.
+``construct_weight_series`` therefore scans [0, SCAN_BOX]^2 with SCAN_BOX
+= 4 for every graph, whatever its bound and source; a custom graph scans
+its own list and ignores the box.
 
 The same form generates each level.  ``levels_above(floor, degrees)``
 lists the vertices w >= floor of each degree d up to the top degree D.
@@ -138,6 +140,7 @@ from .multipoly import Coeff, exact_compositions, grlex_key
 from .reports import VerifyReport, failed, passed
 
 Vertex = tuple[int, ...]
+SCAN_BOX = 4  # [0, 4]^2 decides an order-invariant relation (module docstring)
 
 
 def degree(v: Vertex) -> int:
@@ -168,8 +171,6 @@ class GradedGraph:
 
     name = "graph"
     neighbour_ok: Callable[[int, int], bool] | None = None
-    # whether neighbour_ok is order-invariant (module docstring)
-    order_invariant = False
 
     def __init__(self, k: int):
         if k < 1:
@@ -294,7 +295,6 @@ class RestrictedYoungGraph(GradedGraph):
 
     name = "young"
     neighbour_ok = staticmethod(operator.lt)
-    order_invariant = True
 
     def base_vertex(self) -> Vertex:
         return tuple(range(self.k))
@@ -307,7 +307,6 @@ class StrictPartitionGraph(GradedGraph):
     """
 
     name = "strict"
-    order_invariant = True
 
     @staticmethod
     def neighbour_ok(a: int, b: int) -> bool:
@@ -627,19 +626,16 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
     """Solve the weight-series constraints for v up to the given degree bound.
 
     Runs the two hypothesis checks first, over the neighbour relation in
-    the enclosing box's square, at most [0, 4]^2 for an order-invariant
-    relation (module docstring), or a custom graph's own vertex list; any
-    violation (including a pivot collision during the solve) raises
-    ``SeriesConstructionError`` with the offending monomial, which for a
-    relation is a point (a, b) of that square.
+    [0, SCAN_BOX]^2 (module docstring), or a custom graph's own vertex
+    list; any violation (including a pivot collision during the solve)
+    raises ``SeriesConstructionError`` with the offending monomial, which
+    for a relation is a point (a, b) of that square.
     """
     v = tuple(v)
     if not graph.contains(v):
         raise ValueError(f"{v} is not a vertex")
-    box = max([bound + 1, *(abs(c) for c in v), 1])
-    box = min(box, 4) if graph.order_invariant else box
     for check in (check_minimum_closed, check_coordinate_convex):
-        report = check(graph, box)
+        report = check(graph, SCAN_BOX)
         if not report.ok:
             raise SeriesConstructionError(
                 f"{report.identity} fails: {report.witness}",

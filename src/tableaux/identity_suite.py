@@ -8,11 +8,12 @@ on the lattice simplex instead, by the lemma the polynomial method rests
 on: a polynomial of total degree <= D is fixed by its values at the points
 c >= 0 with |c| <= D, and a sum over the compositions c' of D of
 w(c') * prod ff(x_i, c'_i) vanishes below the top layer |c| = D, where it
-equals w(c) * prod(c_i!).  Only a failure turns the difference back into
-monomials (``_interpolate``), so the witness is the grlex-largest differing
-monomial either way.  The ``perturb`` flag on each check adds x_0 to one
-side first; the perturbed run must come back failed, which is how the
-negative controls prove the comparisons have teeth.
+equals w(c) * prod(c_i!).  Only a failure reads the difference's
+grlex-largest monomial off its forward differences (``_value_witness``),
+so the witness is the grlex-largest differing monomial either way.  The
+``perturb`` flag on each check adds x_0 to one side first; the perturbed
+run must come back failed, which is how the negative controls prove the
+comparisons have teeth.
 
 Cross-validation helpers pit every closed-form count against the DP oracle,
 and the weight-series construction against both, over seeded samples.
@@ -76,24 +77,28 @@ def _compare(identity: str, params: dict, started: float,
     return passed(identity, params, started)
 
 
-def _interpolate(k: int, top: int, values: dict[Exponents, Coeff]) -> MultiPoly:
-    """The polynomial of total degree <= top with the given values on the
-    simplex |c| <= top, a missing point counting as 0.  The value checks
-    decode a failure's difference with it, and only a failure's.
+def _value_witness(k: int, top: int, values: dict[Exponents, Coeff]) -> dict:
+    """``_leading`` of the polynomial P of total degree <= top with the
+    given values on the simplex |c| <= top, a missing point counting as 0,
+    read off without building P.  The value checks decode a failure's
+    difference with it, and only a failure's.
 
     Newton's forward differences, one coordinate at a time, turn the values
     into Delta^c P(0), and P = sum_c Delta^c P(0) / prod(c_i!) *
-    prod ff(x_i, c_i); ``ff_expansion`` turns each layer of that sum into
-    monomials with its Stirling rows."""
+    prod ff(x_i, c_i).  Each prod ff(x_i, c_i) is x^c plus monomials
+    entrywise below c, so of lower degree.  Let c be the grlex-largest
+    index with Delta^c P(0) != 0: every monomial of every other nonzero
+    term lies grlex below it, so x^c is P's grlex-largest monomial, with
+    the coefficient Delta^c P(0) / prod(c_i!)."""
     table = {c: values.get(c, 0) for c in bounded_exponents(k, top)}
     for i in range(k):
         table = {c: sum((-1) ** (c[i] - t) * comb(c[i], t)
                         * table[c[:i] + (t,) + c[i + 1:]]
                         for t in range(c[i] + 1))
                  for c in table}
-    return sum((ff_expansion(k, total, lambda c: Fraction(
-        table[c], prod(map(factorial, c)))) for total in range(top + 1)),
-        MultiPoly.zero(k))
+    lead = max((c for c, d in table.items() if d), key=grlex_key)
+    return {"monomial": lead,
+            "difference": Fraction(table[lead], prod(map(factorial, lead)))}
 
 
 def _perturbed(poly: MultiPoly, flag: bool) -> MultiPoly:
@@ -177,10 +182,11 @@ def _check_anchored(identity: str, params: dict, started: float,
     above = falling.degree() > base or perturb and total == 0
     if above or any(diff.values()):
         # the right side has degree total, so terms above it are the left's
-        decoded = _perturbed(falling * ff_of_poly(_variable_sum(k) - base, steps),
-                             perturb) if above else _interpolate(k, total, diff)
+        witness = _leading(_perturbed(
+            falling * ff_of_poly(_variable_sum(k) - base, steps), perturb)) \
+            if above else _value_witness(k, total, diff)
         return failed(identity, params,
-                      {"form": "falling_factorial", **_leading(decoded)}, started)
+                      {"form": "falling_factorial", **witness}, started)
     lhs_pw = _perturbed(power * _variable_sum(k) ** steps, perturb)
     return _compare(identity, params, started,
                     [("power", lhs_pw, MultiPoly(k, weights)), *more])
@@ -209,11 +215,14 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
     (0..k-1) the falling alternant collapses to the power alternant
     prod(x_j - x_i), recovering the un-anchored identity.  An anchor with
     a repeated entry is rejected: both alternants vanish, so the check
-    would compare 0 with 0."""
+    would compare 0 with 0.  So is one with a negative entry, which has
+    no falling factorial."""
     started = time.perf_counter()
     anchor = tuple(anchor)
     if len(set(anchor)) != len(anchor):
         raise ValueError(f"anchor {anchor} has a repeated entry")
+    if min(anchor, default=0) < 0:
+        raise ValueError(f"anchor {anchor} has a negative entry")
     params = {"k": k, "anchor": anchor, "steps": steps, "perturbed": perturb}
     falling = falling_alternant(anchor)
     power = power_alternant(anchor)
@@ -269,9 +278,10 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     if part.degree() > n or any(diff.values()):
         # the expansion has degree n, so terms above it are part's own; only
         # x_0 added at n = 0 gets there
-        decoded = part if part.degree() > n else _interpolate(k, n, diff)
+        witness = _leading(part) if part.degree() > n \
+            else _value_witness(k, n, diff)
         return failed(identity, params,
-                      {"part": "closed_form", **_leading(decoded)}, started)
+                      {"part": "closed_form", **witness}, started)
     for point in bounded_exponents(k, m - 1):
         value = (skew_weight_limit(sigma, point)
                  * falling_factorial(sum(point) - m, n - m))

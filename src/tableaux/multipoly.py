@@ -14,7 +14,7 @@ rest of the package is built on:
   a variable or of an arbitrary polynomial,
 * the falling-factorial expansion sum_c w(c) * prod ff(x_i, c_i) over the
   compositions c of a fixed total, which the Vandermonde check compares
-  against and a failed value check decodes its difference with,
+  against,
 * one determinant over any commutative ring (ints, Fractions, MultiPolys),
   by top-row expansion with each minor of the lower rows built once, named
   by the bitmask of its columns, from a plan built once per size; and the
@@ -330,7 +330,9 @@ def ff_expansion(k: int, total: int,
     A polynomial P of degree <= n that vanishes at every non-negative lattice
     point with entry sum < n equals this sum for total n and weight
     P(c) / prod(c_i!): both sides agree on the simplex sum <= n, which
-    determines a polynomial of degree <= n.
+    determines a polynomial of degree <= n.  The value checks of
+    ``identity_suite`` rest on that and compare values, so only the
+    Vandermonde check builds the sum.
 
     The weights go into one table keyed by composition.  Then, one
     variable i at a time, each entry c_i is replaced by the power

@@ -207,6 +207,12 @@ def test_verify_rejects_requests_that_check_nothing(capsys):
         assert err.startswith("error:")
 
 
+def test_verify_skew_names_a_negative_anchor(capsys):
+    assert run(capsys, "verify", "skew", "--k", "2", "--anchor=-1,2",
+               "--n", "2") == (
+        2, "", "error: anchor (-1, 2) has a negative entry\n")
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 @pytest.mark.parametrize("check", [c for c in cli.VERIFY_CHECKS
                                    if c not in ("controls", "sweep")])

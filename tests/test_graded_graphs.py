@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tableaux import cli
 from tableaux import graded_graphs
-from tableaux.graded_graphs import (CustomBoxGraph, GradedGraph,
+from tableaux.graded_graphs import (GRAPH_KINDS, CustomBoxGraph, GradedGraph,
                                     SeriesConstructionError, WeightSeries,
                                     check_coordinate_convex,
                                     check_minimum_closed, constraint_monomials,
@@ -256,10 +256,6 @@ def test_scans_do_not_grow_with_the_source(kind, monkeypatch):
     assert work[0] == work[1] > 0
 
 
-class _InvariantMutant(_MutantGraph):
-    order_invariant = True
-
-
 def _order_preserving_map(rng, top):
     """A seeded strictly increasing map of [0, top] into N with 0 -> 0."""
     values = [0]
@@ -268,12 +264,17 @@ def _order_preserving_map(rng, top):
     return values
 
 
+# every built-in kind with a relation, so that a new kind inherits the
+# obligation that the constant scan box rests on
+_RELATION_GRAPHS = {name: kind(3) for name, kind in GRAPH_KINDS.items()
+                    if kind.neighbour_ok is not None}
+
+
 @pytest.mark.parametrize("graph", [
-    make_graph("young", 3), make_graph("strict", 3),
-    _InvariantMutant(3, operator.ne)], ids=["young", "strict", "ne"])
+    *_RELATION_GRAPHS.values(), _MutantGraph(3, operator.ne)],
+    ids=[*_RELATION_GRAPHS, "ne"])
 def test_order_invariant_relations_keep_their_box_4_verdicts(graph):
     relation = graph.neighbour_ok
-    assert graph.order_invariant
     rng = random.Random(23)
     side = range(41)
     for _ in range(20):
@@ -304,8 +305,8 @@ def _order_class(a, b):
 def test_every_order_invariant_relation_keeps_its_box_4_verdicts():
     verdicts = set()
     for mask in range(64):
-        g = _InvariantMutant(2, lambda a, b, mask=mask:
-                             bool(mask >> _order_class(a, b) & 1))
+        g = _MutantGraph(2, lambda a, b, mask=mask:
+                         bool(mask >> _order_class(a, b) & 1))
         for check in (check_minimum_closed, check_coordinate_convex):
             verdict = check(g, 4).ok
             assert all(check(g, b).ok == verdict for b in range(5, 17)), mask
@@ -313,27 +314,28 @@ def test_every_order_invariant_relation_keeps_its_box_4_verdicts():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("graph, v, bound, box", [
-    (make_graph("young", 3), (0, 1, 40), 44, 4),
-    (make_graph("strict", 2), (0, 1), 2, 3),
-    (_MutantGraph(2, lambda a, b: (b - a) % 2 == 0), (0, 40), 41, 42)],
+@pytest.mark.parametrize("graph, v, bound", [
+    (make_graph("young", 3), (0, 1, 40), 44),
+    (make_graph("strict", 2), (0, 1), 2),
+    (_MutantGraph(2, lambda a, b: (b - a) % 2 == 0), (0, 40), 41)],
     ids=["young-far", "strict-near", "parity"])
-def test_construction_scans_the_box_the_relation_declares(graph, v, bound, box,
+def test_construction_scans_the_box_the_relation_declares(graph, v, bound,
                                                           monkeypatch):
-    # parity is not order-invariant ((0, 2) is in it, but not its image
-    # (0, 1) under a map with 2 -> 1), so its scans keep the whole box
+    # the box is 4 whatever the bound and the source; parity (not
+    # order-invariant: (0, 2) is in it, but not its image (0, 1) under a
+    # map with 2 -> 1) still fails minimum closure there, at (0, 2), (1, 1)
     boxes = []
     for name in ("check_minimum_closed", "check_coordinate_convex"):
         real = getattr(graded_graphs, name)
         monkeypatch.setattr(graded_graphs, name, lambda graph, b, real=real:
                             boxes.append(b) or real(graph, b))
-    if graph.order_invariant:
+    if graph.name != "mutant":
         construct_weight_series(graph, v, bound)
-        assert boxes == [box, box]
+        assert boxes == [4, 4]
     else:
         with pytest.raises(SeriesConstructionError, match="minimum_closed"):
             construct_weight_series(graph, v, bound)
-        assert boxes == [box]
+        assert boxes == [4]
 
 
 def _pair_scan_oracle(points):

@@ -1,6 +1,7 @@
 """End-to-end identity checks, seeded sweeps, negative controls."""
 
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,15 @@ def test_skew_identity_rejects_a_repeated_anchor_entry():
             check_skew_identity(len(anchor), anchor, 3)
     # an unsorted anchor only flips the sign of both sides
     assert check_skew_identity(2, (1, 0), 2).ok
+
+
+def test_skew_identity_rejects_a_negative_anchor_entry():
+    # ff(x, -1) does not exist; the message names the anchor, not the
+    # falling factorial that would have failed
+    for anchor in ((-1, 2), (0, 3, -2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"anchor {anchor} has a negative entry")):
+            check_skew_identity(len(anchor), anchor, 2)
 
 
 @pytest.mark.parametrize("k,n", [(2, 0), (2, 2), (3, 1), (3, 3)])

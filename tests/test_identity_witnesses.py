@@ -9,9 +9,10 @@ the functions the tests replace through ``identity_suite``, so one
 monkeypatch reaches both sides.
 """
 
+import random
 import time
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -292,3 +293,64 @@ def test_a_tampered_anchored_weight(monkeypatch):
     rep = _same(check_skew_identity, reference_skew, 2, (1, 3), 2)
     assert rep.witness == {"form": "falling_factorial", "monomial": (2, 4),
                            "difference": -1}
+
+
+# -- the witness of a failed value check ----------------------------------------
+
+def _reference_interpolate(k, top, values):
+    """The polynomial of total degree <= top with the given values on the
+    simplex |c| <= top, a missing point counting as 0, built in full:
+    Newton's forward differences, then the falling-factorial expansion of
+    each layer with the weights Delta^c P(0) / prod(c_i!)."""
+    table = {c: values.get(c, 0) for c in bounded_exponents(k, top)}
+    for i in range(k):
+        table = {c: sum((-1) ** (c[i] - t) * comb(c[i], t)
+                        * table[c[:i] + (t,) + c[i + 1:]]
+                        for t in range(c[i] + 1))
+                 for c in table}
+    return sum((ff_expansion(k, total, lambda c: Fraction(
+        table[c], prod(map(factorial, c)))) for total in range(top + 1)),
+        MultiPoly.zero(k))
+
+
+def _random_value_tables(rng):
+    """Dense, sparse, single-point and ``Fraction`` tables, and the values
+    of polynomials with a few terms, whose differences are sparse too, so
+    that the grlex-largest index is often not the lexicographically
+    largest."""
+    for k in range(1, 5):
+        for top in range(7):
+            points = list(bounded_exponents(k, top))
+            for shape in ("dense", "sparse", "single", "fraction", "terms"):
+                if shape == "terms":
+                    values = MultiPoly(k, {
+                        rng.choice(points): Fraction(rng.randint(1, 9),
+                                                     rng.randint(1, 4))
+                        for _ in range(3)}).simplex_values(top)
+                    yield k, top, values
+                    continue
+                if shape == "single":
+                    chosen = [rng.choice(points)]
+                elif shape == "sparse":
+                    chosen = rng.sample(points, min(len(points), 3))
+                else:
+                    chosen = points
+                values = {}
+                for c in chosen:
+                    values[c] = (Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                 if shape == "fraction"
+                                 else rng.randint(-5, 5))
+                if not any(values.values()):
+                    values[chosen[0]] = 1
+                yield k, top, values
+
+
+def test_the_value_witness_is_the_leading_term_of_the_interpolant():
+    rng = random.Random(28)
+    tables = list(_random_value_tables(rng))
+    assert len(tables) == 4 * 7 * 5
+    for k, top, values in tables:
+        got = identity_suite._value_witness(k, top, values)
+        want = identity_suite._leading(_reference_interpolate(k, top, values))
+        assert got == want, (k, top, values)
+        assert type(got["difference"]) is type(want["difference"])
