@@ -22,8 +22,8 @@ scan linear (up to a sort), whatever the size of the coordinates.
 Each subcommand's options are declared once, in ``_COMMANDS``, which feeds
 both argparse and ``_read_plain``.  A plain request (exact ``--flag value``
 pairs whose values do not start with ``-``, and ``verify``'s check) is read
-from that table without argparse.  Help, usage errors and every other form
-go through argparse, which words them as before.
+from that table without argparse.  Any other, help included, is parsed
+once by the top-level argparse parser, which words every usage error.
 """
 
 from __future__ import annotations
@@ -281,11 +281,9 @@ def _cmd_hooks(args: argparse.Namespace, budgets: dict[str, int]) -> int:
                           "product": str(product),
                           "count": str(count)}))
     elif args.format == "csv":
-        cells = [["row", "col", "hook"]]
-        for r, line in enumerate(grid):
-            for c, h in enumerate(line):
-                cells.append([r, c, h])
-        _write_csv(cells)
+        _write_csv([["row", "col", "hook"]]
+                   + [[r, c, h] for r, line in enumerate(grid)
+                      for c, h in enumerate(line)])
     else:
         for line in grid:
             print(" ".join(str(h) for h in line))
@@ -406,13 +404,11 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[str, argparse.ArgumentParser],
-                             dict[str, tuple]]:
-    """The parser, its subcommands' parsers by name and the index that
-    ``_read_plain`` reads, all built from ``_COMMANDS`` once per process:
-    they hold no per-request state (budgets are read per call, and handlers
-    look up their helpers when they run), so ``main`` can reuse them.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The parser, which reads whole each request ``_read_plain`` declines,
+    and the index that ``_read_plain`` reads, both built from ``_COMMANDS``
+    once per process: they hold no per-request state (budgets are read per
+    call, and handlers look up their helpers when they run).
 
     A subcommand's index entry holds, from the actions that argparse made of
     its options: each flag's (dest, type, choices), and the positional's
@@ -435,19 +431,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                 required.add(action.dest)
         sub.set_defaults(handler=handler)
         index[command] = (flags, defaults, required)
-    return parser, subs.choices, index
+    return parser, index
 
 
 def _read_plain(argv: list[str],
                 index: dict[str, tuple]) -> argparse.Namespace | None:
-    """The Namespace that argv's subcommand parser would return, when every
-    token after the subcommand is an exact ``--flag value`` pair whose value
-    does not start with ``-``, or the subcommand's one positional: each
-    value converted and checked as its option declares, the last repeat of
-    a flag winning, defaults and handler filled in.  None for any other
-    request (help, abbreviations, ``--flag=value``, values starting with
-    ``-``, stray or unknown strings, bad values, a missing required option),
-    which argparse then reads and words."""
+    """argparse's Namespace for argv, less the ``command`` no handler reads,
+    when every token after the subcommand is an exact ``--flag value`` pair
+    whose value does not start with ``-``, or the subcommand's one
+    positional: each value converted and checked as its option declares,
+    the last repeat of a flag winning, defaults and handler filled in.
+    None for any other request (help, abbreviations, ``--flag=value``,
+    values starting with ``-``, stray or unknown strings, bad values, a
+    missing required option), which argparse then reads and words."""
     entry = index.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -480,20 +476,12 @@ def _read_plain(argv: list[str],
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one request.  A plain request (``--flag value`` pairs and
     ``verify``'s check) is read from the option table by ``_read_plain``,
-    into the Namespace that argparse would return.  Any other goes straight
-    to its subcommand's parser, which is what the top-level parser would
-    hand it; only a request that names no subcommand, or leaves strings
-    unparsed, is parsed again from the top, so that help and every usage
-    error are worded as argparse words them."""
+    into the Namespace that argparse would return.  Any other is parsed
+    once by the top-level parser, so that help and every usage error are
+    worded as argparse words them."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands, index = _build_parser()
-    args = _read_plain(argv, index)
-    if args is None:
-        command = commands.get(argv[0]) if argv else None
-        if command is not None:
-            args, rest = command.parse_known_args(argv[1:])
-        if command is None or rest:
-            args = parser.parse_args(argv)
+    parser, index = _build_parser()
+    args = _read_plain(argv, index) or parser.parse_args(argv)
     try:
         for flag in ("n", "deg"):
             value = getattr(args, flag, 0)

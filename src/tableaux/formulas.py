@@ -227,8 +227,12 @@ def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
     set to 0.  So the weight is det(M) / s!^(k-1), with M_ij =
     s!/(u_i - v_j)! for 0 <= u_i - v_j <= s and 0 otherwise: no factorial
     above s! is formed, whatever the size of the entries.  The weight is an
-    integer, so a remainder raises ArithmeticError."""
+    integer, so a remainder raises ArithmeticError; it is 0 at |u| < |v|."""
     steps = sum(u) - sum(v)
+    if steps < 0:
+        return 0
+    if len(u) != len(v) or not v:
+        raise ValueError("dimension mismatch" if v else "need k >= 1")
     denominator = factorial(steps) ** (len(v) - 1)
     # s!/d! at each difference d in [0, s]; any other difference reads 0
     scaled = {d: perm(steps, steps - d) for d in range(steps + 1)}
@@ -378,6 +382,8 @@ def _strict_pfaffian_count(v: Vertex, u: Vertex) -> int:
 
 
 def _check_symmetrization_size(rows: Rows, k: int) -> None:
+    if k < 1:
+        raise ValueError("need k >= 1")
     if k < len(rows):
         raise ValueError(f"need k >= {len(rows)} variables for {rows}")
     if k > SYMMETRIZATION_CAP:

@@ -6,7 +6,7 @@ coordinate by one (multiplication by one variable, in monomial language).
 The number of directed paths between two vertices is the generalized
 binomial coefficient this package computes three independent ways:
 
-* a brute-force level-by-level DP (the oracle; `count_paths_dp`),
+* a level-by-level DP (the oracle; `count_paths_dp`),
 * closed-form products (module `formulas`),
 * coefficient extraction against a weight series (`weighted_path_count`).
 
@@ -374,32 +374,21 @@ def make_graph(kind: str, k: int) -> GradedGraph:
 # -- the DP oracle -----------------------------------------------------------
 
 def count_paths_dp(graph: GradedGraph, v: Vertex, u: Vertex) -> int:
-    """Number of monotone paths from v to u, by explicit level-by-level DP.
-
-    Edges only raise entries, so every intermediate vertex stays inside the
-    entrywise box between v and u; the sweep enforces the upper face.
-    """
+    """Number of monotone paths from v to u: ``path_counts_to`` with the
+    one target u, which sweeps only the entrywise box between v and u.
+    Both ends must be vertices, the source checked first."""
     v, u = tuple(v), tuple(u)
     if not graph.contains(v):
         raise ValueError(f"source {v} is not a vertex")
     if not graph.contains(u):
         raise ValueError(f"target {u} is not a vertex")
-    if degree(u) < degree(v) or not majorates(u, v):
-        return 0
-    counts: dict[Vertex, int] = {v: 1}
-    for _ in range(degree(u) - degree(v)):
-        nxt: dict[Vertex, int] = {}
-        for w, c in counts.items():
-            for w2 in graph.out_neighbors(w):
-                if majorates(u, w2):
-                    nxt[w2] = nxt.get(w2, 0) + c
-        counts = nxt
-    return counts.get(u, 0)
+    return path_counts_to(graph, v, [u])[u]
 
 
 def path_count_table(graph: GradedGraph, v: Vertex,
                      max_degree: int) -> dict[Vertex, int]:
-    """Path counts from v to every vertex of degree <= max_degree, in one sweep."""
+    """Path counts from v to every vertex of degree <= max_degree, in one
+    unpruned sweep: the reference for ``path_counts_to``."""
     v = tuple(v)
     if not graph.contains(v):
         raise ValueError(f"source {v} is not a vertex")
@@ -424,13 +413,14 @@ def path_counts_to(graph: GradedGraph, v: Vertex,
     kept vertex carries the targets above it; a target above a vertex is
     above all its predecessors, so the first predecessor to reach it hands
     it the ones still above.  A sweep shared by many targets thus visits
-    each vertex once, and one for a single target visits only its box."""
+    each vertex once; one for a single target, ``count_paths_dp``, only
+    its box."""
     v = tuple(v)
     if not graph.contains(v):
         raise ValueError(f"source {v} is not a vertex")
     wanted = {tuple(u) for u in targets}
     counts: dict[Vertex, int] = {}
-    above = tuple(u for u in wanted if majorates(u, v))
+    above = [u for u in wanted if majorates(u, v)]
     frontier: dict[Vertex, list] = {v: [1, above]} if above else {}
     while frontier:
         nxt: dict[Vertex, list] = {}
@@ -442,7 +432,7 @@ def path_counts_to(graph: GradedGraph, v: Vertex,
                 if entry is not None:
                     entry[0] += c
                     continue
-                reach = tuple(u for u in above if majorates(u, w2))
+                reach = [u for u in above if majorates(u, w2)]
                 if reach:
                     nxt[w2] = [c, reach]
         frontier = nxt

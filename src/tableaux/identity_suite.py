@@ -54,10 +54,7 @@ SWEEP_ANCHORS: dict[int, list[tuple[int, ...]]] = {
 
 
 def _variable_sum(k: int) -> MultiPoly:
-    total = MultiPoly.zero(k)
-    for i in range(k):
-        total = total + MultiPoly.var(k, i)
-    return total
+    return sum((MultiPoly.var(k, i) for i in range(k)), MultiPoly.zero(k))
 
 
 def _leading(poly: MultiPoly) -> dict:
@@ -105,12 +102,21 @@ def _perturbed(poly: MultiPoly, flag: bool) -> MultiPoly:
     return poly + MultiPoly.var(poly.k, 0) if flag else poly
 
 
+def _check_sizes(k: int, steps: int) -> None:
+    """Reject a size that would check nothing or fail mid-arithmetic."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+
+
 # -- full lattice identities ---------------------------------------------------
 
 def check_vandermonde(k: int, n: int, perturb: bool = False) -> VerifyReport:
     """ff(x_1+..+x_k, n) expanded over compositions with multinomial
     weights.  Dividing both sides by n! gives the binomial form, so it is
     not checked separately."""
+    _check_sizes(k, n)
     started = time.perf_counter()
     params = {"k": k, "n": n, "perturbed": perturb}
     lhs = _perturbed(ff_of_poly(_variable_sum(k), n), perturb)
@@ -121,6 +127,7 @@ def check_vandermonde(k: int, n: int, perturb: bool = False) -> VerifyReport:
 
 def check_multinomial(k: int, n: int, perturb: bool = False) -> VerifyReport:
     """(x_1+..+x_k)^n as the sum of multinomial monomials."""
+    _check_sizes(k, n)
     started = time.perf_counter()
     params = {"k": k, "n": n, "perturbed": perturb}
     lhs = _perturbed(_variable_sum(k) ** n, perturb)
@@ -199,6 +206,7 @@ def check_hook_identity(k: int, steps: int, perturb: bool = False) -> VerifyRepo
     compositions c of steps + k(k-1)/2 of
     steps!/prod(c_i!) * prod(c_j - c_i) * prod ff(x_i, c_i),
     plus the top-homogeneous (power) form of the same identity."""
+    _check_sizes(k, steps)
     started = time.perf_counter()
     params = {"k": k, "steps": steps, "perturbed": perturb}
     staircase = tuple(range(k))
@@ -213,15 +221,18 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
     the composition sum weighted by det(ff(c_i, a_j)), and likewise with the
     power alternant det(x_i^{a_j}) on the left.  At the staircase anchor
     (0..k-1) the falling alternant collapses to the power alternant
-    prod(x_j - x_i), recovering the un-anchored identity.  An anchor with
-    a repeated entry is rejected: both alternants vanish, so the check
-    would compare 0 with 0.  So is one with a negative entry, which has
-    no falling factorial."""
+    prod(x_j - x_i), recovering the un-anchored identity.  Rejected: an
+    anchor of length other than k, one with a repeated entry (both
+    alternants vanish, so the check would compare 0 with 0), and one with
+    a negative entry, which has no falling factorial."""
+    _check_sizes(k, steps)
     started = time.perf_counter()
     anchor = tuple(anchor)
+    if len(anchor) != k:
+        raise ValueError(f"anchor {anchor} is not of length k = {k}")
     if len(set(anchor)) != len(anchor):
         raise ValueError(f"anchor {anchor} has a repeated entry")
-    if min(anchor, default=0) < 0:
+    if min(anchor) < 0:
         raise ValueError(f"anchor {anchor} has a negative entry")
     params = {"k": k, "anchor": anchor, "steps": steps, "perturbed": perturb}
     falling = falling_alternant(anchor)
@@ -346,6 +357,7 @@ def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
 def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:
     """Every closed-form route against the DP table, from the base vertex to
     every vertex within ``steps`` levels."""
+    _check_sizes(k, steps)
     started = time.perf_counter()
     graph = make_graph(kind, k)
     base = _checked_vertex(kind, graph.base_vertex())
@@ -369,6 +381,7 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     first comes up, and the source is checked then.  Each distinct pair is
     compared once, in the order of its first draw, so the first failing
     pair is the one that comparing every draw would find."""
+    _check_sizes(k, steps)
     if pairs < 0:
         raise ValueError(f"pairs must be non-negative, got {pairs}")
     started = time.perf_counter()

@@ -479,7 +479,7 @@ def test_parser_is_built_once_across_calls(capsys, monkeypatch):
         cli._build_parser.cache_clear()
 
 
-# -- parsing: each request once, through its subcommand's parser --------------------
+# -- parsing: each request once, from the option table or the top-level parser ------
 
 USAGE = json.loads((Path(__file__).with_name("cli_usage.json")).read_text())
 
@@ -488,8 +488,8 @@ USAGE = json.loads((Path(__file__).with_name("cli_usage.json")).read_text())
                                              for case in USAGE])
 def test_usage_replies_are_worded_as_the_top_level_parser_words_them(
         capsys, monkeypatch, case):
-    # exit code, stdout and stderr as recorded before requests went straight
-    # to their subcommand's parser (Python 3.11 argparse at 80 columns):
+    # exit code, stdout and stderr as the top-level parser words them
+    # (recorded with Python 3.11 argparse at 80 columns):
     # usage errors, help, abbreviated and --opt=value options, and the input
     # errors that the count and hooks handlers raise themselves
     monkeypatch.setenv("COLUMNS", "80")
@@ -514,14 +514,22 @@ ACCEPTED = [
 
 
 def _spy_on_parsing(monkeypatch):
-    """The prog of each parser that parse_known_args or parse_args runs."""
-    calls = []
+    """The prog of each parser that parse_args or parse_known_args is called
+    on from outside argparse; the calls argparse makes inside a parse (the
+    subcommand's parser, parse_args's own parse_known_args) are not
+    recorded."""
+    calls, depth = [], [0]
     for name in ("parse_known_args", "parse_args"):
         real = getattr(argparse.ArgumentParser, name)
 
         def spy(self, *args, _real=real, **kwargs):
-            calls.append(self.prog)
-            return _real(self, *args, **kwargs)
+            if not depth[0]:
+                calls.append(self.prog)
+            depth[0] += 1
+            try:
+                return _real(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
         monkeypatch.setattr(argparse.ArgumentParser, name, spy)
     return calls
 
@@ -532,8 +540,8 @@ def test_each_accepted_request_is_parsed_once(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, *command.split())[0] == 0, command
         # plain requests are read from the option table; the abbreviated
-        # --meth and the --format=json form go to the count parser, once
-        expected = ["tableaux count"] if "--meth " in command else []
+        # --meth and the --format=json form go to the top-level parser, once
+        expected = ["tableaux"] if "--meth " in command else []
         assert calls == expected, command
 
 
@@ -653,18 +661,17 @@ def _generated_request(rng):
 
 
 def _argparse_reads(argv):
-    """The Namespace of argv's subcommand parser, or None when argparse
-    rejects argv, prints help, or leaves strings over."""
-    _, commands, _ = cli._build_parser()
-    if not argv or argv[0] not in commands:
-        return None
+    """The Namespace of the top-level parser without its ``command`` entry,
+    or None when argparse rejects argv or prints help."""
+    parser, _ = cli._build_parser()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            args, rest = commands[argv[0]].parse_known_args(argv[1:])
+            args = parser.parse_args(argv)
         except SystemExit:
             return None
-    return None if rest else args
+    del args.command
+    return args
 
 
 def _workload_requests():
@@ -691,7 +698,7 @@ def _workload_requests():
 
 
 def test_the_option_table_reader_agrees_with_argparse():
-    _, _, index = cli._build_parser()
+    _, index = cli._build_parser()
     golden = json.loads(Path(__file__).with_name("cli_golden.json")
                         .read_text())
     recorded = ([(case["command"].split(), False) for case in golden]

@@ -174,6 +174,28 @@ def test_aitken_weight_counts_every_comparable_pair(k):
     assert compared >= len(vertices)
 
 
+def test_aitken_weight_rejects_mismatched_or_empty_tuples():
+    # both used to fail inside det as "need a non-empty square matrix"
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        aitken_weight((0, 1), (1,))
+    with pytest.raises(ValueError, match="^need k >= 1$"):
+        aitken_weight((), ())
+
+
+def test_aitken_weight_is_zero_below_the_source():
+    # |u| < |v| used to fail in factorial(-1); every entry of the
+    # step-bounded matrix is then 0, and so is the weight
+    assert aitken_weight((0, 1), (0,)) == 0
+    assert aitken_weight((0, 2), (0, 1)) == 0
+    assert aitken_weight((1, 3, 4), (0, 1, 2)) == 0
+
+
+def test_skew_weight_fn_rejects_k_0():
+    # it used to fail in MultiPoly as "need at least one variable"
+    with pytest.raises(ValueError, match="^need k >= 1$"):
+        skew_weight_fn((), 0)
+
+
 def test_the_young_count_forms_no_factorial_above_the_steps(monkeypatch,
                                                              capsys):
     # five steps from a source with an entry of a million: the factorials

@@ -110,16 +110,46 @@ def test_path_count_table_matches_pointwise_dp():
 @pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
 def test_path_counts_to_matches_pointwise_dp(kind):
     # every vertex within four levels as a target, from every third of
-    # them: targets below, beside and equal to the source included
+    # them: targets below, beside and equal to the source included, each
+    # against the unpruned table's entry (absent means no path)
     g = make_graph(kind, 3)
     base = degree(g.base_vertex())
     vertices = [w for d in range(5) for w in g.vertices_of_degree(base + d)]
     for v in vertices[::3]:
+        table = path_count_table(g, v, base + 4)
         assert path_counts_to(g, v, vertices) == {
-            u: count_paths_dp(g, v, u) for u in vertices}
+            u: table.get(u, 0) for u in vertices}
     assert path_counts_to(g, vertices[0], []) == {}
     with pytest.raises(ValueError, match="not a vertex"):
         path_counts_to(g, (-1,) * 3, vertices)
+
+
+# a custom graph off the non-negative orthant: [-2, 1]^2 less two corners
+_NEGATIVE_GRAPH = CustomBoxGraph(2, [
+    w for w in itertools.product(range(-2, 2), repeat=2)
+    if w not in ((1, -2), (-2, 1))])
+
+
+@pytest.mark.parametrize("graph", [
+    *(make_graph(kind, k) for kind in ("pascal", "young", "strict")
+      for k in (1, 2, 3, 4)),
+    _NEGATIVE_GRAPH], ids=lambda g: f"{g.name}-{g.k}")
+def test_count_paths_dp_is_the_unpruned_table_entry(graph):
+    # every ordered pair within four levels of the base, each end below,
+    # beside, equal to or above the other; the table up to the top level
+    # has the entry of the table up to deg u at u
+    base = degree(graph.base_vertex())
+    vertices = [w for d in range(5) for w in graph.vertices_of_degree(base + d)]
+    for v in vertices:
+        table = path_count_table(graph, v, base + 4)
+        for u in vertices:
+            assert count_paths_dp(graph, v, u) == table.get(u, 0), (v, u)
+    outside = (-3,) * graph.k
+    for v, u, end in ((outside, outside, "source"),
+                      (vertices[-1], outside, "target")):
+        with pytest.raises(ValueError) as caught:
+            count_paths_dp(graph, v, u)
+        assert str(caught.value) == f"{end} {outside} is not a vertex"
 
 
 @settings(max_examples=60, deadline=None)

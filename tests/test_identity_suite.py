@@ -63,6 +63,42 @@ def test_skew_identity_rejects_a_negative_anchor_entry():
             check_skew_identity(len(anchor), anchor, 2)
 
 
+def test_skew_identity_rejects_an_anchor_whose_length_is_not_k():
+    # the check runs in len(anchor) variables, so a pass would report a k
+    # it did not check
+    for k, anchor in ((2, (0, 1, 2)), (3, (0, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"anchor {anchor} is not of length k = {k}")):
+            check_skew_identity(k, anchor, 1)
+
+
+_STEPS = "steps must be non-negative, got -1"
+_OUT_OF_RANGE = [
+    # a vacuous pass on the base vertex alone, and an internal error
+    (check_counts_from_base, ("young", 2, -1), _STEPS),
+    (check_skew_pairs, ("young", 2, -1, 3, 1), _STEPS),
+    # internal errors: negative length, negative power, factorial()
+    (check_vandermonde, (2, -1), _STEPS),
+    (check_multinomial, (2, -1), _STEPS),
+    (check_hook_identity, (2, -1), _STEPS),
+    (check_skew_identity, (2, (0, 1), -1), _STEPS),
+    # internal errors: no variable, or an empty matrix
+    (check_vandermonde, (0, 2), "need k >= 1"),
+    (check_multinomial, (0, 2), "need k >= 1"),
+    (check_hook_identity, (0, 2), "need k >= 1"),
+]
+
+
+@pytest.mark.parametrize("check,args,message", _OUT_OF_RANGE,
+                         ids=[f"{check.__name__}{args}"
+                              for check, args, _ in _OUT_OF_RANGE])
+def test_checks_reject_out_of_range_sizes_in_the_package_words(check, args,
+                                                               message):
+    with pytest.raises(ValueError) as caught:
+        check(*args)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("k,n", [(2, 0), (2, 2), (3, 1), (3, 3)])
 def test_polycomponent_passes(k, n):
     rep = check_polycomponent(k, n)
