@@ -19,25 +19,25 @@ max_degree.  ``max_pairs`` bounds the sampled pairs of ``verify pairs``, and
 minimum-closure scan is quadratic in the list's length, and its convexity
 scan linear (up to a sort), whatever the size of the coordinates.
 
-Each subcommand's options are declared once, in ``_COMMANDS``, which feeds
-both argparse and ``_read_plain``.  A plain request (exact ``--flag value``
-pairs whose values do not start with ``-``, and ``verify``'s check) is read
-from that table without argparse.  Any other, help included, is parsed
-once by the top-level argparse parser, which words every usage error.
+Each subcommand's options are declared once, in ``_COMMANDS``.  A plain
+request (exact ``--flag value`` pairs whose values do not start with ``-``,
+and ``verify``'s check) is read by ``_read_plain`` from ``_PLAIN_INDEX``,
+which is built from that table, so it builds no argparse parser.  Any other,
+help included, is parsed once by the top-level argparse parser, built from
+the same table on first use, which words every usage error.  A request
+imports only what it runs: the identity suite is imported by ``verify``,
+``json`` and ``csv`` by the writers that print them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import identity_suite
 from .formulas import (_closed_form_count, _hook_count, _hook_lengths,
                        _hook_product, _partition_vertex, format_partition,
                        parse_partition)
@@ -162,8 +162,13 @@ def _series_count(graph: GradedGraph, src: tuple[int, ...],
 
 
 def _write_csv(rows: list[list[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+    import csv
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
+def _write_json(doc: dict[str, object]) -> None:
+    import json
+    print(json.dumps(doc))
 
 
 # -- count ----------------------------------------------------------------------
@@ -209,6 +214,7 @@ def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 
 def _verify_reports(args: argparse.Namespace,
                     budgets: dict[str, int]) -> list[VerifyReport]:
+    from . import identity_suite
     name = args.check
     if name not in ("controls", "sweep") and args.k < 1:
         raise ValueError("need k >= 1")
@@ -276,10 +282,10 @@ def _cmd_hooks(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     product = _hook_product(rows, grid)
     count = _hook_count(rows, product)
     if args.format == "json":
-        print(json.dumps({"partition": format_partition(rows),
-                          "hooks": grid,
-                          "product": str(product),
-                          "count": str(count)}))
+        _write_json({"partition": format_partition(rows),
+                     "hooks": grid,
+                     "product": str(product),
+                     "count": str(count)})
     elif args.format == "csv":
         _write_csv([["row", "col", "hook"]]
                    + [[r, c, h] for r, line in enumerate(grid)
@@ -304,7 +310,7 @@ def _cmd_phi(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     conditions = verify_weight_conditions(graph, v, phi, bound)
     items = phi.sorted_items()
     if args.format == "json":
-        print(json.dumps({
+        _write_json({
             "graph": graph.name,
             "k": graph.k,
             "base": ",".join(str(c) for c in v),
@@ -312,7 +318,7 @@ def _cmd_phi(args: argparse.Namespace, budgets: dict[str, int]) -> int:
             "coefficients": {",".join(str(e) for e in exps): str(c)
                              for exps, c in items},
             "conditions": conditions.status,
-        }))
+        })
     elif args.format == "csv":
         _write_csv([["monomial", "coefficient"]]
                    + [[",".join(str(e) for e in exps), c] for exps, c in items])
@@ -333,13 +339,13 @@ def _cmd_table(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     table = path_count_table(graph, v, degree(v) + args.deg)
     ordered = sorted(table, key=grlex_key)
     if args.format == "json":
-        print(json.dumps({
+        _write_json({
             "graph": graph.name,
             "k": graph.k,
             "from": ",".join(str(c) for c in v),
             "counts": {",".join(str(e) for e in u): str(table[u])
                        for u in ordered},
-        }))
+        })
     elif args.format == "csv":
         _write_csv([["vertex", "count"]]
                    + [[",".join(str(e) for e in u), table[u]] for u in ordered])
@@ -403,39 +409,49 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The parser, which reads whole each request ``_read_plain`` declines,
-    and the index that ``_read_plain`` reads, both built from ``_COMMANDS``
-    once per process: they hold no per-request state (budgets are read per
-    call, and handlers look up their helpers when they run).
+def _plain_entry(handler: Callable[..., int],
+                 options: tuple) -> tuple[dict, dict, set]:
+    """A subcommand's ``_PLAIN_INDEX`` entry, read off its options as
+    argparse reads them: each flag's (dest, type, choices), and the
+    positional's under None; every dest's default, plus the handler; the
+    required dests (the positional, and options declared required)."""
+    flags, defaults, required = {}, {"handler": handler}, set()
+    for name, keywords in options:
+        positional = not name.startswith("-")
+        dest = name if positional else keywords.get(
+            "dest", name[2:].replace("-", "_"))
+        flags[None if positional else name] = (
+            dest, keywords.get("type"), keywords.get("choices"))
+        defaults[dest] = keywords.get("default")
+        if positional or keywords.get("required"):
+            required.add(dest)
+    return flags, defaults, required
 
-    A subcommand's index entry holds, from the actions that argparse made of
-    its options: each flag's (dest, type, choices), and the positional's
-    under None; every dest's default, plus the handler; the required dests."""
+
+_PLAIN_INDEX = {command: _plain_entry(handler, options)
+                for command, (_, handler, options) in _COMMANDS.items()}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, which reads whole each request ``_read_plain``
+    declines, built from ``_COMMANDS`` on the first such request and kept:
+    it holds no per-request state (budgets are read per call, and handlers
+    look up their helpers when they run)."""
     parser = argparse.ArgumentParser(
         prog="tableaux",
         description="Exact path counts in graded lattice graphs, verified "
                     "three ways.")
     subs = parser.add_subparsers(dest="command", required=True)
-    index = {}
     for command, (help_text, handler, options) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
-        flags, defaults, required = {}, {"handler": handler}, set()
         for name, keywords in options:
-            action = sub.add_argument(name, **keywords)
-            flags[name if action.option_strings else None] = (
-                action.dest, action.type, action.choices)
-            defaults[action.dest] = action.default
-            if action.required:
-                required.add(action.dest)
+            sub.add_argument(name, **keywords)
         sub.set_defaults(handler=handler)
-        index[command] = (flags, defaults, required)
-    return parser, index
+    return parser
 
 
-def _read_plain(argv: list[str],
-                index: dict[str, tuple]) -> argparse.Namespace | None:
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
     """argparse's Namespace for argv, less the ``command`` no handler reads,
     when every token after the subcommand is an exact ``--flag value`` pair
     whose value does not start with ``-``, or the subcommand's one
@@ -444,7 +460,7 @@ def _read_plain(argv: list[str],
     None for any other request (help, abbreviations, ``--flag=value``,
     values starting with ``-``, stray or unknown strings, bad values, a
     missing required option), which argparse then reads and words."""
-    entry = index.get(argv[0]) if argv else None
+    entry = _PLAIN_INDEX.get(argv[0]) if argv else None
     if entry is None:
         return None
     flags, defaults, required = entry
@@ -480,8 +496,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     once by the top-level parser, so that help and every usage error are
     worded as argparse words them."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, index = _build_parser()
-    args = _read_plain(argv, index) or parser.parse_args(argv)
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     try:
         for flag in ("n", "deg"):
             value = getattr(args, flag, 0)

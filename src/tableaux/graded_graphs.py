@@ -132,7 +132,6 @@ import bisect
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
@@ -593,7 +592,6 @@ class SeriesConstructionError(ValueError):
         self.monomial = monomial
 
 
-@dataclass
 class WeightSeries:
     """Sparse coefficient table of a weight series for ``base``.
 
@@ -601,9 +599,11 @@ class WeightSeries:
     integers.  ``degree_bound`` is the largest constraint degree the table
     was solved for (and hence the largest target degree it certifies)."""
 
-    base: Vertex
-    coeffs: dict[Vertex, Coeff] = field(default_factory=dict)
-    degree_bound: int = 0
+    def __init__(self, base: Vertex, coeffs: dict[Vertex, Coeff] | None = None,
+                 degree_bound: int = 0) -> None:
+        self.base = base
+        self.coeffs = {} if coeffs is None else coeffs
+        self.degree_bound = degree_bound
 
     def coefficient(self, exps: Vertex) -> Coeff:
         return self.coeffs.get(tuple(exps), 0)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -65,28 +64,27 @@ class LimitInfiniteError(ArithmeticError):
 Pairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class RationalFn:
     """A sum of fractions, each a numerator over prod over its own pairs
     (i, j), i < j, of (x_i + x_j), with no two pairs of one fraction sharing
     an index."""
 
-    k: int
-    terms: tuple[tuple[MultiPoly, Pairs], ...]
-
-    def __post_init__(self) -> None:
-        for numerator, pairs in self.terms:
-            if numerator.k != self.k:
+    def __init__(self, k: int,
+                 terms: tuple[tuple[MultiPoly, Pairs], ...]) -> None:
+        for numerator, pairs in terms:
+            if numerator.k != k:
                 raise ValueError("numerator dimension mismatch")
             if (len({c for pair in pairs for c in pair}) != 2 * len(pairs)
-                    or not all(0 <= i < j < self.k for i, j in pairs)):
+                    or not all(0 <= i < j < k for i, j in pairs)):
                 raise ValueError(f"bad or overlapping denominator pairs {pairs}")
+        self.k = k
+        self.terms = terms
 
 
-@dataclass
 class LaurentSeries:
-    k: int
-    terms: dict[SignedExponents, Coeff]
+    def __init__(self, k: int, terms: dict[SignedExponents, Coeff]) -> None:
+        self.k = k
+        self.terms = terms
 
 
 def _span(f: SignedExponents, a: int, b: int, lo: Sequence[int],

@@ -7,9 +7,7 @@ CLI can stream results as JSON lines with a stable field order.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -29,23 +27,26 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one verification: what was checked, with what parameters,
     and on failure a witness pinpointing the first violation."""
 
-    identity: str
-    params: dict[str, Any] = field(default_factory=dict)
-    status: str = "pass"
-    witness: Any = None
-    seed: int | None = None
-    millis: int = 0
+    def __init__(self, identity: str, params: dict[str, Any] | None = None,
+                 status: str = "pass", witness: Any = None,
+                 seed: int | None = None, millis: int = 0) -> None:
+        self.identity = identity
+        self.params = {} if params is None else params
+        self.status = status
+        self.witness = witness
+        self.seed = seed
+        self.millis = millis
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_json_line(self) -> str:
+        import json
         doc: dict[str, Any] = {
             "identity": self.identity,
             "params": _jsonable(self.params),
@@ -75,21 +76,24 @@ def _elapsed_ms(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
-@dataclass
 class CountReport:
     """A path-count query together with every method's exact answer."""
 
-    graph: str
-    k: int
-    source: tuple[int, ...]
-    target: tuple[int, ...]
-    counts: dict[str, int] = field(default_factory=dict)
+    def __init__(self, graph: str, k: int, source: tuple[int, ...],
+                 target: tuple[int, ...],
+                 counts: dict[str, int] | None = None) -> None:
+        self.graph = graph
+        self.k = k
+        self.source = source
+        self.target = target
+        self.counts = {} if counts is None else counts
 
     @property
     def agree(self) -> bool:
         return len(set(self.counts.values())) <= 1
 
     def to_json(self) -> str:
+        import json
         doc = {
             "graph": self.graph,
             "k": self.k,

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, budgets."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -466,12 +467,18 @@ def test_parser_is_built_once_across_calls(capsys, monkeypatch):
         built.append(kwargs.get("prog"))
         real_init(self, *args, **kwargs)
 
-    # one build makes the top-level parser and one parser per subcommand
+    # plain requests build no parser; the first request the option table
+    # declines builds the top-level parser and one parser per subcommand,
+    # and later ones reuse it
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._build_parser.cache_clear()
     try:
         for _ in range(5):
             rc, out, _ = run(capsys, "hooks", "--partition", "3,2,1")
+            assert (rc, out) == (0, "5 3 1\n3 1\n1\nproduct 45\ncount 16\n")
+        assert built == []
+        for _ in range(5):
+            rc, out, _ = run(capsys, "hooks", "--partition=3,2,1")
             assert (rc, out) == (0, "5 3 1\n3 1\n1\nproduct 45\ncount 16\n")
         assert built.count("tableaux") == 1
         assert len(built) == 6
@@ -590,6 +597,51 @@ def test_a_fresh_interpreter_counts_a_strict_partition():
     assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
 
 
+# A one-shot run as the benchmark's cold start makes it (a fresh interpreter
+# importing ``tableaux``, then ``cli.main``), reporting on its last stderr
+# line the modules it imported, how often ``_build_parser`` ran, and the
+# exit code.
+ONE_SHOT = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import tableaux
+from tableaux import cli
+built, real = [], cli._build_parser
+cli._build_parser = lambda: built.append(1) or real()
+code = cli.main(sys.argv[2:])
+print(repr((sorted(set(sys.modules) - before), len(built), code)),
+      file=sys.stderr)
+"""
+NOT_RUN_BY_A_COUNT = {"tableaux.identity_suite", "dataclasses", "json", "csv"}
+ONE_SHOT_REPLIES = {
+    "count --graph pascal --k 2 --to 1,1 --method formula": "2\n",
+    "count --graph strict --k 3 --to-partition 3,1": "2\n",
+    "phi --graph young --k 2 --deg 1": "0,1 1\n1,0 -1\nconditions pass\n",
+    "table --graph pascal --k 2 --deg 1": "0,0 1\n0,1 1\n1,0 1\n",
+    "hooks --partition 2,1": "3 1\n1\nproduct 3\ncount 2\n",
+    "verify pfaffian --k 4": None,
+}
+
+
+@pytest.mark.parametrize("request_text", ONE_SHOT_REPLIES)
+def test_a_one_shot_request_imports_only_what_it_runs(request_text):
+    output = ONE_SHOT_REPLIES[request_text]
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_SHOT, str(Path(__file__).parents[1] / "src"),
+         *request_text.split()],
+        capture_output=True, text=True, timeout=60)
+    imported, built, code = ast.literal_eval(done.stderr.splitlines()[-1])
+    assert (code, built) == (0, 0)
+    if output is None:
+        # the identity suite is imported by the request that runs it
+        assert "tableaux.identity_suite" in imported
+        assert json.loads(done.stdout)["status"] == "pass"
+    else:
+        assert done.stdout == output
+        assert NOT_RUN_BY_A_COUNT.isdisjoint(imported)
+
+
 # -- the option-table reader against argparse ---------------------------------------
 
 FLAG_VALUES = {
@@ -663,7 +715,7 @@ def _generated_request(rng):
 def _argparse_reads(argv):
     """The Namespace of the top-level parser without its ``command`` entry,
     or None when argparse rejects argv or prints help."""
-    parser, _ = cli._build_parser()
+    parser = cli._build_parser()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -698,7 +750,6 @@ def _workload_requests():
 
 
 def test_the_option_table_reader_agrees_with_argparse():
-    _, index = cli._build_parser()
     golden = json.loads(Path(__file__).with_name("cli_golden.json")
                         .read_text())
     recorded = ([(case["command"].split(), False) for case in golden]
@@ -709,7 +760,7 @@ def test_the_option_table_reader_agrees_with_argparse():
     workload = [(argv, True) for argv in _workload_requests()]
     read = 0
     for argv, plain in recorded + generated + workload:
-        ours, theirs = cli._read_plain(argv, index), _argparse_reads(argv)
+        ours, theirs = cli._read_plain(argv), _argparse_reads(argv)
         if ours is not None:
             read += 1
             assert ours == theirs, argv
@@ -719,7 +770,7 @@ def test_the_option_table_reader_agrees_with_argparse():
     assert read > 300
     fault = ["count", "--graph", "custom", "--vertices=-1,-2;-1,1;0,0",
              "--from=-1,-2", "--to=-1,1", "--method", "phi"]
-    assert cli._read_plain(fault, index) is None
+    assert cli._read_plain(fault) is None
     assert _argparse_reads(fault) is not None
 
 
