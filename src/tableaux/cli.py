@@ -337,21 +337,19 @@ def _cmd_table(args: argparse.Namespace, budgets: dict[str, int]) -> int:
                         default=graph.base_vertex(), role="source")
     _require(budgets, max_degree=args.deg)
     table = path_count_table(graph, v, degree(v) + args.deg)
-    ordered = sorted(table, key=grlex_key)
+    vertex = ",".join(["%d"] * graph.k)  # a vertex as comma-separated text
+    rows = [(vertex % u, table[u]) for u in sorted(table, key=grlex_key)]
     if args.format == "json":
         _write_json({
             "graph": graph.name,
             "k": graph.k,
-            "from": ",".join(str(c) for c in v),
-            "counts": {",".join(str(e) for e in u): str(table[u])
-                       for u in ordered},
+            "from": ",".join(map(str, v)),
+            "counts": {name: str(count) for name, count in rows},
         })
     elif args.format == "csv":
-        _write_csv([["vertex", "count"]]
-                   + [[",".join(str(e) for e in u), table[u]] for u in ordered])
+        _write_csv([("vertex", "count"), *rows])
     else:
-        for u in ordered:
-            print(f"{','.join(str(e) for e in u)} {table[u]}")
+        sys.stdout.write("".join(f"{name} {count}\n" for name, count in rows))
     return 0
 
 

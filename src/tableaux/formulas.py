@@ -187,15 +187,16 @@ def format_partition(rows: Sequence[int]) -> str:
 
 def multinomial_paths(v_from: Sequence[int], v_to: Sequence[int]) -> int:
     """Paths in the full lattice: the multinomial of the coordinate gaps."""
-    v_from, v_to = tuple(v_from), tuple(v_to)
-    if len(v_from) != len(v_to):
+    return _multinomial_paths(_checked_vertex("pascal", v_from),
+                              _checked_vertex("pascal", v_to))
+
+
+def _multinomial_paths(v: Vertex, u: Vertex) -> int:
+    """``multinomial_paths`` between checked vertices."""
+    if len(v) != len(u):
         raise ValueError("dimension mismatch")
-    if any(c < 0 for c in v_from) or any(c < 0 for c in v_to):
-        raise ValueError("lattice vertices have non-negative coordinates")
-    diffs = [b - a for a, b in zip(v_from, v_to)]
-    if any(d < 0 for d in diffs):
-        return 0
-    return multinomial(diffs)
+    gaps = list(map(operator.sub, u, v))
+    return multinomial(gaps) if min(gaps) >= 0 else 0
 
 
 # -- strictly increasing coordinates ------------------------------------------
@@ -233,11 +234,10 @@ def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
         return 0
     if len(u) != len(v) or not v:
         raise ValueError("dimension mismatch" if v else "need k >= 1")
-    denominator = factorial(steps) ** (len(v) - 1)
-    # s!/d! at each difference d in [0, s]; any other difference reads 0
-    scaled = {d: perm(steps, steps - d) for d in range(steps + 1)}
-    numerator = det([[scaled.get(c - a, 0) for a in v] for c in u])
-    return _quotient(numerator, denominator, "for", v, "->", u, signed=True)
+    numerator = det([[perm(steps, steps - d) if 0 <= (d := c - a) <= steps
+                      else 0 for a in v] for c in u])
+    return _quotient(numerator, factorial(steps) ** (len(v) - 1),
+                     "for", v, "->", u, signed=True)
 
 
 def young_path_count(v_from: Sequence[int], v_to: Sequence[int]) -> int:
@@ -578,7 +578,7 @@ def _closed_form_count(kind: str, v: Vertex, u: Vertex) -> tuple[str, int]:
     vertices from ``_checked_vertex`` or that the graph's ``contains``
     accepted, which applies the same rule."""
     if kind == "pascal":
-        return "multinomial", multinomial_paths(v, u)
+        return "multinomial", _multinomial_paths(v, u)
     if kind == "young":
         return "determinant", _young_path_count(v, u)
     if kind == "strict":

@@ -93,12 +93,15 @@ The constraint monomials are the vertices of degree deg(v) and the
 non-vertices u = w - e_i below the vertices w of higher levels, with exit
 i.  For a built-in vertex w, w - e_i is a non-vertex exactly when w_i = 0
 or one of the two neighbouring pairs through coordinate i leaves R (on
-pascal, where R admits every pair, exactly when w_i = 0).  A custom graph
-tests membership.  The pivot of u is u lowered deg(u) - deg(v) steps
-along i (a base-degree monomial is its own pivot), and under minimum
-closure the exit is unique, since two exits u + e_i and u + e_j would be
-vertices with minimum u.  So one pass builds the map from each constraint
-monomial to its pivot, once per graph and bound (``GradedGraph.constraints``).
+pascal, exactly when w_i = 0): the exit rule, ``GradedGraph.lowered``.
+Likewise w + e_i is a vertex exactly when both pairs stay in R with w_i
+raised: the successor rule, ``GradedGraph.raised``, by which the DP sweeps
+step.  A custom graph tests membership.  The pivot of u is u lowered
+deg(u) - deg(v) steps along i (a base-degree monomial is its own pivot),
+and under minimum closure the exit is unique, since two exits u + e_i and
+u + e_j would be vertices with minimum u.  So one pass builds the map from
+each constraint monomial to its pivot, once per graph and bound
+(``GradedGraph.constraints``).
 
 Only work that a term of the series can reach is done.  A constraint u
 has a nonzero value only if some support monomial e (deg e = deg v)
@@ -176,7 +179,6 @@ class GradedGraph:
             raise ValueError("need k >= 1")
         self.k = k
         self._constraints: dict[tuple[Vertex, int], dict[Vertex, Vertex]] = {}
-        self._successors: dict[Vertex, tuple[Vertex, ...]] = {}
 
     def contains(self, v: Vertex) -> bool:
         return len(v) == self.k and in_relation(v, self.neighbour_ok)
@@ -186,15 +188,18 @@ class GradedGraph:
         raise NotImplementedError
 
     def out_neighbors(self, v: Vertex) -> list[Vertex]:
-        """The vertices v + e_i, in the order of i.  They are found once per
-        vertex and graph; each call returns a fresh list."""
-        successors = self._successors.get(v)
-        if successors is None:
-            if not self.contains(v):
-                raise ValueError(f"{v} is not a vertex")
-            successors = self._successors[v] = tuple(
-                w for i in range(self.k) if self.contains(w := _bump(v, i)))
-        return list(successors)
+        """The vertices v + e_i above the vertex v, in the order of i."""
+        if not self.contains(v):
+            raise ValueError(f"{v} is not a vertex")
+        return [w for _, w in self.raised(v)]
+
+    def raised(self, v: Vertex) -> list[tuple[int, Vertex]]:
+        """The pairs (i, v + e_i) with v + e_i a vertex, in the order of i,
+        by the successor rule (module docstring); v is not checked."""
+        ok, last = self.neighbour_ok, self.k - 1
+        return [(i, v[:i] + (x + 1,) + v[i + 1:]) for i, x in enumerate(v)
+                if ok is None or (i == 0 or ok(v[i - 1], x + 1))
+                and (i == last or ok(x + 1, v[i + 1]))]
 
     def vertices_of_degree(self, d: int) -> list[Vertex]:
         """The vertices of entry sum d, in lexicographic order, generated
@@ -212,13 +217,9 @@ class GradedGraph:
         room = degrees[-1] - sum(lo) if degrees else -1
         if room < 0 or k == 1 or ok is None:
             for d in degrees:
-                if d < sum(lo):
-                    yield []
-                elif k == 1:
-                    yield [(d,)]
-                else:
-                    yield [tuple(map(operator.add, lo, c))
-                           for c in exact_compositions(k, d - sum(lo))]
+                rest = d - sum(lo)
+                yield [tuple(map(operator.add, lo, c))
+                       for c in exact_compositions(k, rest)] if rest >= 0 else []
             return
         windows = [range(a, a + room + 1) for a in lo]
         follows = [{p: [c for c in after if ok(p, c)] for p in side}
@@ -344,6 +345,10 @@ class CustomBoxGraph(GradedGraph):
             yield sorted(w for w in self.vertices
                          if degree(w) == d and majorates(w, floor))
 
+    def raised(self, v: Vertex) -> list[tuple[int, Vertex]]:
+        """As for every graph, with the successor test by membership."""
+        return [(i, w) for i in range(self.k) if self.contains(w := _bump(v, i))]
+
     def lowered(self, level: list[Vertex],
                 floor: Vertex) -> list[tuple[Vertex, int]]:
         """As for every graph, with the exit test by membership."""
@@ -372,31 +377,33 @@ def make_graph(kind: str, k: int) -> GradedGraph:
 
 # -- the DP oracle -----------------------------------------------------------
 
+def _checked(graph: GradedGraph, v: Vertex, end: str = "source") -> Vertex:
+    """v as a tuple, checked to be a vertex; an error names the end."""
+    v = tuple(v)
+    if not graph.contains(v):
+        raise ValueError(f"{end} {v} is not a vertex")
+    return v
+
+
 def count_paths_dp(graph: GradedGraph, v: Vertex, u: Vertex) -> int:
     """Number of monotone paths from v to u: ``path_counts_to`` with the
     one target u, which sweeps only the entrywise box between v and u.
-    Both ends must be vertices, the source checked first."""
-    v, u = tuple(v), tuple(u)
-    if not graph.contains(v):
-        raise ValueError(f"source {v} is not a vertex")
-    if not graph.contains(u):
-        raise ValueError(f"target {u} is not a vertex")
-    return path_counts_to(graph, v, [u])[u]
+    Both ends are checked once each, the source first."""
+    v, u = _checked(graph, v), _checked(graph, u, "target")
+    return _counts_to(graph, v, [u])[u]
 
 
 def path_count_table(graph: GradedGraph, v: Vertex,
                      max_degree: int) -> dict[Vertex, int]:
     """Path counts from v to every vertex of degree <= max_degree, in one
     unpruned sweep: the reference for ``path_counts_to``."""
-    v = tuple(v)
-    if not graph.contains(v):
-        raise ValueError(f"source {v} is not a vertex")
+    v = _checked(graph, v)
     table: dict[Vertex, int] = {v: 1}
     frontier: dict[Vertex, int] = {v: 1}
     for _ in range(degree(v), max_degree):
         nxt: dict[Vertex, int] = {}
         for w, c in frontier.items():
-            for w2 in graph.out_neighbors(w):
+            for _, w2 in graph.raised(w):
                 nxt[w2] = nxt.get(w2, 0) + c
         table.update(nxt)
         frontier = nxt
@@ -405,18 +412,17 @@ def path_count_table(graph: GradedGraph, v: Vertex,
 
 def path_counts_to(graph: GradedGraph, v: Vertex,
                    targets: Iterable[Vertex]) -> dict[Vertex, int]:
-    """Path counts from v to each target, in one level sweep.
+    """Path counts from v to each target, in one level sweep (``_counts_to``);
+    only the source is checked, and a target not above it counts 0."""
+    return _counts_to(graph, _checked(graph, v), targets)
 
-    Edges only raise entries, so a path to a target stays entrywise below
-    it, and the sweep keeps only the vertices below some target.  Each
-    kept vertex carries the targets above it; a target above a vertex is
-    above all its predecessors, so the first predecessor to reach it hands
-    it the ones still above.  A sweep shared by many targets thus visits
-    each vertex once; one for a single target, ``count_paths_dp``, only
-    its box."""
-    v = tuple(v)
-    if not graph.contains(v):
-        raise ValueError(f"source {v} is not a vertex")
+
+def _counts_to(graph: GradedGraph, v: Vertex,
+               targets: Iterable[Vertex]) -> dict[Vertex, int]:
+    """``path_counts_to`` from a checked source.  Paths only raise entries,
+    so the sweep keeps the vertices below some target, each carrying the
+    targets above it, which are above all its predecessors: the first w to
+    reach w + e_i hands on those u with u_i > w_i.  So each is visited once."""
     wanted = {tuple(u) for u in targets}
     counts: dict[Vertex, int] = {}
     above = [u for u in wanted if majorates(u, v)]
@@ -426,13 +432,11 @@ def path_counts_to(graph: GradedGraph, v: Vertex,
         for w, (c, above) in frontier.items():
             if w in wanted:
                 counts[w] = c
-            for w2 in graph.out_neighbors(w):
+            for i, w2 in graph.raised(w):
                 entry = nxt.get(w2)
                 if entry is not None:
                     entry[0] += c
-                    continue
-                reach = [u for u in above if majorates(u, w2)]
-                if reach:
+                elif reach := [u for u in above if u[i] > w[i]]:
                     nxt[w2] = [c, reach]
         frontier = nxt
     return {u: counts.get(u, 0) for u in wanted}
@@ -553,9 +557,7 @@ def constraint_monomials(graph: GradedGraph, v: Vertex, bound: int,
     the static floor below which no solved series reaches (module
     docstring).  Ordered by degree then lexicographically.
     """
-    v = tuple(v)
-    if not graph.contains(v):
-        raise ValueError(f"{v} is not a vertex")
+    v = _checked(graph, v)
     base = degree(v)
     if bound < base:
         raise ValueError("bound below the base degree")
@@ -621,9 +623,7 @@ def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> Weight
     raises ``SeriesConstructionError`` with the offending monomial, which
     for a relation is a point (a, b) of that square.
     """
-    v = tuple(v)
-    if not graph.contains(v):
-        raise ValueError(f"{v} is not a vertex")
+    v = _checked(graph, v)
     for check in (check_minimum_closed, check_coordinate_convex):
         report = check(graph, SCAN_BOX)
         if not report.ok:
@@ -679,10 +679,8 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: WeightSeries,
     Condition 3 uses the exponent deg(w) - deg(v).
     """
     started = time.perf_counter()
-    v = tuple(v)
+    v = _checked(graph, v)
     params = {"graph": graph.name, "k": graph.k, "v": v, "bound": bound}
-    if not graph.contains(v):
-        raise ValueError(f"{v} is not a vertex")
     if bound < degree(v):
         raise ValueError("bound below the base degree")
 
@@ -714,24 +712,35 @@ def verify_weight_conditions(graph: GradedGraph, v: Vertex, phi: WeightSeries,
 
 def weighted_path_count(graph: GradedGraph, phi: WeightSeries, v: Vertex,
                         u: Vertex) -> int:
-    """Path count from v to u read off as the coefficient of u in
-    phi * (x_1+..+x_k)^(deg u - deg v)."""
-    v, u = tuple(v), tuple(u)
-    if not graph.contains(v) or not graph.contains(u):
-        raise ValueError("endpoints must be vertices")
-    steps = degree(u) - degree(v)
-    if steps < 0:
-        return 0
+    """Path count from v to u, the coefficient of u in phi * (x_1+..+x_k)^
+    (deg u - deg v): ``weighted_counts_to`` at the one target u, checked."""
+    u = _checked(graph, u, "target")
+    return weighted_counts_to(graph, phi, v, [u])[u]
+
+
+def weighted_counts_to(graph: GradedGraph, phi: WeightSeries, v: Vertex,
+                       targets: Iterable[Vertex]) -> dict[Vertex, int]:
+    """``weighted_path_count`` from v to each target, with the terms of
+    degree deg(v) filtered and the factorials up to the most steps built
+    once for all targets.  Only the source is checked; a target below
+    deg(v) counts 0, and one above the series' bound raises."""
+    v = _checked(graph, v)
     if phi.base != v:
         raise ValueError(f"series base {phi.base} does not match source {v}")
-    if phi.degree_bound < degree(u):
+    base = degree(v)
+    steps = {u: degree(u) - base for u in map(tuple, targets)}
+    top = max(steps.values(), default=0)
+    if base + top > phi.degree_bound:
         raise ValueError(
-            f"series bound {phi.degree_bound} below target degree {degree(u)}")
-    value = _extract_coefficient(
-        [(e, c) for e, c in phi.coeffs.items() if degree(e) == degree(v)],
-        u, steps, _factorials(steps))
-    if value != int(value):
-        raise ArithmeticError(f"non-integer path count {value} at {u}")
-    if value < 0:
-        raise ArithmeticError(f"negative path count {value} at {u}")
-    return int(value)
+            f"series bound {phi.degree_bound} below target degree {base + top}")
+    terms = [(e, c) for e, c in phi.coeffs.items() if degree(e) == base]
+    factorials = _factorials(top)
+    counts = {}
+    for u, s in steps.items():
+        value = _extract_coefficient(terms, u, s, factorials) if s >= 0 else 0
+        if value != int(value):
+            raise ArithmeticError(f"non-integer path count {value} at {u}")
+        if value < 0:
+            raise ArithmeticError(f"negative path count {value} at {u}")
+        counts[u] = int(value)
+    return counts

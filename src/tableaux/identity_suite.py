@@ -27,16 +27,15 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .formulas import (SYMMETRIZATION_CAP, _checked_vertex,
-                       _closed_form_count, _strict_rows, _strict_skew_count,
-                       _syt_count, _young_rows, aitken_weight,
-                       skew_weight_limit, strict_count,
+from .formulas import (SYMMETRIZATION_CAP, _closed_form_count, _strict_rows,
+                       _strict_skew_count, _syt_count, _young_rows,
+                       aitken_weight, skew_weight_limit, strict_count,
                        strict_partition_to_vertex, strict_skew_path_series,
                        syt_count_hook)
 from .graded_graphs import (GradedGraph, SeriesConstructionError, Vertex,
                             construct_weight_series, degree, make_graph,
                             path_count_table, path_counts_to,
-                            verify_weight_conditions, weighted_path_count)
+                            verify_weight_conditions, weighted_counts_to)
 from .laurent import (check_trailing_negative_coeffs, polynomial_component,
                       verify_pfaffian_product)
 from .multipoly import (Coeff, Exponents, MultiPoly, bounded_exponents,
@@ -334,13 +333,11 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
 
 # -- cross validation against the DP oracle -------------------------------------
 
-def _formula_routes(graph: GradedGraph, v: tuple[int, ...],
-                    u: tuple[int, ...]) -> dict[str, int]:
-    """Every closed form from v, checked by ``_checked_vertex``, to u,
-    checked here: a strict pair takes the Pfaffian and, up to the
+def _formula_routes(graph: GradedGraph, v: Vertex, u: Vertex) -> dict[str, int]:
+    """Every closed form from v to u, vertices that a DP sweep checked or
+    produced: a strict pair takes the Pfaffian and, up to the
     symmetrization cap, the paper's anchored limit; from the base vertex
     the ratio product (and for Young the hooks) join them."""
-    u = _checked_vertex(graph.name, u)
     route, count = _closed_form_count(graph.name, v, u)
     routes = {route: count}
     if graph.name == "strict" and graph.k <= SYMMETRIZATION_CAP:
@@ -360,12 +357,11 @@ def check_counts_from_base(kind: str, k: int, steps: int) -> VerifyReport:
     _check_sizes(k, steps)
     started = time.perf_counter()
     graph = make_graph(kind, k)
-    base = _checked_vertex(kind, graph.base_vertex())
+    base = graph.base_vertex()
     table = path_count_table(graph, base, degree(base) + steps)
     params = {"graph": kind, "k": k, "steps": steps, "targets": len(table)}
     for u in sorted(table, key=grlex_key):
-        values = {"dp": table[u]}
-        values.update(_formula_routes(graph, base, u))
+        values = {"dp": table[u], **_formula_routes(graph, base, u)}
         if len(set(values.values())) != 1:
             return failed("counts_from_base", params,
                           {"vertex": u, **values}, started)
@@ -377,8 +373,8 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     """Seeded random source/target pairs: skew closed form against the DP.
 
     All pairs are drawn first, so the DP counts from a source to all its
-    targets come from one ``path_counts_to`` sweep, made when the source
-    first comes up, and the source is checked then.  Each distinct pair is
+    targets come from one ``path_counts_to`` sweep, which checks the
+    source; the targets are vertices by construction.  Each distinct pair is
     compared once, in the order of its first draw, so the first failing
     pair is the one that comparing every draw would find."""
     _check_sizes(k, steps)
@@ -399,11 +395,8 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     targets: dict[Vertex, set[Vertex]] = {}
     for v, u in drawn:
         targets.setdefault(v, set()).add(u)
-    counts: dict[Vertex, dict[Vertex, int]] = {}
+    counts = {v: path_counts_to(graph, v, us) for v, us in targets.items()}
     for v, u in dict.fromkeys(drawn):
-        if v not in counts:
-            counts[v] = path_counts_to(graph, _checked_vertex(kind, v),
-                                       targets[v])
         dp = counts[v][u]
         for route, value in _formula_routes(graph, v, u).items():
             if value != dp:
@@ -432,8 +425,8 @@ def check_series_construction(kind: str, k: int, steps: int) -> VerifyReport:
         return failed("series_construction", params,
                       {"part": "conditions", **(conditions.witness or {})}, started)
     table = path_count_table(graph, v, bound)
-    for u in sorted(table, key=grlex_key):
-        counted = weighted_path_count(graph, phi, v, u)
+    series = weighted_counts_to(graph, phi, v, sorted(table, key=grlex_key))
+    for u, counted in series.items():
         if counted != table[u]:
             return failed("series_construction", params,
                           {"vertex": u, "dp": table[u], "series": counted},

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, perm, prod
 from operator import add
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -297,12 +297,9 @@ def ff_of_poly(poly: MultiPoly, n: int) -> MultiPoly:
 
 def multinomial(parts: Sequence[int]) -> int:
     """(sum parts)! / prod(parts!); parts must be non-negative."""
-    if any(p < 0 for p in parts):
+    if min(parts, default=0) < 0:
         raise ValueError("negative part")
-    value = factorial(sum(parts))
-    for p in parts:
-        value //= factorial(p)
-    return value
+    return factorial(sum(parts)) // prod(map(factorial, parts))
 
 
 # -- exponent enumeration ---------------------------------------------------

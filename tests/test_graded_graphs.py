@@ -19,8 +19,14 @@ from tableaux.graded_graphs import (GRAPH_KINDS, CustomBoxGraph, GradedGraph,
                                     degree, make_graph, path_count_table,
                                     path_counts_to, static_floor,
                                     verify_weight_conditions,
-                                    weighted_path_count)
+                                    weighted_counts_to, weighted_path_count)
 from tableaux.multipoly import exact_compositions, multinomial
+
+
+# a custom graph off the non-negative orthant: [-2, 1]^2 less two corners
+_NEGATIVE_GRAPH = CustomBoxGraph(2, [
+    w for w in itertools.product(range(-2, 2), repeat=2)
+    if w not in ((1, -2), (-2, 1))])
 
 
 def test_membership_pascal():
@@ -59,8 +65,9 @@ def test_neighbors_filter_membership():
         g.out_neighbors((1, 1))
 
 
-def test_neighbor_lists_are_found_once_and_handed_out_as_copies():
+def test_neighbor_lists_are_fresh_and_the_graph_keeps_no_per_vertex_state():
     g = make_graph("young", 2)
+    state = dict(vars(g))
     found = []
     contains = g.contains
     g.contains = lambda v: found.append(v) or contains(v)
@@ -68,12 +75,44 @@ def test_neighbor_lists_are_found_once_and_handed_out_as_copies():
     first.append((9, 9))
     first[0] = (5, 5)
     assert g.out_neighbors((0, 3)) == [(1, 3), (0, 4)]
-    # the vertex and its two bumps, tested on the first call only
-    assert found == [(0, 3), (1, 3), (0, 4)]
+    assert g.out_neighbors((0, 3)) is not g.out_neighbors((0, 3))
+    # each call tests the vertex alone; its successors follow from the rule
+    assert found == [(0, 3)] * 4
     for _ in range(2):
         with pytest.raises(ValueError, match="not a vertex"):
             g.out_neighbors((1, 1))
-    assert make_graph("young", 2).out_neighbors((0, 3)) == [(1, 3), (0, 4)]
+    del g.contains
+    assert vars(g) == state
+
+
+def _bumps_by_membership(graph, v):
+    return [(i, w) for i in range(graph.k)
+            if graph.contains(w := v[:i] + (v[i] + 1,) + v[i + 1:])]
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_successor_rule_is_the_membership_filter(kind, k):
+    # every vertex within 8 levels of the base, and each of them with its
+    # last entry raised by 10^6, which keeps it a vertex
+    g = make_graph(kind, k)
+    base = degree(g.base_vertex())
+    near = [w for d in range(9) for w in g.vertices_of_degree(base + d)]
+    far = [w[:-1] + (w[-1] + 10 ** 6,) for w in near]
+    for v in near + far:
+        assert g.contains(v)
+        assert g.raised(v) == _bumps_by_membership(g, v), v
+
+
+def test_custom_graph_steps_by_membership():
+    # off the orthant, where the built-in rule does not apply: (1, -2) and
+    # (-2, 1) are missing, so (0, -2) and (-2, 0) have one successor each
+    g = _NEGATIVE_GRAPH
+    assert g.raised((0, -2)) == [(1, (0, -1))]
+    assert g.raised((-2, 0)) == [(0, (-1, 0))]
+    assert g.raised((1, 1)) == []
+    # the walks from (-2, -2) to (1, 1) that avoid both corners
+    assert count_paths_dp(g, (-2, -2), (1, 1)) == 18
 
 
 def test_pascal_counts_are_multinomials():
@@ -124,10 +163,21 @@ def test_path_counts_to_matches_pointwise_dp(kind):
         path_counts_to(g, (-1,) * 3, vertices)
 
 
-# a custom graph off the non-negative orthant: [-2, 1]^2 less two corners
-_NEGATIVE_GRAPH = CustomBoxGraph(2, [
-    w for w in itertools.product(range(-2, 2), repeat=2)
-    if w not in ((1, -2), (-2, 1))])
+@pytest.mark.parametrize("kind,v", [
+    ("pascal", (5, 0, 2, 10 ** 6)), ("young", (0, 2, 3, 10 ** 6)),
+    ("strict", (0, 0, 3, 10 ** 6))])
+def test_path_counts_to_matches_the_table_from_far_sources(kind, v):
+    # the targets are every vertex at or above v - 2 within four levels of
+    # v, most of them not above v, and two levels below it
+    g = make_graph(kind, 4)
+    table = path_count_table(g, v, degree(v) + 4)
+    targets = [w for level in g.levels_above(
+        tuple(c - 2 for c in v), range(degree(v) - 2, degree(v) + 5))
+               for w in level]
+    assert set(table) < set(targets)
+    assert sum(not all(map(operator.le, v, u)) for u in targets) > len(table)
+    assert path_counts_to(g, v, targets) == {
+        u: table.get(u, 0) for u in targets}
 
 
 @pytest.mark.parametrize("graph", [
@@ -696,6 +746,30 @@ def test_weighted_counts_match_dp_all_graphs():
         table = path_count_table(g, v, bound)
         for u, expected in table.items():
             assert weighted_path_count(g, phi, v, u) == expected
+
+
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
+def test_one_pass_series_reader_is_the_per_target_count(kind):
+    # on every target of the table, for the solved series and for one with
+    # an extra term of the base degree and a stray term of another degree
+    g = make_graph(kind, 3)
+    v = g.base_vertex()
+    bound = degree(v) + 5
+    table = path_count_table(g, v, bound)
+    phi = construct_weight_series(g, v, bound)
+    assert weighted_counts_to(g, phi, v, table) == table
+    extra = (v[0], v[1] - 1, v[2] + 1)
+    phi.coeffs[extra] = phi.coeffs.get(extra, 0) + 1
+    phi.coeffs[(0, 0, 9)] = 7
+    tampered = weighted_counts_to(g, phi, v, table)
+    assert tampered == {u: weighted_path_count(g, phi, v, u) for u in table}
+    assert tampered != table
+    beyond = v[:2] + (v[2] + 6,)
+    for read in (lambda: weighted_counts_to(g, phi, v, [*table, beyond]),
+                 lambda: weighted_path_count(g, phi, v, beyond)):
+        with pytest.raises(ValueError, match=f"series bound {bound} below "
+                                             f"target degree {bound + 1}"):
+            read()
 
 
 def test_weighted_count_rejects_mismatched_series():

@@ -230,28 +230,34 @@ def test_strict_routes_are_the_pfaffian_and_up_to_the_cap_the_paper_route():
         {"pfaffian": 1, "ratio_product": 1}
 
 
-@pytest.mark.parametrize("kind", ["young", "strict"])
+@pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
 def test_formula_routes_check_each_vertex_once(monkeypatch, kind):
-    # each source is checked once, and each target once per distinct pair;
-    # the base vertex's other routes take the checked target
+    # each source is checked once, by the DP sweep from it, and no target:
+    # a target read off the table or drawn from a level is a vertex by
+    # construction.  Every vertex check, the graph's ``contains`` and the
+    # closed forms' ``_checked_vertex``, applies ``in_relation``, and the
+    # pascal route takes the multinomial body, which checks nothing
     calls = []
-    real = formulas._checked_vertex
+    real = graded_graphs.in_relation
 
-    def spy(checked_kind, v):
+    def spy(v, neighbour_ok):
         calls.append(v)
-        return real(checked_kind, v)
+        return real(v, neighbour_ok)
 
-    # the suite calls the check by its own name, the public routes by
-    # the module's
-    monkeypatch.setattr(formulas, "_checked_vertex", spy)
-    monkeypatch.setattr(identity_suite, "_checked_vertex", spy)
+    def forbidden(*args):
+        raise AssertionError("multinomial_paths called")
+
+    for module in (graded_graphs, formulas):
+        monkeypatch.setattr(module, "in_relation", spy)
+    monkeypatch.setattr(formulas, "multinomial_paths", forbidden)
     rep = check_counts_from_base(kind, 3, 5)
     assert rep.ok, rep.witness
-    assert len(calls) == 1 + rep.params["targets"]
+    assert rep.params["targets"] > 1
+    assert calls == [graded_graphs.make_graph(kind, 3).base_vertex()]
     calls.clear()
     assert check_skew_pairs(kind, 3, 6, pairs=40, seed=2).ok
     drawn = _drawn_pairs(kind, 3, 6, 40, 2)
-    assert len(calls) == len({v for v, _ in drawn}) + len(set(drawn))
+    assert calls == list(dict.fromkeys(v for v, _ in drawn))
 
 
 @pytest.mark.parametrize("kind", ["pascal", "young", "strict"])
