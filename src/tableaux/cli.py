@@ -11,31 +11,30 @@ Subcommands:
 Exit codes: 0 success, 1 a verification or agreement failure, 2 usage or
 budget errors.  Budgets default to max_k=6, max_degree=16, max_n=8,
 max_compositions=30000, max_pairs=2000, max_vertices=500 and can be
-overridden with TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".
-``max_compositions`` bounds the terms of the composition sum behind ``verify
-hook`` and ``verify skew``, and ``verify skew`` also needs max(anchor) + n <=
-max_degree.  ``max_pairs`` bounds the sampled pairs of ``verify pairs``, and
-``max_vertices`` the entries of a custom graph's ``--vertices`` list: its
-minimum-closure scan is quadratic in the list's length, and its convexity
-scan linear (up to a sort), whatever the size of the coordinates.
+overridden with TABLEAUX_BUDGET_OVERRIDE="max_k=9,max_n=99".  The size
+rule of each ``verify`` check is in its ``_CHECKS`` row, the budget keys it
+is held to.  ``max_vertices`` bounds the entries of a custom graph's
+``--vertices`` list: its minimum-closure scan is quadratic in the list's
+length, and its convexity scan linear (up to a sort), whatever the size of
+the coordinates.
 
 Each subcommand's options are declared once, in ``_COMMANDS``.  A plain
 request (exact ``--flag value`` pairs whose values do not start with ``-``,
 and ``verify``'s check) is read by ``_read_plain`` from ``_PLAIN_INDEX``,
-which is built from that table, so it builds no argparse parser.  Any other,
-help included, is parsed once by the top-level argparse parser, built from
-the same table on first use, which words every usage error.  A request
+which is built from that table, so it does not even import argparse.  Any
+other, help included, is parsed once by the top-level argparse parser, built
+from the same table on first use, which words every usage error.  A request
 imports only what it runs: the identity suite is imported by ``verify``,
 ``json`` and ``csv`` by the writers that print them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from math import comb
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .formulas import (_closed_form_count, _hook_count, _hook_lengths,
@@ -46,7 +45,7 @@ from .graded_graphs import (CustomBoxGraph, GradedGraph,
                             count_paths_dp, degree, make_graph,
                             path_count_table, verify_weight_conditions,
                             weighted_path_count)
-from .laurent import LimitInfiniteError, verify_pfaffian_product
+from .laurent import LimitInfiniteError
 from .multipoly import grlex_key
 from .reports import CountReport, VerifyReport
 
@@ -55,10 +54,6 @@ DEFAULT_BUDGETS = {"max_k": 6, "max_degree": 16, "max_n": 8,
                    "max_vertices": 500}
 BUDGET_ENV = "TABLEAUX_BUDGET_OVERRIDE"
 
-VERIFY_CHECKS = ("vandermonde", "multinomial", "hook", "skew", "polycomponent",
-                 "skew-polycomponent", "pfaffian", "counts", "pairs",
-                 "construction", "controls", "sweep")
-
 
 class BudgetError(Exception):
     """A requested size exceeds the configured budget."""
@@ -66,8 +61,7 @@ class BudgetError(Exception):
 
 def _load_budgets() -> dict[str, int]:
     budgets = dict(DEFAULT_BUDGETS)
-    raw = os.environ.get(BUDGET_ENV, "")
-    for part in raw.split(","):
+    for part in os.environ.get(BUDGET_ENV, "").split(","):
         part = part.strip()
         if not part:
             continue
@@ -92,12 +86,10 @@ def _require(budgets: dict[str, int], **named: int) -> None:
 
 
 def _composition_count(anchor: tuple[int, ...], steps: int) -> int:
-    """Compositions of steps + |anchor| into len(anchor) parts: the terms of
-    the anchored composition sum."""
+    """Compositions of steps + |anchor| into len(anchor) >= 1 parts: the
+    terms of the anchored composition sum."""
     total = steps + sum(anchor)
-    if not anchor or total < 0:
-        return 0
-    return comb(total + len(anchor) - 1, len(anchor) - 1)
+    return comb(total + len(anchor) - 1, len(anchor) - 1) if total >= 0 else 0
 
 
 def _parse_vertex(text: str) -> tuple[int, ...]:
@@ -107,7 +99,7 @@ def _parse_vertex(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse vertex from {text!r}") from None
 
 
-def _resolve_graph(args: argparse.Namespace, budgets: dict[str, int]) -> GradedGraph:
+def _resolve_graph(args: SimpleNamespace, budgets: dict[str, int]) -> GradedGraph:
     if args.graph == "custom":
         if not getattr(args, "vertices", None):
             raise ValueError("--vertices is required for custom graphs")
@@ -173,7 +165,7 @@ def _write_json(doc: dict[str, object]) -> None:
 
 # -- count ----------------------------------------------------------------------
 
-def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
+def _cmd_count(args: SimpleNamespace, budgets: dict[str, int]) -> int:
     graph = _resolve_graph(args, budgets)
     src = _resolve_vertex(graph, args.src, args.from_partition,
                           default=graph.base_vertex(), role="source")
@@ -202,71 +194,79 @@ def _cmd_count(args: argparse.Namespace, budgets: dict[str, int]) -> int:
     elif args.format == "csv":
         _write_csv([["method", "count"]]
                    + [[m, counts[m]] for m in methods])
+    elif report.agree:
+        print(next(iter(counts.values())))
     else:
-        if report.agree:
-            print(next(iter(counts.values())))
-        else:
-            print(" ".join(f"{m}={v}" for m, v in counts.items()))
+        print(" ".join(f"{m}={v}" for m, v in counts.items()))
     return 0 if report.agree else 1
 
 
 # -- verify -----------------------------------------------------------------------
 
-def _verify_reports(args: argparse.Namespace,
+# Each check's runner (a name in ``identity_suite``, a tuple for batteries),
+# the options it reads in argument order, and its budget keys in check order.
+_CHECKS = {
+    "vandermonde": ("check_vandermonde", ("k", "n"), ("max_k", "max_n")),
+    "multinomial": ("check_multinomial", ("k", "n"), ("max_k", "max_n")),
+    "hook": ("check_hook_identity", ("k", "n"),
+             ("max_k", "max_n", "max_compositions")),
+    "skew": ("check_skew_identity", ("k", "anchor", "n"),
+             ("max_k", "max_n", "max_degree", "max_compositions")),
+    "polycomponent": ("check_polycomponent", ("k", "n"), ("max_k", "max_n")),
+    "skew-polycomponent": ("check_skew_polycomponent", ("sigma", "k", "n"),
+                           ("max_k", "max_n")),
+    "pfaffian": ("verify_pfaffian_product", ("k",), ("max_k",)),
+    "counts": ("check_counts_from_base", ("graph", "k", "deg"),
+               ("max_k", "max_degree")),
+    "pairs": ("check_skew_pairs", ("graph", "k", "deg", "pairs", "seed"),
+              ("max_k", "max_degree", "max_pairs")),
+    "construction": ("check_series_construction", ("graph", "k", "deg"),
+                     ("max_k", "max_degree")),
+    "controls": (("negative_controls",), (), ()),
+    "sweep": (("default_sweep", "negative_controls"), (), ()),
+}
+VERIFY_CHECKS = tuple(_CHECKS)
+
+
+def _verify_reports(args: SimpleNamespace,
                     budgets: dict[str, int]) -> list[VerifyReport]:
+    """The reports of the check's ``_CHECKS`` row: k >= 1, each budget key
+    in turn, then the runner.  ``--anchor`` and ``--sigma`` are parsed at
+    first use, so a key checked earlier refuses a request before that."""
     from . import identity_suite
-    name = args.check
-    if name not in ("controls", "sweep") and args.k < 1:
+    runner, options, keys = _CHECKS[args.check]
+    if isinstance(runner, tuple):  # batteries: their reports, in order
+        return sum((getattr(identity_suite, name)() for name in runner), [])
+    if args.k < 1:
         raise ValueError("need k >= 1")
-    if name in ("vandermonde", "multinomial", "hook", "skew", "polycomponent",
-                "skew-polycomponent"):
-        _require(budgets, max_k=args.k, max_n=args.n)
-    if name == "vandermonde":
-        return [identity_suite.check_vandermonde(args.k, args.n)]
-    if name == "multinomial":
-        return [identity_suite.check_multinomial(args.k, args.n)]
-    if name == "hook":
-        _require(budgets, max_compositions=_composition_count(
-            tuple(range(args.k)), args.n))
-        return [identity_suite.check_hook_identity(args.k, args.n)]
-    if name == "skew":
-        anchor = (_parse_vertex(args.anchor) if args.anchor
-                  else tuple(range(args.k)))
+
+    @functools.cache
+    def value(name: str) -> object:
+        if name == "sigma":
+            return parse_partition(args.sigma)
+        if name != "anchor":
+            return getattr(args, name)
+        if "anchor" not in options or not args.anchor:
+            return tuple(range(args.k))  # hook's, and skew's by default
+        anchor = _parse_vertex(args.anchor)
         if len(anchor) != args.k:
             raise ValueError(
                 f"--k {args.k} disagrees with --anchor (k={len(anchor)})")
-        # the alternants have degree max(anchor) in each variable
-        _require(budgets, max_degree=max(anchor, default=0) + args.n,
-                 max_compositions=_composition_count(anchor, args.n))
-        return [identity_suite.check_skew_identity(args.k, anchor, args.n)]
-    if name == "polycomponent":
-        return [identity_suite.check_polycomponent(args.k, args.n)]
-    if name == "skew-polycomponent":
-        sigma = parse_partition(args.sigma)
-        return [identity_suite.check_skew_polycomponent(sigma, args.k, args.n)]
-    if name == "pfaffian":
-        _require(budgets, max_k=args.k)
-        return [verify_pfaffian_product(args.k)]
-    if name == "counts":
-        _require(budgets, max_k=args.k, max_degree=args.deg)
-        return [identity_suite.check_counts_from_base(args.graph, args.k, args.deg)]
-    if name == "pairs":
-        _require(budgets, max_k=args.k, max_degree=args.deg,
-                 max_pairs=args.pairs)
-        return [identity_suite.check_skew_pairs(args.graph, args.k, args.deg,
-                                                args.pairs, args.seed)]
-    if name == "construction":
-        _require(budgets, max_k=args.k, max_degree=args.deg)
-        return [identity_suite.check_series_construction(args.graph, args.k,
-                                                         args.deg)]
-    if name == "controls":
-        return identity_suite.negative_controls()
-    if name == "sweep":
-        return identity_suite.default_sweep() + identity_suite.negative_controls()
-    raise ValueError(f"unknown check {name!r}")
+        return anchor
+
+    needs = {"max_k": lambda: args.k, "max_n": lambda: args.n,
+             "max_pairs": lambda: args.pairs,
+             # the alternants have degree max(anchor) in each variable
+             "max_degree": lambda: (max(value("anchor")) + args.n
+                                    if "anchor" in options else args.deg),
+             "max_compositions": lambda: _composition_count(value("anchor"),
+                                                            args.n)}
+    for key in keys:
+        _require(budgets, **{key: needs[key]()})
+    return [getattr(identity_suite, runner)(*map(value, options))]
 
 
-def _cmd_verify(args: argparse.Namespace, budgets: dict[str, int]) -> int:
+def _cmd_verify(args: SimpleNamespace, budgets: dict[str, int]) -> int:
     reports = _verify_reports(args, budgets)
     for rep in reports:
         print(rep.to_json_line())
@@ -275,7 +275,7 @@ def _cmd_verify(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 
 # -- hooks ------------------------------------------------------------------------
 
-def _cmd_hooks(args: argparse.Namespace, budgets: dict[str, int]) -> int:
+def _cmd_hooks(args: SimpleNamespace, budgets: dict[str, int]) -> int:
     rows = parse_partition(args.partition)
     _require(budgets, max_k=max(len(rows), 1), max_degree=sum(rows))
     grid = _hook_lengths(rows)
@@ -300,7 +300,7 @@ def _cmd_hooks(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 
 # -- phi --------------------------------------------------------------------------
 
-def _cmd_phi(args: argparse.Namespace, budgets: dict[str, int]) -> int:
+def _cmd_phi(args: SimpleNamespace, budgets: dict[str, int]) -> int:
     graph = _resolve_graph(args, budgets)
     v = _resolve_vertex(graph, args.src, args.from_partition,
                         default=graph.base_vertex(), role="base")
@@ -331,7 +331,7 @@ def _cmd_phi(args: argparse.Namespace, budgets: dict[str, int]) -> int:
 
 # -- table ------------------------------------------------------------------------
 
-def _cmd_table(args: argparse.Namespace, budgets: dict[str, int]) -> int:
+def _cmd_table(args: SimpleNamespace, budgets: dict[str, int]) -> int:
     graph = _resolve_graph(args, budgets)
     v = _resolve_vertex(graph, args.src, args.from_partition,
                         default=graph.base_vertex(), role="source")
@@ -431,11 +431,12 @@ _PLAIN_INDEX = {command: _plain_entry(handler, options)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The top-level parser, which reads whole each request ``_read_plain``
     declines, built from ``_COMMANDS`` on the first such request and kept:
     it holds no per-request state (budgets are read per call, and handlers
     look up their helpers when they run)."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tableaux",
         description="Exact path counts in graded lattice graphs, verified "
@@ -449,11 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_plain(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's Namespace for argv, less the ``command`` no handler reads,
-    when every token after the subcommand is an exact ``--flag value`` pair
-    whose value does not start with ``-``, or the subcommand's one
-    positional: each value converted and checked as its option declares,
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The values argparse reads from argv, less the ``command`` no handler
+    reads, when every token after the subcommand is an exact ``--flag
+    value`` pair whose value does not start with ``-``, or the subcommand's
+    one positional: each value converted and checked as its option declares,
     the last repeat of a flag winning, defaults and handler filled in.
     None for any other request (help, abbreviations, ``--flag=value``,
     values starting with ``-``, stray or unknown strings, bad values, a
@@ -482,26 +483,24 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
             return None
         values[dest] = value
         given.add(dest)
-    args = argparse.Namespace()
-    vars(args).update(values)  # one update, not a setattr per value
-    return args if required <= given else None
+    return SimpleNamespace(**values) if required <= given else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one request.  A plain request (``--flag value`` pairs and
     ``verify``'s check) is read from the option table by ``_read_plain``,
-    into the Namespace that argparse would return.  Any other is parsed
-    once by the top-level parser, so that help and every usage error are
-    worded as argparse words them."""
+    into the values that argparse would read.  Any other is parsed once by
+    the top-level parser, so that help and every usage error are worded as
+    argparse words them."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_plain(argv) or _build_parser().parse_args(argv)
+    args = _read_plain(argv) or _build_parser().parse_args(argv,
+                                                           SimpleNamespace())
     try:
         for flag in ("n", "deg"):
             value = getattr(args, flag, 0)
             if value < 0:
                 raise ValueError(f"--{flag} must be >= 0, got {value}")
-        budgets = _load_budgets()
-        return args.handler(args, budgets)
+        return args.handler(args, _load_budgets())
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 2

@@ -244,7 +244,7 @@ def check_skew_identity(k: int, anchor: Sequence[int], steps: int,
 
 # -- distinct parts ------------------------------------------------------------
 
-def _check_polycomponent(identity: str, params: dict, started: float,
+def _check_polycomponent(identity: str, params: dict,
                          sigma: tuple[int, ...], k: int,
                          n: int) -> VerifyReport:
     """The three checks on the strict path series anchored at the
@@ -278,6 +278,8 @@ def _check_polycomponent(identity: str, params: dict, started: float,
     The polynomial side always comes from ``expand`` and the limits never
     do, so each step pits the expansion against the closed form.
     """
+    _check_sizes(k, n)
+    started = time.perf_counter()
     m = sum(sigma)
     fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
@@ -312,10 +314,9 @@ def check_polycomponent(k: int, n: int, perturb: bool = False) -> VerifyReport:
     """The three polynomial-component checks for prod(ratios) * ff(sum(x), n),
     with the ratio product itself as the weight function: the skew checks
     at the empty partition."""
-    started = time.perf_counter()
     return _check_polycomponent(
         "polynomial_component", {"k": k, "n": n, "perturbed": perturb},
-        started, (), k, n)
+        (), k, n)
 
 
 def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
@@ -323,12 +324,10 @@ def check_skew_polycomponent(sigma: Sequence[int], k: int, n: int,
     """Same three checks for the skew series anchored at a distinct-parts
     partition sigma: prod(ratios) * psi_sigma * ff(sum(x) - |sigma|, n - |sigma|).
     The closed form weights are limit values of the anchored weight function."""
-    started = time.perf_counter()
     sigma = tuple(sigma)
     return _check_polycomponent(
         "skew_polynomial_component",
-        {"sigma": sigma, "k": k, "n": n, "perturbed": perturb},
-        started, sigma, k, n)
+        {"sigma": sigma, "k": k, "n": n, "perturbed": perturb}, sigma, k, n)
 
 
 # -- cross validation against the DP oracle -------------------------------------
@@ -378,8 +377,8 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
     compared once, in the order of its first draw, so the first failing
     pair is the one that comparing every draw would find."""
     _check_sizes(k, steps)
-    if pairs < 0:
-        raise ValueError(f"pairs must be non-negative, got {pairs}")
+    if pairs < 1:
+        raise ValueError(f"pairs must be positive, got {pairs}")
     started = time.perf_counter()
     rng = random.Random(seed)
     graph = make_graph(kind, k)
@@ -409,6 +408,7 @@ def check_skew_pairs(kind: str, k: int, steps: int, pairs: int,
 def check_series_construction(kind: str, k: int, steps: int) -> VerifyReport:
     """Construct a weight series at the base vertex, verify the defining
     conditions, and match its counts against the DP on every target."""
+    _check_sizes(k, steps)
     started = time.perf_counter()
     graph = make_graph(kind, k)
     v = graph.base_vertex()

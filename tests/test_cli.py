@@ -197,11 +197,13 @@ def test_verify_skew_ties_the_anchor_to_k(capsys):
 
 
 def test_verify_rejects_requests_that_check_nothing(capsys):
-    # a repeated anchor entry makes both alternants 0, and a negative
-    # --pairs samples no pair: neither may print pass
+    # a repeated anchor entry makes both alternants 0, and a negative or
+    # zero --pairs samples no pair: none may print pass
     for argv in (("skew", "--k", "2", "--anchor", "1,1", "--n", "2"),
                  ("pairs", "--graph", "young", "--k", "2", "--deg", "4",
-                  "--pairs", "-4")):
+                  "--pairs", "-4"),
+                 ("pairs", "--graph", "young", "--k", "3", "--deg", "0",
+                  "--pairs", "0")):
         rc, out, err = run(capsys, "verify", *argv)
         assert rc == 2
         assert out == ""
@@ -257,6 +259,54 @@ def test_verify_pairs_is_bounded_by_max_pairs(capsys, monkeypatch):
     assert run(capsys, *argv, "--pairs", "5")[0] == 0
     rc, _, err = run(capsys, *argv, "--pairs", "6")
     assert rc == 2 and "max_pairs=5" in err and "needs 6" in err
+
+
+# Each verify check's size rules, as (request, budget key, the request's
+# need): max_k on every check that reads --k, max_n on the six that read
+# --n, max_degree (deg, or max(anchor) + n) and max_compositions (the terms
+# of the anchored composition sum, C(n + |a| + k - 1, k - 1)) where they
+# bound the work, and max_pairs on pairs.
+SIZE_RULES = [
+    *[(f"{check} --k 2 --n 3", key, need)
+      for check in ("vandermonde", "multinomial", "polycomponent")
+      for key, need in (("max_k", 2), ("max_n", 3))],
+    ("skew-polycomponent --sigma 1 --k 2 --n 3", "max_k", 2),
+    ("skew-polycomponent --sigma 1 --k 2 --n 3", "max_n", 3),
+    ("hook --k 2 --n 3", "max_k", 2),
+    ("hook --k 2 --n 3", "max_n", 3),
+    ("hook --k 2 --n 3", "max_compositions", 5),
+    ("skew --k 2 --anchor 0,2 --n 2", "max_k", 2),
+    ("skew --k 2 --anchor 0,2 --n 2", "max_n", 2),
+    ("skew --k 2 --anchor 0,2 --n 2", "max_degree", 4),
+    ("skew --k 2 --anchor 0,2 --n 2", "max_compositions", 5),
+    ("pfaffian --k 2", "max_k", 2),
+    *[(f"{check} --graph young --k 2 --deg 3", key, need)
+      for check in ("counts", "construction")
+      for key, need in (("max_k", 2), ("max_degree", 3))],
+    ("pairs --graph young --k 2 --deg 3 --pairs 5", "max_k", 2),
+    ("pairs --graph young --k 2 --deg 3 --pairs 5", "max_degree", 3),
+    ("pairs --graph young --k 2 --deg 3 --pairs 5", "max_pairs", 5),
+]
+
+
+@pytest.mark.parametrize("request_text, key, need", SIZE_RULES)
+def test_each_verify_size_rule_admits_its_need_and_refuses_one_less(
+        capsys, monkeypatch, request_text, key, need):
+    argv = ("verify", *request_text.split())
+    monkeypatch.setenv(BUDGET_ENV, f"{key}={need - 1}")
+    assert run(capsys, *argv) == (
+        2, "", f"budget: {key}={need - 1} but the request needs {need} "
+               f"(raise it via {BUDGET_ENV})\n")
+    monkeypatch.setenv(BUDGET_ENV, f"{key}={need}")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_the_readme_lists_every_verify_check_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("\nChecks: `", 1)[1].split("`", 1)[0]
+    assert tuple(listed.split()) == cli.VERIFY_CHECKS
 
 
 def test_custom_vertex_list_is_bounded_by_max_vertices(capsys, monkeypatch):
@@ -613,7 +663,8 @@ code = cli.main(sys.argv[2:])
 print(repr((sorted(set(sys.modules) - before), len(built), code)),
       file=sys.stderr)
 """
-NOT_RUN_BY_A_COUNT = {"tableaux.identity_suite", "dataclasses", "json", "csv"}
+NOT_RUN_BY_A_COUNT = {"tableaux.identity_suite", "dataclasses", "json", "csv",
+                      "argparse"}
 ONE_SHOT_REPLIES = {
     "count --graph pascal --k 2 --to 1,1 --method formula": "2\n",
     "count --graph strict --k 3 --to-partition 3,1": "2\n",
@@ -763,7 +814,7 @@ def test_the_option_table_reader_agrees_with_argparse():
         ours, theirs = cli._read_plain(argv), _argparse_reads(argv)
         if ours is not None:
             read += 1
-            assert ours == theirs, argv
+            assert vars(ours) == vars(theirs), argv
         else:
             assert not (plain and theirs is not None), argv
     # a third of the generated requests are read

@@ -82,10 +82,15 @@ _OUT_OF_RANGE = [
     (check_multinomial, (2, -1), _STEPS),
     (check_hook_identity, (2, -1), _STEPS),
     (check_skew_identity, (2, (0, 1), -1), _STEPS),
+    (check_polycomponent, (2, -1), _STEPS),
+    (check_skew_polycomponent, ((), 2, -1), _STEPS),
+    (check_series_construction, ("young", 3, -1), _STEPS),
     # internal errors: no variable, or an empty matrix
     (check_vandermonde, (0, 2), "need k >= 1"),
     (check_multinomial, (0, 2), "need k >= 1"),
     (check_hook_identity, (0, 2), "need k >= 1"),
+    # internal wording: a partition longer than the coordinates
+    (check_skew_polycomponent, ((1,), 0, 3), "need k >= 1"),
 ]
 
 
@@ -347,9 +352,11 @@ def test_skew_pairs_report_the_first_failing_pair(monkeypatch):
 
 
 def test_skew_pairs_rejects_a_negative_count():
-    # a negative count would check no pair and pass
-    with pytest.raises(ValueError, match="non-negative"):
-        check_skew_pairs("young", 2, 4, pairs=-4, seed=1)
+    # a negative count, or zero, would check no pair and pass
+    for pairs in (-4, 0):
+        with pytest.raises(ValueError,
+                           match=f"pairs must be positive, got {pairs}"):
+            check_skew_pairs("young", 2, 4, pairs=pairs, seed=1)
 
 
 def test_skew_pairs_are_reproducible():
