@@ -308,7 +308,7 @@ def _cmd_phi(args: SimpleNamespace, budgets: dict[str, int]) -> int:
     bound = degree(v) + args.deg
     phi = construct_weight_series(graph, v, bound)
     conditions = verify_weight_conditions(graph, v, phi, bound)
-    items = phi.sorted_items()
+    items = sorted(phi.coeffs.items())
     if args.format == "json":
         _write_json({
             "graph": graph.name,

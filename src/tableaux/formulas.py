@@ -229,11 +229,11 @@ def aitken_weight(v: Sequence[int], u: Sequence[int]) -> int:
     s!/(u_i - v_j)! for 0 <= u_i - v_j <= s and 0 otherwise: no factorial
     above s! is formed, whatever the size of the entries.  The weight is an
     integer, so a remainder raises ArithmeticError; it is 0 at |u| < |v|."""
+    if len(u) != len(v) or not v:
+        raise ValueError("dimension mismatch" if v else "need k >= 1")
     steps = sum(u) - sum(v)
     if steps < 0:
         return 0
-    if len(u) != len(v) or not v:
-        raise ValueError("dimension mismatch" if v else "need k >= 1")
     numerator = det([[perm(steps, steps - d) if 0 <= (d := c - a) <= steps
                       else 0 for a in v] for c in u])
     return _quotient(numerator, factorial(steps) ** (len(v) - 1),

@@ -187,12 +187,6 @@ class GradedGraph:
         """Canonical minimal vertex used as the default source."""
         raise NotImplementedError
 
-    def out_neighbors(self, v: Vertex) -> list[Vertex]:
-        """The vertices v + e_i above the vertex v, in the order of i."""
-        if not self.contains(v):
-            raise ValueError(f"{v} is not a vertex")
-        return [w for _, w in self.raised(v)]
-
     def raised(self, v: Vertex) -> list[tuple[int, Vertex]]:
         """The pairs (i, v + e_i) with v + e_i a vertex, in the order of i,
         by the successor rule (module docstring); v is not checked."""
@@ -609,9 +603,6 @@ class WeightSeries:
 
     def coefficient(self, exps: Vertex) -> Coeff:
         return self.coeffs.get(tuple(exps), 0)
-
-    def sorted_items(self) -> list[tuple[Vertex, Coeff]]:
-        return sorted(self.coeffs.items())
 
 
 def construct_weight_series(graph: GradedGraph, v: Vertex, bound: int) -> WeightSeries:

@@ -274,7 +274,7 @@ def _check_polycomponent(identity: str, params: dict,
     second says that the limit of the weight function itself vanishes
     there: the paper's key step.  So limits are computed on the top layer and below
     the anchor, each point's once, and nowhere else; ``part`` is evaluated
-    over the whole simplex in one pass (``MultiPoly.simplex_values``).
+    over the whole simplex in one pass (``MultiPoly.layer_values``).
     The polynomial side always comes from ``expand`` and the limits never
     do, so each step pits the expansion against the closed form.
     """
@@ -284,7 +284,7 @@ def _check_polycomponent(identity: str, params: dict,
     fn = strict_skew_path_series(strict_partition_to_vertex(sigma, k), n)
     part = _perturbed(polynomial_component(fn, n), params["perturbed"])
     scale = factorial(n - m)
-    values = part.simplex_values(n)
+    values = part.layer_values(range(n + 1))
     diff = {p: value - scale * skew_weight_limit(sigma, p) if sum(p) == n
             else value for p, value in values.items()}
     if part.degree() > n or any(diff.values()):

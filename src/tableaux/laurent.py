@@ -33,8 +33,10 @@ The rational functions themselves are built in ``formulas``.
 ``verify_pfaffian_product`` checks Schur's identity: the Pfaffian of the
 pair ratio matrix (x_i - x_j)/(x_i + x_j) is the product of the ratios.  It
 clears the denominators and expands the Pfaffian along its first row with
-``signed_matchings``, the one first-row expansion of the package, which
-also lists the matchings of ``formulas.skew_weight_fn``.
+``signed_matchings``, which lists the signed matchings one term at a time,
+as ``formulas.skew_weight_fn`` also needs; ``multipoly.pf``, the other
+first-row expansion, folds a matrix of ring elements with each minor built
+once, for the strict counts.
 The polynomial-component checks expand the strict series as such a
 Pfaffian and take its limits from the product, so at the empty partition
 this identity backs them.  Both sides are compared as integers by
@@ -386,7 +388,10 @@ def check_trailing_negative_coeffs(fn: RationalFn, total_degree: int,
     expansion over [-b, b]^(k-1) x [-b, 0] holds them all; the witness is
     the lexicographically smallest one with a nonzero coefficient.  Each
     factor lowers the total degree by one, so only the numerator terms of
-    degree ``total_degree`` plus the number of pairs are expanded."""
+    degree ``total_degree`` plus the number of pairs are expanded.  A
+    negative bound leaves the box empty, so it is refused."""
+    if probe_bound < 0:
+        raise ValueError(f"probe bound must be non-negative, got {probe_bound}")
     started = time.perf_counter()
     params = {"k": fn.k, "total_degree": total_degree, "probe_bound": probe_bound}
     layer = RationalFn(fn.k, tuple(

@@ -8,8 +8,8 @@ point ever enters a computation.  The zero polynomial is the empty dict.
 Besides ring arithmetic this module provides the expansion primitives the
 rest of the package is built on:
 
-* values at one point, or at every lattice point of a simplex (or of some
-  of its layers) in one pass that substitutes one coordinate at a time,
+* the values at every lattice point of some layers of a simplex, in one
+  pass that substitutes one coordinate at a time,
 * falling factorials of a number (``math.perm`` for a non-negative int), of
   a variable or of an arbitrary polynomial,
 * the falling-factorial expansion sum_c w(c) * prod ff(x_i, c_i) over the
@@ -185,51 +185,29 @@ class MultiPoly:
     def coefficient(self, exps: Exponents) -> Coeff:
         return self.terms.get(tuple(exps), 0)
 
-    def evaluate(self, point: Sequence[Coeff]) -> Coeff:
-        if len(point) != self.k:
-            raise ValueError("point has wrong dimension")
-        point = tuple(point)
-        return self._values_at(lambda prefix: (point[len(prefix)],))[point]
-
-    def simplex_values(self, top: int) -> dict[Exponents, Coeff]:
-        """The value at every non-negative integer point with entry sum
-        <= top; none when top < 0."""
-        return self.layer_values(range(top + 1))
-
     def layer_values(self, layers: Sequence[int]) -> dict[Exponents, Coeff]:
         """The value at every non-negative integer point whose entry sum
-        is one of ``layers``: the last coordinate takes only the values
-        that land on one of them."""
-        top = max(layers, default=-1)
-
-        def choices(prefix: tuple) -> Sequence[int]:
-            used = sum(prefix)
-            if len(prefix) < self.k - 1:
-                return range(top + 1 - used)
-            return [layer - used for layer in layers if layer >= used]
-
-        return self._values_at(choices)
-
-    def _values_at(self, choices: Callable[[tuple], Sequence[Coeff]]
-                   ) -> dict[tuple, Coeff]:
-        """The value at every point whose coordinates are chosen in order:
-        ``choices(prefix)`` gives the values the next coordinate takes after
-        the coordinates in ``prefix``.
+        is one of ``layers``; none when there are no layers.
 
         One coordinate is substituted at a time, so the points that share a
-        prefix share its partial polynomial in the remaining variables.
+        prefix share its partial polynomial in the remaining variables.  A
+        coordinate before the last takes every value that leaves room below
+        the top layer, and the last only the values that land on a layer.
         Each substituted value's powers are built once, up to the highest
         exponent its variable has in that partial polynomial."""
-        values: dict[tuple, Coeff] = {}
+        top, last = max(layers, default=-1), self.k - 1
+        values: dict[Exponents, Coeff] = {}
 
-        def substitute(prefix: tuple, terms: dict) -> None:
+        def substitute(prefix: Exponents, used: int, terms: dict) -> None:
             rows: dict[Exponents, list[tuple[int, Coeff]]] = {}
             for exps, coeff in terms.items():
                 rows.setdefault(exps[1:], []).append((exps[0], coeff))
-            top = max((exps[0] for exps in terms), default=0)
-            for base in choices(prefix):
+            high = max((exps[0] for exps in terms), default=0)
+            bases = range(top + 1 - used) if len(prefix) < last else [
+                layer - used for layer in layers if layer >= used]
+            for base in bases:
                 powers = [1]
-                for _ in range(top):
+                for _ in range(high):
                     powers.append(powers[-1] * base)
                 partial = {}
                 for rest, row in rows.items():
@@ -242,9 +220,9 @@ class MultiPoly:
                 if len(point) == self.k:
                     values[point] = partial.get((), 0)
                 else:
-                    substitute(point, partial)
+                    substitute(point, used + base, partial)
 
-        substitute((), self.terms)
+        substitute((), 0, self.terms)
         return values
 
 
@@ -305,9 +283,11 @@ def multinomial(parts: Sequence[int]) -> int:
 # -- exponent enumeration ---------------------------------------------------
 
 def exact_compositions(k: int, total: int) -> Iterator[Exponents]:
-    """All tuples of k non-negative ints summing to exactly ``total``."""
+    """All tuples of k non-negative ints summing to exactly ``total``; none
+    when total < 0."""
     if k == 1:
-        yield (total,)
+        if total >= 0:
+            yield (total,)
         return
     for head in range(total + 1):
         for rest in exact_compositions(k - 1, total - head):

@@ -178,6 +178,10 @@ def test_aitken_weight_rejects_mismatched_or_empty_tuples():
     # both used to fail inside det as "need a non-empty square matrix"
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         aitken_weight((0, 1), (1,))
+    # below the source too: these two used to return 0
+    for v, u in (((1, 2, 3), (0, 1)), ((0, 1), (0,))):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            aitken_weight(v, u)
     with pytest.raises(ValueError, match="^need k >= 1$"):
         aitken_weight((), ())
 
@@ -185,7 +189,6 @@ def test_aitken_weight_rejects_mismatched_or_empty_tuples():
 def test_aitken_weight_is_zero_below_the_source():
     # |u| < |v| used to fail in factorial(-1); every entry of the
     # step-bounded matrix is then 0, and so is the weight
-    assert aitken_weight((0, 1), (0,)) == 0
     assert aitken_weight((0, 2), (0, 1)) == 0
     assert aitken_weight((1, 3, 4), (0, 1, 2)) == 0
 

@@ -101,7 +101,7 @@ def _reference_polycomponent(identity, params, sigma, k, n):
         return failed(identity, params,
                       {"part": "closed_form", "monomial": top,
                        "difference": diff.terms[top]}, started)
-    values = part.simplex_values(n - 1)
+    values = part.layer_values(range(n))
     for point in bounded_exponents(k, n - 1):
         value = (identity_suite.skew_weight_limit(sigma, point)
                  * falling_factorial(sum(point) - m, n - m))
@@ -326,7 +326,7 @@ def _random_value_tables(rng):
                     values = MultiPoly(k, {
                         rng.choice(points): Fraction(rng.randint(1, 9),
                                                      rng.randint(1, 4))
-                        for _ in range(3)}).simplex_values(top)
+                        for _ in range(3)}).layer_values(range(top + 1))
                     yield k, top, values
                     continue
                 if shape == "single":

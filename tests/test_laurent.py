@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -259,11 +260,12 @@ def test_signed_matchings_are_the_brute_force_matchings(n):
                                      lambda a, b: a < k)) == admitted
 
 
-def _packing_point(k):
-    """x_i = 2^(offset of entry i) for the k variables: evaluating a
-    polynomial there is packing it."""
-    _, _, shifts = _packing(k)
-    return [1 << s for s in shifts[:k]]
+def _packed(poly):
+    """The value of poly at x_i = 2^(offset of entry i), term by term:
+    evaluating a polynomial there is packing it."""
+    _, _, shifts = _packing(poly.k)
+    return sum(coeff << sum(map(operator.mul, shifts, exps))
+               for exps, coeff in poly.terms.items())
 
 
 @pytest.mark.parametrize("k,padded", [(2, False), (4, False), (6, False),
@@ -275,7 +277,7 @@ def test_matching_sum_is_the_signed_matching_sum(k, padded):
     _, _, shifts = _packing(k)
     assert len(shifts) == len(xs)
     assert (_matching_sum(shifts)
-            == _brute_force_matching_sum(xs).evaluate(_packing_point(k)))
+            == _packed(_brute_force_matching_sum(xs)))
 
 
 def test_matching_sum_of_four_variables_by_hand():
@@ -287,7 +289,7 @@ def test_matching_sum_of_four_variables_by_hand():
                 - d(0, 2) * d(1, 3) * s(0, 1) * s(0, 3) * s(1, 2) * s(2, 3)
                 + d(0, 3) * d(1, 2) * s(0, 1) * s(0, 2) * s(1, 3) * s(2, 3))
     _, _, shifts = _packing(4)
-    assert _matching_sum(shifts) == expected.evaluate(_packing_point(4))
+    assert _matching_sum(shifts) == _packed(expected)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -309,7 +311,7 @@ def test_unpack_inverts_the_packing_at_the_bounds(k):
                 terms[(*head, degree - sum(head))] = rng.choice(
                     (bound, -bound, rng.randint(-bound, bound))) or 1
         poly = MultiPoly(k, terms)
-        assert _unpack(poly.evaluate(_packing_point(k)), k) == poly.terms
+        assert _unpack(_packed(poly), k) == poly.terms
 
 
 @pytest.mark.parametrize("k,e,c", [
@@ -328,7 +330,7 @@ def test_pfaffian_failure_reports_the_largest_difference_term(monkeypatch,
     original = laurent._matching_sum
     extra = MultiPoly.monomial(k, e, c)
     monkeypatch.setattr(laurent, "_matching_sum", lambda shifts: (
-        extra.evaluate(_packing_point(k)) - original(shifts)))
+        _packed(extra) - original(shifts)))
     rep = verify_pfaffian_product(k)
     xs = [MultiPoly.var(k, i) for i in range(k)]
     xs += [MultiPoly.zero(k)] * (k % 2)
@@ -402,6 +404,14 @@ def test_trailing_negative_coeffs_vanish_for_path_series():
         fn = strict_skew_path_series((0,) * k, n)
         rep = check_trailing_negative_coeffs(fn, n, n + 2)
         assert rep.ok, rep.witness
+
+
+def test_trailing_negative_check_refuses_an_empty_box():
+    # a negative bound probes no exponent, and used to report a pass
+    fn = strict_skew_path_series((0, 0, 0), 3)
+    with pytest.raises(ValueError, match="probe bound must be non-negative"):
+        check_trailing_negative_coeffs(fn, 3, -1)
+    assert check_trailing_negative_coeffs(fn, 3, 0).ok
 
 
 def test_trailing_negative_check_catches_planted_term():

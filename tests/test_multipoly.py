@@ -22,6 +22,11 @@ def x(k, i):
     return MultiPoly.var(k, i)
 
 
+def _value_by_terms(poly, point):
+    return sum((coeff * prod(c ** e for c, e in zip(point, exps))
+                for exps, coeff in poly.terms.items()), 0)
+
+
 def test_zero_terms_are_dropped():
     p = MultiPoly(2, {(1, 0): 1, (0, 1): 0})
     assert p.terms == {(1, 0): 1}
@@ -60,11 +65,13 @@ def test_degree():
     assert p.degree() == 3
 
 
-def test_evaluate_exact():
+def test_layer_values_exact():
     k = 3
     p = x(k, 0) * x(k, 1) ** 2 - 7
-    assert p.evaluate((2, 3, 99)) == 2 * 9 - 7
-    assert p.evaluate((Fraction(1, 2), 2, 0)) == 2 - 7
+    assert p.layer_values([104])[(2, 3, 99)] == 2 * 9 - 7
+    half = p * Fraction(1, 2)
+    assert half.layer_values([5])[(2, 3, 0)] == Fraction(2 * 9 - 7, 2)
+    assert half.layer_values([4])[(1, 2, 1)] == Fraction(-3, 2)
 
 
 def test_falling_factorial_values():
@@ -100,7 +107,7 @@ def test_ff_poly_expansion():
     assert p.terms == {(3,): 1, (2,): -3, (1,): 2}
     total = MultiPoly.var(2, 0) + MultiPoly.var(2, 1)
     q = ff_of_poly(total, 2)
-    assert q.evaluate((2, 1)) == falling_factorial(3, 2)
+    assert _value_by_terms(q, (2, 1)) == falling_factorial(3, 2)
 
 
 def test_multinomial_matches_factorial_ratio():
@@ -114,6 +121,10 @@ def test_multinomial_matches_factorial_ratio():
 def test_composition_enumeration():
     assert list(exact_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert sum(1 for _ in bounded_exponents(3, 4)) == 35  # C(7,3)
+    # a negative total has no composition; k = 1 used to yield (total,)
+    for k in range(1, 4):
+        assert list(exact_compositions(k, -1)) == []
+        assert ff_expansion(k, -1, lambda c: 1) == MultiPoly.zero(k)
 
 
 def test_grlex_order():
@@ -127,7 +138,8 @@ def test_top_layer_expansion_round_trip():
     k = 2
     p = ff_poly(k, 0, 2) * ff_poly(k, 1, 1) + 3 * ff_poly(k, 0, 3)
     rebuilt = ff_expansion(
-        k, 3, lambda c: Fraction(p.evaluate(c), factorial(c[0]) * factorial(c[1])))
+        k, 3, lambda c: Fraction(_value_by_terms(p, c),
+                                 factorial(c[0]) * factorial(c[1])))
     assert rebuilt == p
     assert ff_expansion(k, 2, lambda c: 1) == \
         ff_poly(k, 0, 2) + ff_poly(k, 0, 1) * ff_poly(k, 1, 1) + ff_poly(k, 1, 2)
@@ -161,7 +173,8 @@ def test_ff_expansion_matches_the_sum_by_composition(k, total):
 
 
 class _CountedInt(int):
-    """An int that counts the multiplications and powers it takes part in."""
+    """An int that counts the multiplications and powers it takes part in;
+    subtracting from it gives another."""
 
     products = 0
 
@@ -175,22 +188,26 @@ class _CountedInt(int):
         _CountedInt.products += 1
         return int(self) ** power
 
+    def __sub__(self, other):
+        return _CountedInt(int(self) - other)
 
-def test_evaluate_builds_each_power_once():
-    k = 3
-    poly = ff_expansion(k, 6, lambda c: 1 + c[0] - 2 * c[2])
-    point = (2, -3, 5)
-    expected = sum(coeff * 2 ** e[0] * (-3) ** e[1] * 5 ** e[2]
-                   for e, coeff in poly.terms.items())
+
+def test_layer_values_builds_each_power_once():
+    # on one layer the last coordinate is the layer less the others, so a
+    # counted layer counts the products its values take part in
+    k, top = 3, 6
+    poly = ff_expansion(k, top, lambda c: 1 + c[0] - 2 * c[2])
     _CountedInt.products = 0
-    assert poly.evaluate(tuple(map(_CountedInt, point))) == expected
-    # one product per power of each coordinate, up to its highest exponent
-    assert _CountedInt.products <= 3 * 6 < len(poly.terms)
-    half = (Fraction(1, 2), 1, Fraction(-2, 3))
-    assert poly.evaluate(half) == sum(
-        coeff * half[0] ** e[0] * half[2] ** e[2]
-        for e, coeff in poly.terms.items())
-    assert MultiPoly.zero(2).evaluate((4, 5)) == 0
+    values = poly.layer_values([_CountedInt(top)])
+    points = list(exact_compositions(k, top))
+    assert list(values) == points
+    for point in points:
+        assert values[point] == _value_by_terms(poly, point), point
+    # one product per power of each last coordinate, up to its highest
+    # exponent, where the term-by-term sum takes one per term
+    assert 0 < _CountedInt.products <= len(points) * top \
+        < len(points) * len(poly.terms)
+    assert MultiPoly.zero(2).layer_values([9])[(4, 5)] == 0
 
 
 def _random_poly(rng, k, degree, coefficient):
@@ -199,13 +216,8 @@ def _random_poly(rng, k, degree, coefficient):
                          if rng.random() < 0.5})
 
 
-def _value_by_terms(poly, point):
-    return sum((coeff * prod(c ** e for c, e in zip(point, exps))
-                for exps, coeff in poly.terms.items()), 0)
-
-
 @pytest.mark.parametrize("k", range(1, 6))
-def test_simplex_values_match_evaluation_point_by_point(k):
+def test_layer_values_match_evaluation_point_by_point(k):
     rng = random.Random(k)
     polys = [MultiPoly.zero(k), MultiPoly.const(k, 3),
              _random_poly(rng, k, 4, lambda r: r.randint(-9, 9)),
@@ -213,12 +225,12 @@ def test_simplex_values_match_evaluation_point_by_point(k):
                                                         r.randint(1, 7)))]
     for poly in polys:
         for top in (-1, 0, 1, 4):
-            values = poly.simplex_values(top)
+            values = poly.layer_values(range(top + 1))
             assert set(values) == set(bounded_exponents(k, top))
             for point, value in values.items():
                 assert value == _value_by_terms(poly, point), (poly, point)
-    assert MultiPoly.zero(k).simplex_values(-1) == {}
-    assert MultiPoly.zero(k).simplex_values(0) == {(0,) * k: 0}
+    assert MultiPoly.zero(k).layer_values(range(0)) == {}
+    assert MultiPoly.zero(k).layer_values(range(1)) == {(0,) * k: 0}
 
 
 def test_power_alternant_is_vandermonde_at_staircase():
@@ -240,9 +252,9 @@ def test_falling_alternant_triangular_at_own_point():
     # of the diagonal falling factorials m_i!
     assert at(m) == 1 * 6 * 24
     poly = falling_alternant(m)
-    assert poly.evaluate(m) == at(m)
+    assert _value_by_terms(poly, m) == at(m)
     # a repeated coordinate repeats a row
-    assert at((5, 2, 5)) == poly.evaluate((5, 2, 5)) == 0
+    assert at((5, 2, 5)) == _value_by_terms(poly, (5, 2, 5)) == 0
 
 
 def test_det_values():
